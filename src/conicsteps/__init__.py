@@ -10,8 +10,9 @@ residuals/tangents/projection, an exact ray tracer with a two-mirror
 telescope scene, halving-sweep convergence measurements, scene-file IO,
 and SVG/CSV emitters, all with a CLI front end (``conicsteps``).
 
-Numeric kernels run on a compiled extension when available and on a
-pure-Python twin otherwise; ``BACKEND`` names the active one.
+The numeric kernels are plain Python (``conicsteps._kernels_py``); the
+package needs no compiler and no build step.  ``BACKEND`` names that
+implementation (``"python"``) for benchmark records.
 """
 from ._backend import BACKEND
 from .config import DEFAULT, Tolerances

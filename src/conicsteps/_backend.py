@@ -1,51 +1,14 @@
-"""Kernel backend selection.
+"""The scalar kernel module, imported by the library as ``kernels``.
 
-The package ships the scalar kernels twice: a compiled extension
-(``conicsteps._kernels``, built from Cython) and a pure-Python twin
-(``conicsteps._kernels_py``).  Import the chosen module as ``kernels`` from
-here; ``BACKEND`` records which one is active ("compiled" or "python").
-
-Selection order:
-
-1. If the environment variable ``CONICSTEPS_BACKEND`` is set to ``python``
-   or ``compiled``, that backend is used; asking for ``compiled`` when the
-   extension is unavailable raises ImportError rather than silently
-   downgrading.
-2. Otherwise the compiled extension is preferred and the pure-Python module
-   is the fallback.
-
-Both backends implement the same functions with the same floating-point
-operation order, so results are bit-identical; the compiled one is just
-faster.
+Library modules do ``from ._backend import kernels`` rather than importing
+``_kernels_py`` directly, so the benchmark tracer can swap the one shared
+module object for a timed proxy.  ``BACKEND`` names the implementation and
+is recorded with every benchmark result.
 """
 from __future__ import annotations
 
-import os
+from . import _kernels_py as kernels
 
-_FORCED = os.environ.get("CONICSTEPS_BACKEND", "").strip().lower()
-
-if _FORCED not in ("", "python", "compiled"):
-    raise ImportError(
-        f"CONICSTEPS_BACKEND={_FORCED!r} is not recognized; "
-        "use 'python' or 'compiled'"
-    )
-
-if _FORCED == "python":
-    from . import _kernels_py as kernels
-
-    BACKEND = "python"
-elif _FORCED == "compiled":
-    from . import _kernels as kernels  # type: ignore[no-redef]
-
-    BACKEND = "compiled"
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernels_py as kernels  # type: ignore[no-redef]
-
-        BACKEND = "python"
+BACKEND = "python"
 
 __all__ = ["BACKEND", "kernels"]

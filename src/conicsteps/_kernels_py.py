@@ -2,9 +2,8 @@
 
 These are the hot inner loops of the library: canonical-frame residuals,
 implicit-form gradients, parametric points, stable quadratic roots for
-ray-conic intersection, and the nearest-point parameter search.  The
-compiled module ``conicsteps._kernels`` implements the same functions with
-the same operation order; ``conicsteps._backend`` picks one at import.
+ray-conic intersection, and the nearest-point parameter search.  Library
+modules reach them through ``conicsteps._backend.kernels``.
 
 All functions work in the conic's canonical frame and know nothing about
 placements, tolerable residuals, or error types — callers own validation.
@@ -19,10 +18,10 @@ TWO_PI = 6.283185307179586476925287
 def _hyp(x: float, y: float) -> float:
     """Scaled two-norm built from correctly-rounded primitives only.
 
-    Both backends use this exact operation sequence instead of the
-    platform ``hypot`` so results agree bit for bit: CPython ships a
-    corrected hypot while the compiled module would get libm's, and the
-    two can differ by a few ulps.
+    ``math.hypot`` is more accurate and can differ from this sequence in
+    the last ulp.  The frozen reference values and the recorded digests
+    of CSV/SVG output were produced with this sequence, so it stays until a
+    change deliberately re-baselines them.
     """
     ax = abs(x)
     ay = abs(y)

@@ -134,9 +134,6 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
                         help="override the on-curve tolerance")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized self-checks (accepted for "
-                             "reproducible pipelines; commands here are deterministic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("residual", parents=[common],

@@ -15,8 +15,6 @@ class Tolerances:
     #: |residual| allowed for "this point lies on the curve", scaled by
     #: (1 + conic scale).
     on_curve: float = 1e-9
-    #: vectors shorter than this cannot be normalized into a Direction.
-    min_direction_norm: float = 1e-300
     #: componentwise budget for exact vector identities (unit norm,
     #: reflection involution, the apex reflection identity).
     identity: float = 1e-12

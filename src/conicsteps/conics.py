@@ -179,10 +179,6 @@ class Placement:
         s = math.sin(self.rotate)
         return Direction(d.x * c + d.y * s, -d.x * s + d.y * c)
 
-    @property
-    def is_identity(self) -> bool:
-        return self.tx == 0.0 and self.ty == 0.0 and self.rotate == 0.0
-
 
 @dataclass(frozen=True)
 class Projection:

@@ -178,10 +178,10 @@ def estimate_order(
 
 
 def _measure_level(
-    cfg: SweepConfig, names: tuple[str, ...], delta: float
+    cfg: SweepConfig, names: tuple[str, ...], delta: float, tolerances: Tolerances
 ) -> dict[str, float]:
     conic = cfg.conic
-    tri = two_step(conic, cfg.anchor, delta, cfg.orientation)
+    tri = two_step(conic, cfg.anchor, delta, cfg.orientation, tolerances)
     if tri.degenerate:
         # A retraced walk has no triangle to measure; every metric is
         # identically zero at every level.
@@ -191,15 +191,17 @@ def _measure_level(
         if m == "residual_B":
             out[m] = abs(tri.residual_b)
         elif m == "chord_tangent_angle":
-            tangent, _ = conic.tangent_normal(cfg.anchor)
+            tangent, _ = conic.tangent_normal(cfg.anchor, tolerances.on_curve)
             theta = angle_between(direction(tri.A, tri.B), tangent)
             out[m] = min(theta, math.pi - theta)
         elif m == "apex_curve_distance":
-            out[m] = conic.project_to_curve(tri.D).distance
+            out[m] = conic.project_to_curve(tri.D, tolerances).distance
         elif m == "parallelism_error":
             out[m] = focal_change_error(conic, tri).parallelism_error
         else:
-            out[m] = exact_return(conic, cfg.anchor, delta, cfg.orientation).gap
+            out[m] = exact_return(
+                conic, cfg.anchor, delta, cfg.orientation, tolerances
+            ).gap
     return out
 
 
@@ -226,7 +228,7 @@ def run_sweep(cfg: SweepConfig, tolerances: Tolerances = DEFAULT) -> Convergence
     for k in range(cfg.halvings + 1):
         delta = cfg.delta0 / (2.0**k)
         try:
-            row = _measure_level(cfg, names, delta)
+            row = _measure_level(cfg, names, delta, tolerances)
         except ConicError as exc:
             failed_level = k
             failure = f"{type(exc).__name__}: {exc}"

@@ -19,6 +19,7 @@ measure the distance from the second focus to that outgoing line.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ._backend import kernels
@@ -286,7 +287,7 @@ def _require_pair(scene: Scene) -> tuple[Conic, Conic]:
 
 def spot_report(
     scene: Scene,
-    rays: tuple[Ray, ...] | list[Ray],
+    rays: Iterable[Ray],
     tolerances: Tolerances = DEFAULT,
 ) -> SpotReport:
     """Trace ``rays`` and measure how tightly they aim at the second focus.
@@ -296,6 +297,7 @@ def spot_report(
     virtual image behind the secondary, so the supporting line is what
     passes through it).  Missed rays are counted, never dropped.
     """
+    rays = tuple(rays)
     _, secondary = _require_pair(scene)
     target = secondary.focus_points()[1]
     secondary_index = scene.roles.index("secondary")
@@ -324,7 +326,7 @@ def spot_report(
         max_d = rms = 0.0
     return SpotReport(
         target=target,
-        n_rays=len(list(rays)),
+        n_rays=len(rays),
         n_focused=n_focused,
         n_blocked=n_blocked,
         n_missed=n_missed,

@@ -253,7 +253,3 @@ class TestFigure:
         assert code == 2
         assert err.startswith("error: value:")
         assert "isosceles" in err and "cassegrain" in err
-
-    def test_seed_flag_accepted(self, capsys):
-        code, _, _ = run(capsys, "figure", "parabola", "--seed", "42")
-        assert code == 0

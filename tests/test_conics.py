@@ -212,10 +212,6 @@ class TestProjection:
 
 
 class TestPlacement:
-    def test_identity_default(self):
-        assert Placement().is_identity
-        assert not Placement(0.0, 0.0, 0.1).is_identity
-
     def test_round_trip_points_and_directions(self):
         rng = random.Random(59)
         for _ in range(300):
@@ -267,7 +263,7 @@ class TestFociAndCoercion:
 
     def test_as_conic_coercion(self):
         conic = as_conic(Ellipse(5, 3))
-        assert isinstance(conic, Conic) and conic.placement.is_identity
+        assert isinstance(conic, Conic) and conic.placement == Placement()
         same = as_conic(conic)
         assert same is conic
         with pytest.raises(TypeError):

@@ -15,6 +15,7 @@ from conicsteps import (
     Parabola,
     Point,
     SweepConfig,
+    Tolerances,
     UnsupportedVariantError,
     estimate_order,
     noise_floor,
@@ -118,6 +119,19 @@ class TestRunSweep:
         cfg = SweepConfig(conic=ELL, anchor=Point(0.0, 3.2), delta0=0.1, halvings=4)
         with pytest.raises(OffCurveError):
             run_sweep(cfg)
+
+    def test_tolerances_reach_every_level(self):
+        # 1e-7 off the curve: rejected by the default policy, accepted by a
+        # looser one, which must then govern every level, not just the anchor
+        on = ELL.point_at(1.1)
+        _, normal = ELL.tangent_normal(on)
+        anchor = Point(on.x + 1e-7 * normal.x, on.y + 1e-7 * normal.y)
+        cfg = SweepConfig(conic=ELL, anchor=anchor, delta0=0.1, halvings=4)
+        with pytest.raises(OffCurveError):
+            run_sweep(cfg)
+        report = run_sweep(cfg, Tolerances(on_curve=1e-6))
+        assert report.failure is None
+        assert len(report.deltas) == 5
 
     def test_degenerate_anchor_reports_zero_rows(self):
         cfg = SweepConfig(

@@ -302,6 +302,12 @@ class TestCassegrain:
         with pytest.raises(UnsupportedVariantError):
             spot_report(scene, (Ray(Point(-4, 0), Direction(4, 3)),))
 
+    def test_generator_input_counts_every_ray(self):
+        scene = default_cassegrain_scene(10)
+        report = spot_report(scene, (ray for ray in scene.rays))
+        assert report.n_rays == 10
+        assert report.n_focused == 10
+
     def test_missed_rays_counted(self):
         scene = default_cassegrain_scene()
         away = Ray(Point(20.0, 8.0), Direction(0, -1))  # outside the aperture
