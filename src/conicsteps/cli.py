@@ -131,13 +131,13 @@ def _write_or_print(text: str, path: str | None) -> None:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="conicsteps", description=__doc__.splitlines()[0])
+    # --tol only where the command reads a tolerance.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=None,
                         help="override the on-curve tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("residual", parents=[common],
-                       help="signed curve residual at a point")
+    p = sub.add_parser("residual", help="signed curve residual at a point")
     _add_conic_args(p)
     p.add_argument("--point", type=_pair, required=True, metavar="X,Y")
 
@@ -173,14 +173,12 @@ def build_parser() -> _Parser:
     p.add_argument("--param", type=float, metavar="T")
     p.add_argument("--incoming", type=_pair, required=True, metavar="DX,DY")
 
-    p = sub.add_parser("trace", parents=[common],
-                       help="trace all rays of a scene file")
+    p = sub.add_parser("trace", help="trace all rays of a scene file")
     p.add_argument("scene", type=str, help="scene JSON path")
     p.add_argument("--max-bounces", type=int, default=None)
     p.add_argument("--svg", type=str, default=None, metavar="PATH")
 
-    p = sub.add_parser("figure", parents=[common],
-                       help="render a construction figure as SVG")
+    p = sub.add_parser("figure", help="render a construction figure as SVG")
     p.add_argument("figure_id", type=str, metavar="FIGURE",
                    help=f"one of: {', '.join(FIGURE_IDS)}")
     p.add_argument("--delta", type=float, default=None)

@@ -27,10 +27,6 @@ class Tolerances:
     #: intersection parameters beyond this are cancellation noise from
     #: near-degenerate (almost linear) quadratics and are discarded.
     max_ray_t: float = 1e12
-    #: relative width at which the exact-return bisection stops.
-    bisect_rel: float = 1e-14
-    #: hard cap on bisection steps.
-    bisect_max_iter: int = 200
     #: coarse samples seeding the nearest-point search.
     nearest_grid: int = 257
     #: hard cap on damped Newton steps for the nearest-point search.

@@ -29,12 +29,14 @@ import math
 from dataclasses import dataclass, replace
 from typing import Literal
 
+from ._backend import kernels
 from .config import DEFAULT, Tolerances
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Shape, as_conic
 from .errors import (
     BracketError,
     ConicError,
     DegenerateTriangleError,
+    NoBranchError,
     OffCurveError,
     UnsupportedVariantError,
 )
@@ -254,9 +256,61 @@ def focal_change_error(conic: Conic | Shape, tri: StepTriangle) -> FocalChange:
     return FocalChange(proj_gap=proj_gap, parallelism_error=parallelism)
 
 
-def _canonical_residual(shape: Shape, kernels_point: Point) -> float:
-    """Residual helper in the canonical frame (no placement round-trip)."""
-    return Conic(shape).residual(kernels_point)
+def _return_length(shape: Shape, ox: float, oy: float, dx: float, dy: float,
+                   delta: float) -> float:
+    """Length ``t`` in [delta/2, 2*delta] that puts ``(ox, oy) + t * (dx, dy)``
+    on the curve, all in canonical-frame floats.
+
+    The focal residual at the two bracket ends decides whether there is an
+    answer: a zero end is the answer, and ends of one sign raise
+    BracketError.  Otherwise the answer is a root of the ray's implicit-form
+    quadratic.  Residual and implicit form share their sign, so exactly one
+    root lies in the bracket; rounding can only push it just outside, hence
+    the root nearest the bracket (for the hyperbola, preferring the selected
+    branch) is taken and clamped into it.
+    """
+    lo, hi = 0.5 * delta, 2.0 * delta
+    xlo, ylo = ox + lo * dx, oy + lo * dy
+    xhi, yhi = ox + hi * dx, oy + hi * dy
+    if isinstance(shape, Ellipse):
+        a, b = shape.a, shape.b
+        flo = kernels.ellipse_residual(a, b, xlo, ylo)
+        fhi = kernels.ellipse_residual(a, b, xhi, yhi)
+        A, B, C = kernels.ellipse_ray_coeffs(a, b, ox, oy, dx, dy)
+    elif isinstance(shape, Parabola):
+        p = shape.p
+        flo = kernels.parabola_residual(p, xlo, ylo)
+        fhi = kernels.parabola_residual(p, xhi, yhi)
+        A, B, C = kernels.parabola_ray_coeffs(p, ox, oy, dx, dy)
+    else:
+        if xlo == 0.0 or xhi == 0.0:
+            raise NoBranchError(
+                "exact-return bracket end lies on the axis between branches"
+            )
+        a, b = shape.a, shape.b
+        flo = kernels.hyperbola_residual(a, b, xlo, ylo)
+        fhi = kernels.hyperbola_residual(a, b, xhi, yhi)
+        A, B, C = kernels.hyperbola_ray_coeffs(a, b, ox, oy, dx, dy)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise BracketError(
+            f"curve residual does not change sign on [{lo!r}, {hi!r}]; "
+            "cannot bracket the exact-return step"
+        )
+    # No merge window: the sign change already rules out a tangency.
+    n, r0, r1 = kernels.quadratic_roots(A, B, C, 0.0)
+    if n == 0:  # a sign change below rounding: keep the closer end
+        return lo if abs(flo) <= abs(fhi) else hi
+    branch = shape.branch if isinstance(shape, Hyperbola) else 0
+
+    def rank(t: float) -> tuple[float, bool]:
+        return max(lo - t, t - hi, 0.0), (ox + t * dx) * branch < 0.0
+
+    t = min((r0, r1)[:n], key=rank)
+    return min(max(t, lo), hi)
 
 
 def exact_return(
@@ -268,55 +322,22 @@ def exact_return(
 ) -> ExactReturn:
     """Re-solve the second step length so the walk ends exactly on the curve.
 
-    The second leg keeps its direction; its length ``t`` is solved from
-    residual(D + t * leg2) = 0 by bisection on the bracket
-    [delta/2, 2*delta].  Raises BracketError if the residual does not
-    change sign there.  Degenerate (retraced) walks return with
-    ``t_star == delta`` unchanged: the retraced second step already ends
-    on the curve.
+    The second leg keeps its direction; its length ``t`` is the root in
+    [delta/2, 2*delta] of the ray-conic quadratic along the leg, solved
+    from the apex in the canonical frame.  Raises BracketError if the
+    curve residual at the two ends of that bracket has one sign (neither
+    end zero); a zero end is itself the answer.  Degenerate (retraced)
+    walks return with ``t_star == delta`` unchanged: the retraced second
+    step already ends on the curve.
     """
     conic = as_conic(conic)
     tri = two_step(conic, A, delta, orientation, tolerances)
     if tri.degenerate:
         return ExactReturn(triangle=tri, t_star=delta, gap=0.0)
 
-    shape = conic.shape
     dc = conic.placement.to_canonical(tri.D)
     u2c = conic.placement.dir_to_canonical(tri.leg2_dir)
-
-    def f(t: float) -> float:
-        return _canonical_residual(
-            shape, Point(dc.x + t * u2c.x, dc.y + t * u2c.y)
-        )
-
-    lo, hi = 0.5 * delta, 2.0 * delta
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        t_star = lo
-    elif fhi == 0.0:
-        t_star = hi
-    elif (flo > 0.0) == (fhi > 0.0):
-        raise BracketError(
-            f"curve residual does not change sign on [{lo!r}, {hi!r}]; "
-            "cannot bracket the exact-return step"
-        )
-    else:
-        for _ in range(tolerances.bisect_max_iter):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            fmid = f(mid)
-            if fmid == 0.0:
-                lo = hi = mid
-                flo = fhi = fmid
-                break
-            if (fmid > 0.0) == (flo > 0.0):
-                lo, flo = mid, fmid
-            else:
-                hi, fhi = mid, fmid
-            if hi - lo <= tolerances.bisect_rel * max(abs(lo), abs(hi)):
-                break
-        t_star = lo if abs(flo) <= abs(fhi) else hi
+    t_star = _return_length(conic.shape, dc.x, dc.y, u2c.x, u2c.y, delta)
 
     b_star_c = Point(dc.x + t_star * u2c.x, dc.y + t_star * u2c.y)
     b_star = conic.placement.to_scene(b_star_c)

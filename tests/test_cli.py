@@ -253,3 +253,29 @@ class TestFigure:
         assert code == 2
         assert err.startswith("error: value:")
         assert "isosceles" in err and "cassegrain" in err
+
+
+class TestTolScope:
+    """--tol exists only on the commands that read a tolerance."""
+
+    @pytest.mark.parametrize("argv", [
+        ("residual", "--ellipse", "5,3", "--point", "0,3"),
+        ("trace", bundled_scene("ellipse.json")),
+        ("figure", "isosceles"),
+    ])
+    def test_tol_is_usage_error_where_unused(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--tol", "1e-3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: usage:")
+
+    @pytest.mark.parametrize("argv", [
+        ("tangent", "--ellipse", "5,3", "--point", "0,3.0001"),
+        ("reflect", "--ellipse", "5,3", "--point", "0,3.0001", "--incoming", "0,-1"),
+        ("walk", "--ellipse", "5,3", "--anchor-param", "1", "--delta", "0.1"),
+        ("converge", "--ellipse", "5,3", "--anchor-param", "1", "--delta0", "0.1",
+         "--halvings", "2"),
+    ])
+    def test_tol_accepted_where_read(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--tol", "1e-3")
+        assert code == 0, err

@@ -1,8 +1,10 @@
 """Two-equal-step triangles, apex reflection, focal change, exact return."""
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -26,6 +28,7 @@ from conicsteps import (
     exact_return,
     focal_change_error,
     reflect_through_apex,
+    translate,
     two_step,
 )
 from conftest import random_conic, random_param
@@ -304,5 +307,79 @@ class TestExactReturn:
         with pytest.raises(BracketError):
             exact_return(conic, anchor, 2.0)
 
+    def test_bracket_error_exactly_when_ends_share_sign(self):
+        """BracketError iff the residual at D + (delta/2) u2 and D + 2 delta u2
+        has one sign; otherwise the returned endpoint is on the curve."""
+        shapes = (Ellipse(1.0, 0.8), Parabola(0.5), Hyperbola(1.0, 0.5, -1))
+        poses = (Placement(), Placement(2.0, -1.5, 0.7), Placement(-3.0, 4.0, -2.4))
+        seen = set()
+        for shape, pose, orientation in itertools.product(
+            shapes, poses, ("forward", "backward")
+        ):
+            conic = Conic(shape, pose)
+            params = (0.3, 2.5, 4.0) if conic.kind == "ellipse" else (-1.2, 0.5, 1.5)
+            for t, delta in itertools.product(params, (0.5, 1.0, 2.0, 4.0, 8.0)):
+                anchor = conic.point_at(t)
+                tri = two_step(conic, anchor, delta, orientation)
+                if tri.degenerate:
+                    continue
+                flo = conic.residual(translate(tri.D, tri.leg2_dir, 0.5 * delta))
+                fhi = conic.residual(translate(tri.D, tri.leg2_dir, 2.0 * delta))
+                one_sign = flo != 0.0 and fhi != 0.0 and (flo > 0.0) == (fhi > 0.0)
+                seen.add((conic.kind, one_sign))
+                if one_sign:
+                    with pytest.raises(BracketError):
+                        exact_return(conic, anchor, delta, orientation)
+                else:
+                    res = exact_return(conic, anchor, delta, orientation)
+                    assert 0.5 * delta <= res.t_star <= 2.0 * delta
+                    residual = conic.residual(res.triangle.B)
+                    assert abs(residual) <= 1e-12 * (1 + conic.scale)
+        # every family shows both outcomes
+        assert len(seen) == 6
+
+    def test_t_star_matches_high_precision_root(self, anchor_set):
+        """t_star is the leg-2 root to within one ulp-scale of the float inputs.
+
+        The oracle solves the canonical implicit-form quadratic along
+        D + t * u2 at 50 digits, from the same float apex and direction.
+        """
+        eps = 2.220446049250313e-16
+        for conic, anchor in anchor_set:
+            for k in range(11):
+                delta = 0.1 / 2**k
+                res = exact_return(conic, anchor, delta)
+                tri = res.triangle
+                if tri.degenerate:
+                    continue
+                dc = conic.placement.to_canonical(tri.D)
+                uc = conic.placement.dir_to_canonical(tri.leg2_dir)
+                want = _oracle_return_length(conic, dc, uc, delta)
+                assert abs(res.t_star - want) <= eps * (1 + conic.scale)
+
     def test_bracket_error_is_conic_error(self):
         assert issubclass(BracketError, ConicError)
+
+
+def _oracle_return_length(conic: Conic, dc: Point, uc: Direction, delta: float) -> float:
+    """Root in [delta/2, 2*delta] of the implicit form along dc + t*uc, at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        ox, oy, dx, dy = (Decimal(v) for v in (dc.x, dc.y, uc.x, uc.y))
+        s = conic.shape
+        if isinstance(s, Parabola):
+            p = Decimal(s.p)
+            A = dx * dx
+            B = 2 * ox * dx - 4 * p * dy
+            C = ox * ox - 4 * p * oy
+        else:
+            aa = Decimal(s.a) ** 2
+            bb = Decimal(s.b) ** 2 * (1 if isinstance(s, Ellipse) else -1)
+            A = dx * dx / aa + dy * dy / bb
+            B = 2 * (ox * dx / aa + oy * dy / bb)
+            C = ox * ox / aa + oy * oy / bb - 1
+        sq = (B * B - 4 * A * C).sqrt()
+        roots = [(-B - sq) / (2 * A), (-B + sq) / (2 * A)]
+        lo, hi = Decimal(delta) / 2, Decimal(delta) * 2
+        (root,) = [t for t in roots if lo <= t <= hi]
+        return float(root)
