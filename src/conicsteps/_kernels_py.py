@@ -46,16 +46,16 @@ def parabola_residual(p: float, x: float, y: float) -> float:
     return _hyp(x, y - p) - abs(y + p)
 
 
-def hyperbola_residual(a: float, b: float, x: float, y: float) -> float:
+def hyperbola_residual(a: float, b: float, sigma: int, x: float, y: float) -> float:
     """Far-focus distance minus near-focus distance minus 2a.
 
-    The near focus is chosen by the sign of ``x``; the caller guarantees
-    ``x != 0``.
+    The near focus is ``(sigma * c, 0)``, inside the branch ``sigma``
+    selects, so points of the other branch are off the curve.
     """
     c = math.sqrt(a * a + b * b)
     d_minus = _hyp(x + c, y)
     d_plus = _hyp(x - c, y)
-    if x > 0.0:
+    if sigma > 0:
         return d_minus - d_plus - 2.0 * a
     return d_plus - d_minus - 2.0 * a
 

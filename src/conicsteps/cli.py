@@ -38,9 +38,9 @@ from .errors import (
     UnsupportedVariantError,
 )
 from .geometry import Direction, Point
-from .optics import reflect_at, spot_report, trace
+from .optics import _spot_report, reflect_at, spot_report, trace
 from .sceneio import load_scene
-from .svgout import FIGURE_IDS, figure_svg, trace_svg
+from .svgout import FIGURE_IDS, _trace_svg, figure_svg
 
 __all__ = ["main"]
 
@@ -263,8 +263,10 @@ def _cmd_reflect(args, parser) -> int:
 
 def _cmd_trace(args, parser) -> int:
     scene = load_scene(args.scene)
+    paths = []
     for i, ray in enumerate(scene.rays):
         path = trace(scene, ray, max_bounces=args.max_bounces)
+        paths.append(path)
         print(f"ray {i} bounces {len(path.hits)}")
         for hit in path.hits:
             print(f"  hit {hit.mirror_index} {_g(hit.point.x)} {_g(hit.point.y)}")
@@ -273,7 +275,12 @@ def _cmd_trace(args, parser) -> int:
             f"dir {_g(path.final.dir.x)} {_g(path.final.dir.y)}"
         )
     if scene.telescope_pair() is not None and scene.rays:
-        rep = spot_report(scene, scene.rays)
+        # The spot report traces at the scene's own cap; reuse the listing's
+        # paths when that is the cap they were traced at.
+        if args.max_bounces in (None, scene.max_bounces):
+            rep = _spot_report(scene, paths)
+        else:
+            rep = spot_report(scene, scene.rays)
         print(f"spot target {_g(rep.target.x)} {_g(rep.target.y)}")
         print(
             f"spot rays {rep.n_rays} focused {rep.n_focused} "
@@ -282,7 +289,7 @@ def _cmd_trace(args, parser) -> int:
         print(f"spot max {_g(rep.max_distance)}")
         print(f"spot rms {_g(rep.rms_distance)}")
     if args.svg:
-        _write_or_print(trace_svg(scene, max_bounces=args.max_bounces), args.svg)
+        _write_or_print(_trace_svg(scene, paths), args.svg)
     return 0
 
 

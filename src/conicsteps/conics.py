@@ -20,9 +20,10 @@ Residual conventions (distances measured in the canonical frame):
 * ellipse: ``|q - F1| + |q - F2| - 2a`` (negative inside);
 * parabola: ``dist(q, focus) - dist(q, directrix)`` (positive on the
   convex side, below the curve);
-* hyperbola: ``far - near - 2a`` where the near focus is picked by the
-  sign of the canonical x coordinate.  Points with canonical ``x == 0``
-  belong to neither branch and raise NoBranchError.
+* hyperbola: ``far - near - 2a`` where the near focus is the one inside
+  the selected branch, so points of the other branch are off the curve.
+  Points with canonical ``x == 0``, on the axis between the branches,
+  raise NoBranchError.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from ._backend import kernels
 from .config import DEFAULT, Tolerances
 from .errors import IterationError, NoBranchError, OffCurveError
-from .geometry import Direction, Point
+from .geometry import Direction, Point, _normalized, _require_finite, _unit_unchecked
 
 __all__ = [
     "Ellipse",
@@ -143,7 +144,15 @@ Shape = Ellipse | Parabola | Hyperbola
 
 @dataclass(frozen=True)
 class Placement:
-    """Rigid motion: rotate by ``rotate`` about the origin, then translate."""
+    """Rigid motion: rotate by ``rotate`` about the origin, then translate.
+
+    ``cos(rotate)`` and ``sin(rotate)`` are computed once, at construction,
+    and kept as non-field attributes: equality, hashing, ``repr`` and
+    serialization see only the three fields, and ``dataclasses.replace``
+    builds a new instance that computes them afresh.  The ``_xy`` and
+    ``_rotate`` methods are the float-level transforms behind the public
+    ones.
+    """
 
     tx: float = 0.0
     ty: float = 0.0
@@ -156,28 +165,38 @@ class Placement:
             and math.isfinite(self.rotate)
         ):
             raise ValueError("placement parameters must be finite")
+        object.__setattr__(self, "_cos", math.cos(self.rotate))
+        object.__setattr__(self, "_sin", math.sin(self.rotate))
+
+    def _xy_to_scene(self, x: float, y: float) -> tuple[float, float]:
+        c, s = self._cos, self._sin
+        return x * c - y * s + self.tx, x * s + y * c + self.ty
+
+    def _xy_to_canonical(self, x: float, y: float) -> tuple[float, float]:
+        c, s = self._cos, self._sin
+        x = x - self.tx
+        y = y - self.ty
+        return x * c + y * s, -x * s + y * c
+
+    def _rotate_to_scene(self, x: float, y: float) -> tuple[float, float]:
+        c, s = self._cos, self._sin
+        return x * c - y * s, x * s + y * c
+
+    def _rotate_to_canonical(self, x: float, y: float) -> tuple[float, float]:
+        c, s = self._cos, self._sin
+        return x * c + y * s, -x * s + y * c
 
     def to_scene(self, p: Point) -> Point:
-        c = math.cos(self.rotate)
-        s = math.sin(self.rotate)
-        return Point(p.x * c - p.y * s + self.tx, p.x * s + p.y * c + self.ty)
+        return Point(*self._xy_to_scene(p.x, p.y))
 
     def to_canonical(self, p: Point) -> Point:
-        c = math.cos(self.rotate)
-        s = math.sin(self.rotate)
-        x = p.x - self.tx
-        y = p.y - self.ty
-        return Point(x * c + y * s, -x * s + y * c)
+        return Point(*self._xy_to_canonical(p.x, p.y))
 
     def dir_to_scene(self, d: Direction) -> Direction:
-        c = math.cos(self.rotate)
-        s = math.sin(self.rotate)
-        return Direction(d.x * c - d.y * s, d.x * s + d.y * c)
+        return Direction(*self._rotate_to_scene(d.x, d.y))
 
     def dir_to_canonical(self, d: Direction) -> Direction:
-        c = math.cos(self.rotate)
-        s = math.sin(self.rotate)
-        return Direction(d.x * c + d.y * s, -d.x * s + d.y * c)
+        return Direction(*self._rotate_to_canonical(d.x, d.y))
 
 
 @dataclass(frozen=True)
@@ -214,17 +233,21 @@ class Conic:
     def residual(self, q: Point) -> float:
         """Signed focal-distance residual of ``q`` (zero on the curve)."""
         qc = self.placement.to_canonical(q)
+        return self._residual_xy(qc.x, qc.y)
+
+    def _residual_xy(self, x: float, y: float) -> float:
+        """``residual`` of the canonical-frame point ``(x, y)``."""
         s = self.shape
         if isinstance(s, Ellipse):
-            return kernels.ellipse_residual(s.a, s.b, qc.x, qc.y)
+            return kernels.ellipse_residual(s.a, s.b, x, y)
         if isinstance(s, Parabola):
-            return kernels.parabola_residual(s.p, qc.x, qc.y)
-        if qc.x == 0.0:
+            return kernels.parabola_residual(s.p, x, y)
+        if x == 0.0:
             raise NoBranchError(
                 "point lies on the axis of symmetry between branches; "
                 "the residual is defined per branch"
             )
-        return kernels.hyperbola_residual(s.a, s.b, qc.x, qc.y)
+        return kernels.hyperbola_residual(s.a, s.b, s.branch, x, y)
 
     def is_on_curve(self, q: Point, tol: float | None = None) -> bool:
         if tol is None:
@@ -242,24 +265,31 @@ class Conic:
         (tangent, normal) is a right-handed frame.  Raises OffCurveError
         when ``q`` is not on the curve within ``tol * (1 + scale)``.
         """
+        normal = _unit_unchecked(*self._unit_normal(q.x, q.y, tol))
+        return normal.perpendicular(), normal
+
+    def _unit_normal(self, x: float, y: float, tol: float | None) -> tuple[float, float]:
+        """``tangent_normal``'s scene-frame unit normal at the scene point
+        ``(x, y)``, as floats, after the same on-curve check."""
         if tol is None:
             tol = DEFAULT.on_curve
-        res = self.residual(q)
+        xc, yc = self.placement._xy_to_canonical(x, y)
+        _require_finite(xc, yc)
+        res = self._residual_xy(xc, yc)
         if abs(res) > tol * (1.0 + self.scale):
             raise OffCurveError(
-                f"point ({q.x!r}, {q.y!r}) is off the curve: "
+                f"point ({x!r}, {y!r}) is off the curve: "
                 f"residual {res!r} exceeds {tol * (1.0 + self.scale)!r}"
             )
-        qc = self.placement.to_canonical(q)
         s = self.shape
         if isinstance(s, Ellipse):
-            gx, gy = kernels.ellipse_gradient(s.a, s.b, qc.x, qc.y)
+            gx, gy = kernels.ellipse_gradient(s.a, s.b, xc, yc)
         elif isinstance(s, Parabola):
-            gx, gy = kernels.parabola_gradient(s.p, qc.x, qc.y)
+            gx, gy = kernels.parabola_gradient(s.p, xc, yc)
         else:
-            gx, gy = kernels.hyperbola_gradient(s.a, s.b, qc.x, qc.y)
-        normal = self.placement.dir_to_scene(Direction(gx, gy))
-        return normal.perpendicular(), normal
+            gx, gy = kernels.hyperbola_gradient(s.a, s.b, xc, yc)
+        gx, gy = _normalized(gx, gy)
+        return _normalized(*self.placement._rotate_to_scene(gx, gy))
 
     # ----------------------------------------------------- parametrization
 

@@ -287,9 +287,9 @@ def _return_length(shape: Shape, ox: float, oy: float, dx: float, dy: float,
             raise NoBranchError(
                 "exact-return bracket end lies on the axis between branches"
             )
-        a, b = shape.a, shape.b
-        flo = kernels.hyperbola_residual(a, b, xlo, ylo)
-        fhi = kernels.hyperbola_residual(a, b, xhi, yhi)
+        a, b, sigma = shape.a, shape.b, shape.branch
+        flo = kernels.hyperbola_residual(a, b, sigma, xlo, ylo)
+        fhi = kernels.hyperbola_residual(a, b, sigma, xhi, yhi)
         A, B, C = kernels.hyperbola_ray_coeffs(a, b, ox, oy, dx, dy)
     if flo == 0.0:
         return lo

@@ -22,8 +22,7 @@ class Point:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
+        _require_finite(self.x, self.y)
 
     def __sub__(self, other: "Point") -> tuple[float, float]:
         """Displacement ``self - other`` as an (dx, dy) tuple."""
@@ -45,17 +44,9 @@ class Direction:
     y: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise DegenerateDirectionError(
-                f"direction components must be finite, got ({self.x}, {self.y})"
-            )
-        n = math.hypot(self.x, self.y)
-        if n < _MIN_DIRECTION_NORM:
-            raise DegenerateDirectionError(
-                f"cannot normalize a vector of norm {n!r}"
-            )
-        object.__setattr__(self, "x", self.x / n)
-        object.__setattr__(self, "y", self.y / n)
+        x, y = _normalized(self.x, self.y)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def perpendicular(self) -> "Direction":
         """This direction rotated by -pi/2 (clockwise quarter turn).
@@ -73,6 +64,30 @@ class Direction:
 
     def cross(self, other: "Direction") -> float:
         return self.x * other.y - self.y * other.x
+
+
+def _require_finite(x: float, y: float) -> None:
+    """The check every Point makes: raise ValueError unless both are finite."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"point coordinates must be finite, got ({x}, {y})")
+
+
+def _normalized(x: float, y: float) -> tuple[float, float]:
+    """``(x, y)`` divided by its ``hypot``: the normalization every Direction gets.
+
+    Raises DegenerateDirectionError when the input is not finite or its
+    norm is below 1e-300.
+    """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DegenerateDirectionError(
+            f"direction components must be finite, got ({x}, {y})"
+        )
+    n = math.hypot(x, y)
+    if n < _MIN_DIRECTION_NORM:
+        raise DegenerateDirectionError(
+            f"cannot normalize a vector of norm {n!r}"
+        )
+    return x / n, y / n
 
 
 def _unit_unchecked(x: float, y: float) -> Direction:

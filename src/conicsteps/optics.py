@@ -15,18 +15,36 @@ on its concave side after passing the common focus, so the second focus
 acts as a virtual image: the outgoing ray's supporting line passes through
 it exactly, on the far side of the bounce.  Spot statistics therefore
 measure the distance from the second focus to that outgoing line.
+
+The work is done in floats: ``trace`` runs its bounce loop on plain
+coordinates in each mirror's canonical frame, through one private hit
+finder and one private reflector.  ``intersect_ray`` and ``reflect_at``
+wrap the same two functions, and validated ``Point``/``Direction`` objects
+are built only at this public edge, for what is returned.  Every check the
+objects made (finite points, normalizable directions, the on-curve and
+branch checks) is still made on the floats, in the same order and with the
+same arithmetic, so results are bit-identical to tracing with objects.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from ._backend import kernels
 from .config import DEFAULT, Tolerances
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Shape, as_conic
 from .errors import UnsupportedVariantError
-from .geometry import Direction, Line, Point, angle_between, direction, translate
+from .geometry import (
+    Direction,
+    Line,
+    Point,
+    _normalized,
+    _require_finite,
+    _unit_unchecked,
+    angle_between,
+    direction,
+)
 
 __all__ = [
     "Ray",
@@ -165,6 +183,46 @@ class SpotReport:
     distances: tuple[float, ...] = field(repr=False)
 
 
+def _hits(
+    conic: Conic, ox: float, oy: float, dx: float, dy: float, tolerances: Tolerances
+) -> list[tuple[float, float, float]]:
+    """``intersect_ray`` on floats: ``(t, x, y)`` for each forward hit of the
+    ray from ``(ox, oy)`` along ``(dx, dy)``, nearest first, all in scene
+    coordinates.
+
+    The ray is solved in the conic's canonical frame, where its direction
+    is renormalized.  The ``self_hit``/``max_ray_t`` window, the
+    ``root_merge`` tangency merge and the other-branch filter are applied
+    here and nowhere else.
+    """
+    placement = conic.placement
+    ocx, ocy = placement._xy_to_canonical(ox, oy)
+    _require_finite(ocx, ocy)
+    dcx, dcy = _normalized(*placement._rotate_to_canonical(dx, dy))
+    s = conic.shape
+    if isinstance(s, Ellipse):
+        A, B, C = kernels.ellipse_ray_coeffs(s.a, s.b, ocx, ocy, dcx, dcy)
+    elif isinstance(s, Parabola):
+        A, B, C = kernels.parabola_ray_coeffs(s.p, ocx, ocy, dcx, dcy)
+    else:
+        A, B, C = kernels.hyperbola_ray_coeffs(s.a, s.b, ocx, ocy, dcx, dcy)
+    n, r0, r1 = kernels.quadratic_roots(A, B, C, tolerances.root_merge)
+    hits = []
+    for t in (r0, r1)[:n]:
+        if not (tolerances.self_hit < t <= tolerances.max_ray_t):
+            continue
+        xc = ocx + t * dcx
+        yc = ocy + t * dcy
+        _require_finite(xc, yc)
+        if isinstance(s, Hyperbola):
+            if xc == 0.0 or (xc > 0.0) != (s.branch > 0):
+                continue
+        x, y = placement._xy_to_scene(xc, yc)
+        _require_finite(x, y)
+        hits.append((t, x, y))
+    return hits
+
+
 def intersect_ray(
     conic: Conic | Shape, ray: Ray, tolerances: Tolerances = DEFAULT
 ) -> tuple[tuple[float, Point], ...]:
@@ -176,27 +234,20 @@ def intersect_ray(
     collapse to the single tangency point.  Hyperbola hits on the other
     branch are discarded.
     """
-    conic = as_conic(conic)
-    oc = conic.placement.to_canonical(ray.origin)
-    dc = conic.placement.dir_to_canonical(ray.dir)
-    s = conic.shape
-    if isinstance(s, Ellipse):
-        A, B, C = kernels.ellipse_ray_coeffs(s.a, s.b, oc.x, oc.y, dc.x, dc.y)
-    elif isinstance(s, Parabola):
-        A, B, C = kernels.parabola_ray_coeffs(s.p, oc.x, oc.y, dc.x, dc.y)
-    else:
-        A, B, C = kernels.hyperbola_ray_coeffs(s.a, s.b, oc.x, oc.y, dc.x, dc.y)
-    n, r0, r1 = kernels.quadratic_roots(A, B, C, tolerances.root_merge)
-    hits: list[tuple[float, Point]] = []
-    for t in (r0, r1)[:n]:
-        if not (tolerances.self_hit < t <= tolerances.max_ray_t):
-            continue
-        pc = Point(oc.x + t * dc.x, oc.y + t * dc.y)
-        if isinstance(s, Hyperbola):
-            if pc.x == 0.0 or (pc.x > 0.0) != (s.branch > 0):
-                continue
-        hits.append((t, conic.placement.to_scene(pc)))
-    return tuple(hits)
+    found = _hits(as_conic(conic), ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y,
+                  tolerances)
+    return tuple((t, Point(x, y)) for t, x, y in found)
+
+
+def _reflect(
+    conic: Conic, x: float, y: float, dx: float, dy: float, tol: float | None
+) -> tuple[float, float]:
+    """``reflect_at`` on floats: the unit direction leaving the scene point
+    ``(x, y)`` for the incoming direction ``(dx, dy)``."""
+    nx, ny = conic._unit_normal(x, y, tol)
+    tx, ty = ny, -nx  # the tangent: the normal turned by -pi/2
+    s = dx * tx + dy * ty
+    return _normalized(2.0 * s * tx - dx, 2.0 * s * ty - dy)
 
 
 def reflect_at(
@@ -206,10 +257,7 @@ def reflect_at(
     tol: float | None = None,
 ) -> Direction:
     """Reflect ``incoming`` across the analytic tangent line at ``q``."""
-    conic = as_conic(conic)
-    tangent, _ = conic.tangent_normal(q, tol)
-    s = incoming.x * tangent.x + incoming.y * tangent.y
-    return Direction(2.0 * s * tangent.x - incoming.x, 2.0 * s * tangent.y - incoming.y)
+    return _unit_unchecked(*_reflect(as_conic(conic), q.x, q.y, incoming.x, incoming.y, tol))
 
 
 def focal_property_error(
@@ -255,20 +303,21 @@ def trace(
     if max_bounces < 1:
         raise ValueError(f"max_bounces must be >= 1, got {max_bounces}")
     hits: list[Hit] = []
-    current = ray
+    ox, oy, dx, dy = ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y
     for _ in range(max_bounces):
-        best: tuple[float, int, Point] | None = None
+        best: tuple[float, float, float, int] | None = None
         for index, mirror in enumerate(scene.mirrors):
-            found = intersect_ray(mirror, current, tolerances)
+            found = _hits(mirror, ox, oy, dx, dy, tolerances)
             if found and (best is None or found[0][0] < best[0]):
-                best = (found[0][0], index, found[0][1])
+                best = (*found[0], index)
         if best is None:
             break
-        t, index, point = best
-        outgoing = reflect_at(scene.mirrors[index], point, current.dir, scene.on_curve_tol)
-        hits.append(Hit(mirror_index=index, point=point, t=t, outgoing=outgoing))
-        current = Ray(point, outgoing)
-    return TracePath(ray=ray, hits=tuple(hits), final=current)
+        t, ox, oy, index = best
+        dx, dy = _reflect(scene.mirrors[index], ox, oy, dx, dy, scene.on_curve_tol)
+        hits.append(Hit(mirror_index=index, point=Point(ox, oy), t=t,
+                        outgoing=_unit_unchecked(dx, dy)))
+    final = Ray(hits[-1].point, hits[-1].outgoing) if hits else ray
+    return TracePath(ray=ray, hits=tuple(hits), final=final)
 
 
 def ray_line_distance(ray: Ray, q: Point) -> float:
@@ -297,15 +346,19 @@ def spot_report(
     virtual image behind the secondary, so the supporting line is what
     passes through it).  Missed rays are counted, never dropped.
     """
-    rays = tuple(rays)
+    _require_pair(scene)
+    return _spot_report(scene, [trace(scene, ray, tolerances=tolerances) for ray in rays])
+
+
+def _spot_report(scene: Scene, paths: Sequence[TracePath]) -> SpotReport:
+    """``spot_report`` of rays already traced at the scene's bounce cap."""
     _, secondary = _require_pair(scene)
     target = secondary.focus_points()[1]
     secondary_index = scene.roles.index("secondary")
     primary_index = scene.roles.index("primary")
     distances: list[float] = []
     n_focused = n_blocked = n_missed = 0
-    for ray in rays:
-        path = trace(scene, ray, tolerances=tolerances)
+    for path in paths:
         if not path.hits:
             n_missed += 1
             continue
@@ -326,7 +379,7 @@ def spot_report(
         max_d = rms = 0.0
     return SpotReport(
         target=target,
-        n_rays=len(rays),
+        n_rays=len(paths),
         n_focused=n_focused,
         n_blocked=n_blocked,
         n_missed=n_missed,

@@ -13,11 +13,12 @@ check should find in the document.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Placement
 from .construction import StepTriangle, two_step
 from .geometry import Direction, Point, direction, translate
-from .optics import Ray, Scene, trace
+from .optics import Ray, Scene, TracePath, trace
 
 __all__ = ["FIGURE_IDS", "REQUIRED_ELEMENTS", "figure_svg", "trace_svg"]
 
@@ -315,6 +316,14 @@ def trace_svg(
     max_bounces: int | None = None,
 ) -> str:
     """Draw a scene's mirrors and all its bundled rays."""
+    paths = [trace(scene, ray, max_bounces=max_bounces) for ray in scene.rays]
+    return _trace_svg(scene, paths, width, height)
+
+
+def _trace_svg(
+    scene: Scene, paths: Sequence[TracePath], width: int = 640, height: int = 480
+) -> str:
+    """``trace_svg`` of the scene's rays already traced as ``paths``."""
     doc = _SvgDoc()
     for i, mirror in enumerate(scene.mirrors):
         elem_id = "curve" if i == 0 else f"curve-{i + 1}"
@@ -330,8 +339,7 @@ def trace_svg(
     if pair is not None:
         doc.marker("focus-1", pair[0].focus_points()[0])
         doc.marker("focus-2", pair[1].focus_points()[1])
-    for i, ray in enumerate(scene.rays):
-        path = trace(scene, ray, max_bounces=max_bounces)
+    for i, path in enumerate(paths):
         pts = [path.ray.origin] + [h.point for h in path.hits]
         pts.append(translate(path.final.origin, path.final.dir, 3.0))
         doc.polyline(f"ray-{i}", pts)

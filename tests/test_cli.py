@@ -6,6 +6,10 @@ from importlib import resources
 
 import pytest
 
+import conicsteps.cli
+import conicsteps.optics
+import conicsteps.svgout
+from conicsteps import load_scene, spot_report, trace_svg
 from conicsteps.cli import main
 
 
@@ -231,6 +235,45 @@ class TestTrace:
         assert code == 0
         assert target.read_text().startswith("<?xml")
         assert "<svg" in target.read_text()
+
+    def _count_traces(self, monkeypatch) -> list[int]:
+        calls = [0]
+        real = conicsteps.optics.trace
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        for module in (conicsteps.optics, conicsteps.cli, conicsteps.svgout):
+            monkeypatch.setattr(module, "trace", counting)
+        return calls
+
+    def test_each_ray_traced_once(self, capsys, tmp_path, monkeypatch):
+        path = bundled_scene("cassegrain.json")
+        target = tmp_path / "trace.svg"
+        calls = self._count_traces(monkeypatch)
+        code, out, _ = run(capsys, "trace", path, "--svg", str(target))
+        assert code == 0
+        assert calls[0] == 100
+        monkeypatch.undo()
+        scene = load_scene(path)
+        assert target.read_text(encoding="utf-8") == trace_svg(scene)
+        rep = spot_report(scene, scene.rays)
+        assert f"spot max {rep.max_distance:.15g}" in out.splitlines()
+
+    def test_spot_traced_again_at_another_cap(self, capsys, tmp_path, monkeypatch):
+        path = bundled_scene("cassegrain.json")
+        target = tmp_path / "trace.svg"
+        calls = self._count_traces(monkeypatch)
+        code, out, _ = run(capsys, "trace", path, "--max-bounces", "1", "--svg", str(target))
+        assert code == 0
+        assert calls[0] == 200
+        monkeypatch.undo()
+        scene = load_scene(path)
+        assert target.read_text(encoding="utf-8") == trace_svg(scene, max_bounces=1)
+        lines = out.splitlines()
+        assert all(l.endswith(" bounces 1") for l in lines if l.startswith("ray "))
+        assert "spot rays 100 focused 100 blocked 0 missed 0" in lines
 
 
 class TestFigure:

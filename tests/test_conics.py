@@ -1,6 +1,7 @@
 """Canonical conics: residuals, tangents, parameterization, projection."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -76,6 +77,15 @@ class TestResidual:
     def test_hyperbola_axis_point_has_no_branch(self):
         with pytest.raises(NoBranchError):
             Conic(Hyperbola(3, 4)).residual(Point(0, 1))
+
+    def test_hyperbola_other_branch_is_off_curve(self):
+        plus = Conic(Hyperbola(3, 4, 1))
+        q = Conic(Hyperbola(3, 4, -1)).point_at(0.5)
+        assert not plus.is_on_curve(q)
+        # far - near - 2a with the foci of the +1 branch: -2a - 2a
+        assert plus.residual(q) == pytest.approx(-12.0, abs=1e-12)
+        with pytest.raises(OffCurveError):
+            plus.tangent_normal(q)
 
     def test_residual_respects_placement(self):
         placed = Conic(Ellipse(5, 3), Placement(2.0, -1.0, math.pi / 2))
@@ -226,6 +236,23 @@ class TestPlacement:
             dback = pl.dir_to_canonical(pl.dir_to_scene(d))
             assert abs(dback.x - d.x) <= 1e-12
             assert abs(dback.y - d.y) <= 1e-12
+
+    def test_replace_recomputes_cached_trig(self):
+        moved = dataclasses.replace(Placement(1.0, 2.0, 0.3), rotate=1.1)
+        q = moved.to_scene(Point(1.0, 0.0))
+        assert (q.x, q.y) == (math.cos(1.1) + 1.0, math.sin(1.1) + 2.0)
+        assert moved.to_scene(Point(0.5, -2.0)) == Placement(1.0, 2.0, 1.1).to_scene(
+            Point(0.5, -2.0)
+        )
+
+    def test_cached_trig_is_not_a_field(self):
+        pl = Placement(1.0, 2.0, 0.3)
+        same = Placement(1.0, 2.0, 0.3)
+        object.__setattr__(same, "_cos", 0.0)  # a cache that disagrees
+        assert pl == same
+        assert hash(pl) == hash(same)
+        assert repr(pl) == "Placement(tx=1.0, ty=2.0, rotate=0.3)"
+        assert dataclasses.asdict(pl) == {"tx": 1.0, "ty": 2.0, "rotate": 0.3}
 
     def test_rotation_is_rigid(self):
         pl = Placement(1.0, 2.0, 0.7)

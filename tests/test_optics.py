@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -12,6 +13,8 @@ from conicsteps import (
     Direction,
     Ellipse,
     Hyperbola,
+    NoBranchError,
+    OffCurveError,
     Parabola,
     Placement,
     Point,
@@ -314,3 +317,76 @@ class TestCassegrain:
         report = spot_report(scene, (away,))
         assert report.n_missed == 1
         assert report.n_focused == 0
+
+
+# Rigid motions that pose the whole stock telescope for the float-core tests.
+MOTIONS = (
+    Placement(1.5, -2.25, 0.7),
+    Placement(-3.0, 4.0, -2.1),
+    Placement(0.25, 0.5, 3.0),
+)
+
+
+def posed_cassegrain(motion: Placement) -> Scene:
+    """The stock telescope with 40 focused rays, one blocked by the
+    secondary and one that misses, all moved as a whole by ``motion``."""
+    base = default_cassegrain_scene(40)
+    down = Direction(0.0, -1.0)
+    rays = base.rays + (Ray(Point(0.3, 8.0), down), Ray(Point(20.0, 8.0), down))
+    c, s = math.cos(motion.rotate), math.sin(motion.rotate)
+    mirrors = tuple(
+        Conic(m.shape, Placement(
+            c * m.placement.tx - s * m.placement.ty + motion.tx,
+            s * m.placement.tx + c * m.placement.ty + motion.ty,
+            m.placement.rotate + motion.rotate,
+        ))
+        for m in base.mirrors
+    )
+    return Scene(
+        mirrors=mirrors,
+        roles=base.roles,
+        rays=tuple(Ray(motion.to_scene(r.origin), motion.dir_to_scene(r.dir)) for r in rays),
+        max_bounces=base.max_bounces,
+    )
+
+
+class TestFloatCore:
+    def test_posed_cassegrain_digest(self):
+        # Frozen: any change to the arithmetic of a hit, a reflection or a
+        # spot distance moves the digest.
+        lines = []
+        for motion in MOTIONS:
+            scene = posed_cassegrain(motion)
+            for ray in scene.rays:
+                for h in trace(scene, ray).hits:
+                    lines.append("%d %.17g %.17g %.17g %.17g %.17g" % (
+                        h.mirror_index, h.point.x, h.point.y, h.t,
+                        h.outgoing.x, h.outgoing.y))
+            rep = spot_report(scene, scene.rays)
+            lines.append(f"{rep.n_rays} {rep.n_focused} {rep.n_blocked} {rep.n_missed}")
+            lines += ["%.17g" % d for d in rep.distances]
+        assert len(lines) == 372
+        digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        assert digest == "b8897be7f16a21007baea92228adca09fbe71af5394c420f6de993337d39fa3c"
+
+    def test_public_wrappers_match_first_bounce(self):
+        checked = 0
+        for motion in MOTIONS:
+            scene = posed_cassegrain(motion)
+            for ray in scene.rays:
+                path = trace(scene, ray)
+                if not path.hits:
+                    continue
+                hit = path.hits[0]
+                mirror = scene.mirrors[hit.mirror_index]
+                assert intersect_ray(mirror, ray)[0] == (hit.t, hit.point)
+                out = reflect_at(mirror, hit.point, ray.dir, scene.on_curve_tol)
+                assert (out.x, out.y) == (hit.outgoing.x, hit.outgoing.y)
+                checked += 1
+        assert checked == 3 * 41
+
+    def test_reflect_at_keeps_its_checks(self):
+        with pytest.raises(OffCurveError):
+            reflect_at(ELL, Point(0.0, 3.1), Direction(1, 0))
+        with pytest.raises(NoBranchError):
+            reflect_at(Conic(Hyperbola(3, 4)), Point(0.0, 1.0), Direction(1, 0))
