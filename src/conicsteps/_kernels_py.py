@@ -2,8 +2,10 @@
 
 These are the hot inner loops of the library: canonical-frame residuals,
 implicit-form gradients, parametric points, stable quadratic roots for
-ray-conic intersection, and the nearest-point parameter search.  Library
-modules reach them through ``conicsteps._backend.kernels``.
+ray-conic intersection, and the nearest-point parameter search, all reached
+through ``conicsteps._backend.kernels``: the per-shape kernels only from the
+shape methods in ``conics``, ``quadratic_roots`` from ``optics`` and
+``construction``.
 
 All functions work in the conic's canonical frame and know nothing about
 placements, tolerable residuals, or error types — callers own validation.

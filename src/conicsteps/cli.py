@@ -198,7 +198,7 @@ def _cmd_residual(args, parser) -> int:
 def _cmd_tangent(args, parser) -> int:
     conic = _conic_from(args, parser)
     q = _point_from(args, conic, parser)
-    tangent, normal = conic.tangent_normal(q, args.tol)
+    tangent, normal = conic.tangent_normal(q, _tolerances(args).on_curve)
     print(f"tangent {_g(tangent.x)} {_g(tangent.y)}")
     print(f"normal {_g(normal.x)} {_g(normal.y)}")
     return 0
@@ -256,7 +256,7 @@ def _cmd_converge(args, parser) -> int:
 def _cmd_reflect(args, parser) -> int:
     conic = _conic_from(args, parser)
     q = _point_from(args, conic, parser)
-    out = reflect_at(conic, q, Direction(*args.incoming), args.tol)
+    out = reflect_at(conic, q, Direction(*args.incoming), _tolerances(args).on_curve)
     print(f"outgoing {_g(out.x)} {_g(out.y)}")
     return 0
 

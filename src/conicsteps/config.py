@@ -7,7 +7,8 @@ the CLI's ``--tol`` flag) derive a new instance with ``replace``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,15 @@ class Tolerances:
     #: noise floor for order fitting, in units of machine epsilon times
     #: (1 + conic scale).
     noise_floor_epsilons: float = 100.0
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(f.default, float) and not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{f.name} must be finite and positive, got {v}")
+        if self.nearest_grid < 2 or self.nearest_max_iter < 1:
+            raise ValueError("need nearest_grid >= 2 and nearest_max_iter >= 1, got "
+                             f"{self.nearest_grid} and {self.nearest_max_iter}")
 
     def with_on_curve(self, tol: float) -> "Tolerances":
         return replace(self, on_curve=tol)

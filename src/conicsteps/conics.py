@@ -13,7 +13,10 @@ Each shape is defined in a canonical pose:
 A ``Placement`` is a rotation followed by a translation; ``Conic`` pairs a
 shape with a placement and exposes every curve operation in scene
 coordinates: the signed residual, tangent/normal frames, parametric points,
-nearest-point projection, and focus locations.
+nearest-point projection, and focus locations.  Each shape owns its
+canonical-frame math: its ``_residual``, ``_gradient``, ``_point``,
+``_ray_coeffs``, ``_nearest`` and ``_on_branch`` are the only callers of
+its kernels, so no other code picks a kernel by shape.
 
 Residual conventions (distances measured in the canonical frame):
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 from ._backend import kernels
 from .config import DEFAULT, Tolerances
@@ -50,6 +54,7 @@ __all__ = [
 class Ellipse:
     """Axis-aligned ellipse with semi-major ``a`` and semi-minor ``b``."""
 
+    kind: ClassVar[str] = "ellipse"
     a: float
     b: float
 
@@ -75,11 +80,32 @@ class Ellipse:
     def scale(self) -> float:
         return self.a + self.b
 
+    def _residual(self, x: float, y: float) -> float:
+        return kernels.ellipse_residual(self.a, self.b, x, y)
+
+    def _gradient(self, x: float, y: float) -> tuple[float, float]:
+        return kernels.ellipse_gradient(self.a, self.b, x, y)
+
+    def _point(self, t: float) -> tuple[float, float]:
+        return kernels.ellipse_point(self.a, self.b, t)
+
+    def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
+        return kernels.ellipse_ray_coeffs(self.a, self.b, ox, oy, dx, dy)
+
+    def _nearest(self, x: float, y: float, grid: int, max_iter: int) -> tuple[float, int]:
+        if x == 0.0 and y == 0.0:
+            raise ValueError("nearest point is ambiguous at the ellipse center")
+        return kernels.ellipse_nearest_param(self.a, self.b, x, y, grid, max_iter)
+
+    def _on_branch(self, x: float) -> bool:
+        return True
+
 
 @dataclass(frozen=True)
 class Parabola:
     """Parabola ``x^2 = 4 p y`` with focal length ``p``."""
 
+    kind: ClassVar[str] = "parabola"
     p: float
 
     def __post_init__(self) -> None:
@@ -98,6 +124,25 @@ class Parabola:
     def scale(self) -> float:
         return 2.0 * self.p
 
+    def _residual(self, x: float, y: float) -> float:
+        return kernels.parabola_residual(self.p, x, y)
+
+    def _gradient(self, x: float, y: float) -> tuple[float, float]:
+        return kernels.parabola_gradient(self.p, x, y)
+
+    def _point(self, t: float) -> tuple[float, float]:
+        return kernels.parabola_point(self.p, t)
+
+    def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
+        return kernels.parabola_ray_coeffs(self.p, ox, oy, dx, dy)
+
+    def _nearest(self, x: float, y: float, grid: int, max_iter: int) -> tuple[float, int]:
+        w = abs(x) + math.sqrt(4.0 * self.p * max(y, 0.0)) + 4.0 * self.p + 1.0
+        return kernels.parabola_nearest_param(self.p, x, y, -w, w, grid, max_iter)
+
+    def _on_branch(self, x: float) -> bool:
+        return True
+
 
 @dataclass(frozen=True)
 class Hyperbola:
@@ -109,6 +154,7 @@ class Hyperbola:
     far one.
     """
 
+    kind: ClassVar[str] = "hyperbola"
     a: float
     b: float
     branch: int = 1
@@ -120,7 +166,7 @@ class Hyperbola:
             raise ValueError(
                 f"hyperbola requires a > 0 and b > 0, got a={self.a}, b={self.b}"
             )
-        if self.branch not in (1, -1):
+        if type(self.branch) is not int or self.branch not in (1, -1):
             raise ValueError(f"branch must be +1 or -1, got {self.branch}")
 
     @property
@@ -137,6 +183,29 @@ class Hyperbola:
     @property
     def scale(self) -> float:
         return self.a + self.b
+
+    def _residual(self, x: float, y: float) -> float:
+        if x == 0.0:
+            raise NoBranchError("point lies on the axis of symmetry between branches; "
+                                "the residual is defined per branch")
+        return kernels.hyperbola_residual(self.a, self.b, self.branch, x, y)
+
+    def _gradient(self, x: float, y: float) -> tuple[float, float]:
+        return kernels.hyperbola_gradient(self.a, self.b, x, y)
+
+    def _point(self, t: float) -> tuple[float, float]:
+        return kernels.hyperbola_point(self.a, self.b, self.branch, t)
+
+    def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
+        return kernels.hyperbola_ray_coeffs(self.a, self.b, ox, oy, dx, dy)
+
+    def _nearest(self, x: float, y: float, grid: int, max_iter: int) -> tuple[float, int]:
+        w = math.asinh((abs(x) + abs(y)) / min(self.a, self.b)) + 2.0
+        return kernels.hyperbola_nearest_param(self.a, self.b, self.branch, x, y,
+                                               -w, w, grid, max_iter)
+
+    def _on_branch(self, x: float) -> bool:
+        return x != 0.0 and (x > 0.0) == (self.branch > 0)
 
 
 Shape = Ellipse | Parabola | Hyperbola
@@ -217,11 +286,7 @@ class Conic:
 
     @property
     def kind(self) -> str:
-        if isinstance(self.shape, Ellipse):
-            return "ellipse"
-        if isinstance(self.shape, Parabola):
-            return "parabola"
-        return "hyperbola"
+        return self.shape.kind
 
     @property
     def scale(self) -> float:
@@ -232,22 +297,9 @@ class Conic:
 
     def residual(self, q: Point) -> float:
         """Signed focal-distance residual of ``q`` (zero on the curve)."""
-        qc = self.placement.to_canonical(q)
-        return self._residual_xy(qc.x, qc.y)
-
-    def _residual_xy(self, x: float, y: float) -> float:
-        """``residual`` of the canonical-frame point ``(x, y)``."""
-        s = self.shape
-        if isinstance(s, Ellipse):
-            return kernels.ellipse_residual(s.a, s.b, x, y)
-        if isinstance(s, Parabola):
-            return kernels.parabola_residual(s.p, x, y)
-        if x == 0.0:
-            raise NoBranchError(
-                "point lies on the axis of symmetry between branches; "
-                "the residual is defined per branch"
-            )
-        return kernels.hyperbola_residual(s.a, s.b, s.branch, x, y)
+        x, y = self.placement._xy_to_canonical(q.x, q.y)
+        _require_finite(x, y)
+        return self.shape._residual(x, y)
 
     def is_on_curve(self, q: Point, tol: float | None = None) -> bool:
         if tol is None:
@@ -275,20 +327,13 @@ class Conic:
             tol = DEFAULT.on_curve
         xc, yc = self.placement._xy_to_canonical(x, y)
         _require_finite(xc, yc)
-        res = self._residual_xy(xc, yc)
+        res = self.shape._residual(xc, yc)
         if abs(res) > tol * (1.0 + self.scale):
             raise OffCurveError(
                 f"point ({x!r}, {y!r}) is off the curve: "
                 f"residual {res!r} exceeds {tol * (1.0 + self.scale)!r}"
             )
-        s = self.shape
-        if isinstance(s, Ellipse):
-            gx, gy = kernels.ellipse_gradient(s.a, s.b, xc, yc)
-        elif isinstance(s, Parabola):
-            gx, gy = kernels.parabola_gradient(s.p, xc, yc)
-        else:
-            gx, gy = kernels.hyperbola_gradient(s.a, s.b, xc, yc)
-        gx, gy = _normalized(gx, gy)
+        gx, gy = _normalized(*self.shape._gradient(xc, yc))
         return _normalized(*self.placement._rotate_to_scene(gx, gy))
 
     # ----------------------------------------------------- parametrization
@@ -299,14 +344,7 @@ class Conic:
         Ellipse: ``(a cos t, b sin t)``; parabola: ``(t, t^2/(4p))``;
         hyperbola: ``(sigma a cosh t, b sinh t)`` on the selected branch.
         """
-        s = self.shape
-        if isinstance(s, Ellipse):
-            x, y = kernels.ellipse_point(s.a, s.b, t)
-        elif isinstance(s, Parabola):
-            x, y = kernels.parabola_point(s.p, t)
-        else:
-            x, y = kernels.hyperbola_point(s.a, s.b, s.branch, t)
-        return self.placement.to_scene(Point(x, y))
+        return self.placement.to_scene(Point(*self.shape._point(t)))
 
     # ------------------------------------------------------------ nearest
 
@@ -320,23 +358,8 @@ class Conic:
         iteration fails to settle.
         """
         qc = self.placement.to_canonical(q)
-        s = self.shape
-        grid = tolerances.nearest_grid
-        it = tolerances.nearest_max_iter
-        if isinstance(s, Ellipse):
-            if qc.x == 0.0 and qc.y == 0.0:
-                raise ValueError(
-                    "nearest point is ambiguous at the ellipse center"
-                )
-            t, ok = kernels.ellipse_nearest_param(s.a, s.b, qc.x, qc.y, grid, it)
-        elif isinstance(s, Parabola):
-            w = abs(qc.x) + math.sqrt(4.0 * s.p * max(qc.y, 0.0)) + 4.0 * s.p + 1.0
-            t, ok = kernels.parabola_nearest_param(s.p, qc.x, qc.y, -w, w, grid, it)
-        else:
-            w = math.asinh((abs(qc.x) + abs(qc.y)) / min(s.a, s.b)) + 2.0
-            t, ok = kernels.hyperbola_nearest_param(
-                s.a, s.b, s.branch, qc.x, qc.y, -w, w, grid, it
-            )
+        t, ok = self.shape._nearest(qc.x, qc.y, tolerances.nearest_grid,
+                                    tolerances.nearest_max_iter)
         if not ok:
             raise IterationError(
                 f"nearest-point search did not converge for ({q.x!r}, {q.y!r})"

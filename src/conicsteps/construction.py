@@ -31,12 +31,11 @@ from typing import Literal
 
 from ._backend import kernels
 from .config import DEFAULT, Tolerances
-from .conics import Conic, Ellipse, Hyperbola, Parabola, Shape, as_conic
+from .conics import Conic, Ellipse, Parabola, Shape, as_conic
 from .errors import (
     BracketError,
     ConicError,
     DegenerateTriangleError,
-    NoBranchError,
     OffCurveError,
     UnsupportedVariantError,
 )
@@ -263,34 +262,16 @@ def _return_length(shape: Shape, ox: float, oy: float, dx: float, dy: float,
 
     The focal residual at the two bracket ends decides whether there is an
     answer: a zero end is the answer, and ends of one sign raise
-    BracketError.  Otherwise the answer is a root of the ray's implicit-form
-    quadratic.  Residual and implicit form share their sign, so exactly one
-    root lies in the bracket; rounding can only push it just outside, hence
-    the root nearest the bracket (for the hyperbola, preferring the selected
-    branch) is taken and clamped into it.
+    BracketError (a hyperbola end on the axis raises NoBranchError, as
+    ``Conic.residual`` does).  Otherwise the answer is a root of the ray's
+    implicit-form quadratic.  Residual and implicit form share their sign,
+    so exactly one root lies in the bracket; rounding can only push it just
+    outside, hence the root nearest the bracket (preferring one on the
+    selected branch) is taken and clamped into it.
     """
     lo, hi = 0.5 * delta, 2.0 * delta
-    xlo, ylo = ox + lo * dx, oy + lo * dy
-    xhi, yhi = ox + hi * dx, oy + hi * dy
-    if isinstance(shape, Ellipse):
-        a, b = shape.a, shape.b
-        flo = kernels.ellipse_residual(a, b, xlo, ylo)
-        fhi = kernels.ellipse_residual(a, b, xhi, yhi)
-        A, B, C = kernels.ellipse_ray_coeffs(a, b, ox, oy, dx, dy)
-    elif isinstance(shape, Parabola):
-        p = shape.p
-        flo = kernels.parabola_residual(p, xlo, ylo)
-        fhi = kernels.parabola_residual(p, xhi, yhi)
-        A, B, C = kernels.parabola_ray_coeffs(p, ox, oy, dx, dy)
-    else:
-        if xlo == 0.0 or xhi == 0.0:
-            raise NoBranchError(
-                "exact-return bracket end lies on the axis between branches"
-            )
-        a, b, sigma = shape.a, shape.b, shape.branch
-        flo = kernels.hyperbola_residual(a, b, sigma, xlo, ylo)
-        fhi = kernels.hyperbola_residual(a, b, sigma, xhi, yhi)
-        A, B, C = kernels.hyperbola_ray_coeffs(a, b, ox, oy, dx, dy)
+    flo = shape._residual(ox + lo * dx, oy + lo * dy)
+    fhi = shape._residual(ox + hi * dx, oy + hi * dy)
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -301,13 +282,12 @@ def _return_length(shape: Shape, ox: float, oy: float, dx: float, dy: float,
             "cannot bracket the exact-return step"
         )
     # No merge window: the sign change already rules out a tangency.
-    n, r0, r1 = kernels.quadratic_roots(A, B, C, 0.0)
+    n, r0, r1 = kernels.quadratic_roots(*shape._ray_coeffs(ox, oy, dx, dy), 0.0)
     if n == 0:  # a sign change below rounding: keep the closer end
         return lo if abs(flo) <= abs(fhi) else hi
-    branch = shape.branch if isinstance(shape, Hyperbola) else 0
 
     def rank(t: float) -> tuple[float, bool]:
-        return max(lo - t, t - hi, 0.0), (ox + t * dx) * branch < 0.0
+        return max(lo - t, t - hi, 0.0), not shape._on_branch(ox + t * dx)
 
     t = min((r0, r1)[:n], key=rank)
     return min(max(t, lo), hi)

@@ -32,7 +32,7 @@ from .construction import (
     two_step,
 )
 from .errors import ConicError, OffCurveError
-from .geometry import Point, angle_between, direction
+from .geometry import Direction, Point, angle_between, direction
 
 __all__ = [
     "METRICS",
@@ -177,9 +177,8 @@ def estimate_order(
     return OrderEstimate(order=math.fsum(ratios) / len(ratios), ratios_used=len(ratios))
 
 
-def _measure_level(
-    cfg: SweepConfig, names: tuple[str, ...], delta: float, tolerances: Tolerances
-) -> dict[str, float]:
+def _measure_level(cfg: SweepConfig, names: tuple[str, ...], delta: float,
+                   tolerances: Tolerances, tangent: Direction | None) -> dict[str, float]:
     conic = cfg.conic
     tri = two_step(conic, cfg.anchor, delta, cfg.orientation, tolerances)
     if tri.degenerate:
@@ -191,7 +190,6 @@ def _measure_level(
         if m == "residual_B":
             out[m] = abs(tri.residual_b)
         elif m == "chord_tangent_angle":
-            tangent, _ = conic.tangent_normal(cfg.anchor, tolerances.on_curve)
             theta = angle_between(direction(tri.A, tri.B), tangent)
             out[m] = min(theta, math.pi - theta)
         elif m == "apex_curve_distance":
@@ -221,6 +219,9 @@ def run_sweep(cfg: SweepConfig, tolerances: Tolerances = DEFAULT) -> Convergence
             f"curve: residual {res!r}"
         )
     names = cfg.resolved_metrics()
+    tangent = None  # fixed anchor and tolerances: one tangent for every level
+    if "chord_tangent_angle" in names:
+        tangent, _ = conic.tangent_normal(cfg.anchor, tolerances.on_curve)
     deltas: list[float] = []
     columns: dict[str, list[float]] = {m: [] for m in names}
     failed_level: int | None = None
@@ -228,7 +229,7 @@ def run_sweep(cfg: SweepConfig, tolerances: Tolerances = DEFAULT) -> Convergence
     for k in range(cfg.halvings + 1):
         delta = cfg.delta0 / (2.0**k)
         try:
-            row = _measure_level(cfg, names, delta, tolerances)
+            row = _measure_level(cfg, names, delta, tolerances, tangent)
         except ConicError as exc:
             failed_level = k
             failure = f"{type(exc).__name__}: {exc}"
@@ -264,14 +265,10 @@ def standard_anchors() -> tuple[tuple[Conic, Point], ...]:
     text = resources.files("conicsteps").joinpath("fixtures/anchors.json").read_text()
     data = json.loads(text)
     out: list[tuple[Conic, Point]] = []
-    for family in ("ellipse", "parabola", "hyperbola"):
-        entry = data[family]
-        if family == "ellipse":
-            conic = Conic(Ellipse(entry["a"], entry["b"]))
-        elif family == "parabola":
-            conic = Conic(Parabola(entry["p"]))
-        else:
-            conic = Conic(Hyperbola(entry["a"], entry["b"], entry.get("branch", 1)))
-        for t in entry["params"]:
+    for shape_type in (Ellipse, Parabola, Hyperbola):
+        entry = dict(data[shape_type.kind])
+        params = entry.pop("params")
+        conic = Conic(shape_type(**entry))
+        for t in params:
             out.append((conic, conic.point_at(t)))
     return tuple(out)

@@ -199,14 +199,9 @@ def _hits(
     ocx, ocy = placement._xy_to_canonical(ox, oy)
     _require_finite(ocx, ocy)
     dcx, dcy = _normalized(*placement._rotate_to_canonical(dx, dy))
-    s = conic.shape
-    if isinstance(s, Ellipse):
-        A, B, C = kernels.ellipse_ray_coeffs(s.a, s.b, ocx, ocy, dcx, dcy)
-    elif isinstance(s, Parabola):
-        A, B, C = kernels.parabola_ray_coeffs(s.p, ocx, ocy, dcx, dcy)
-    else:
-        A, B, C = kernels.hyperbola_ray_coeffs(s.a, s.b, ocx, ocy, dcx, dcy)
-    n, r0, r1 = kernels.quadratic_roots(A, B, C, tolerances.root_merge)
+    shape = conic.shape
+    n, r0, r1 = kernels.quadratic_roots(*shape._ray_coeffs(ocx, ocy, dcx, dcy),
+                                        tolerances.root_merge)
     hits = []
     for t in (r0, r1)[:n]:
         if not (tolerances.self_hit < t <= tolerances.max_ray_t):
@@ -214,9 +209,8 @@ def _hits(
         xc = ocx + t * dcx
         yc = ocy + t * dcy
         _require_finite(xc, yc)
-        if isinstance(s, Hyperbola):
-            if xc == 0.0 or (xc > 0.0) != (s.branch > 0):
-                continue
+        if not shape._on_branch(xc):
+            continue
         x, y = placement._xy_to_scene(xc, yc)
         _require_finite(x, y)
         hits.append((t, x, y))

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import asdict
 from typing import Any
 
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Placement
@@ -112,9 +113,11 @@ def _parse_conic(value: Any, path: str) -> tuple[Conic, str]:
             shape = Parabola(_num(obj, "p", path))
         else:
             branch = obj.get("branch", 1)
-            if branch not in (1, -1):
+            if type(branch) is not int or branch not in (1, -1):
                 raise SceneFormatError(f"{path}.branch: expected 1 or -1, got {branch!r}")
             shape = Hyperbola(_num(obj, "a", path), _num(obj, "b", path), branch)
+    except SceneFormatError:
+        raise  # already names its key
     except ValueError as exc:
         raise SceneFormatError(f"{path}: {exc}") from exc
     placement = (
@@ -192,23 +195,13 @@ def load_scene(path: str | os.PathLike) -> Scene:
 
 
 def _conic_to_dict(conic: Conic, role: str) -> dict:
-    s = conic.shape
-    out: dict[str, Any] = {"kind": conic.kind}
-    if isinstance(s, Ellipse):
-        out["a"] = s.a
-        out["b"] = s.b
-    elif isinstance(s, Parabola):
-        out["p"] = s.p
-    else:
-        out["a"] = s.a
-        out["b"] = s.b
-        out["branch"] = s.branch
-    out["placement"] = {
-        "translate": [conic.placement.tx, conic.placement.ty],
-        "rotate": conic.placement.rotate,
+    return {
+        "kind": conic.kind,
+        **asdict(conic.shape),
+        "placement": {"translate": [conic.placement.tx, conic.placement.ty],
+                      "rotate": conic.placement.rotate},
+        "role": role,
     }
-    out["role"] = role
-    return out
 
 
 def serialize_scene(scene: Scene) -> str:

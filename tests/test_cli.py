@@ -78,6 +78,17 @@ class TestTangentAndReflect:
         assert code == 2
         assert err.startswith("error: off-curve:")
 
+    @pytest.mark.parametrize("argv", [
+        ("tangent", "--ellipse", "5,3", "--point", "0,4"),
+        ("reflect", "--ellipse", "5,3", "--point", "0,4", "--incoming", "0,-1"),
+    ])
+    def test_nan_tol_is_value_error(self, capsys, argv):
+        # (0, 4) has residual 1.31; a NaN tolerance must not wave it through
+        code, out, err = run(capsys, *argv, "--tol", "nan")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: value: on_curve")
+
 
 class TestWalk:
     def test_worked_example(self, capsys):

@@ -1,0 +1,41 @@
+"""The numeric policy object: every field must be usable as given."""
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import pytest
+
+from conicsteps import DEFAULT, Conic, Parabola, Point, Tolerances
+
+FLOAT_FIELDS = [f.name for f in dataclasses.fields(Tolerances) if isinstance(f.default, float)]
+
+
+class TestTolerances:
+    def test_default_is_valid(self):
+        assert Tolerances() == DEFAULT
+        assert len(FLOAT_FIELDS) == 8
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+    def test_float_fields_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            Tolerances(**{name: value})
+
+    def test_nan_on_curve_rejected(self):
+        # NaN would switch every on-curve check off: abs(r) > nan is False
+        with pytest.raises(ValueError, match="on_curve"):
+            DEFAULT.with_on_curve(math.nan)
+
+    def test_nearest_grid_needs_two_samples(self):
+        # one sample divided the parabola's search window by zero
+        with pytest.raises(ValueError, match="nearest_grid"):
+            Tolerances(nearest_grid=1)
+        tol = Tolerances(nearest_grid=2)
+        proj = Conic(Parabola(1)).project_to_curve(Point(0.5, 1.0), tol)
+        assert proj.distance < 1.0
+
+    def test_nearest_max_iter_needs_one_step(self):
+        with pytest.raises(ValueError, match="nearest_max_iter"):
+            Tolerances(nearest_max_iter=0)
+        Tolerances(nearest_max_iter=1)

@@ -46,6 +46,13 @@ class TestShapeValidation:
         with pytest.raises(ValueError):
             Hyperbola(1.0, 1.0, branch=2)
 
+    @pytest.mark.parametrize("branch", [True, -1.0])
+    def test_hyperbola_branch_is_an_int(self, branch):
+        # a bool or float branch compared equal to +-1 and serialized as
+        # true or -1.0, which scene files reject
+        with pytest.raises(ValueError, match="branch"):
+            Hyperbola(1.0, 1.0, branch)
+
     def test_non_finite_parameters_rejected(self):
         with pytest.raises(ValueError):
             Ellipse(math.inf, 1.0)

@@ -1,10 +1,12 @@
 """Two-equal-step triangles, apex reflection, focal change, exact return."""
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
 from decimal import Decimal, localcontext
+from importlib import resources
 
 import pytest
 
@@ -17,20 +19,26 @@ from conicsteps import (
     Ellipse,
     Hyperbola,
     Line,
+    NoBranchError,
     OffCurveError,
     Parabola,
     Placement,
     Point,
     StepTriangle,
+    SweepConfig,
     UnsupportedVariantError,
     apex_reflector,
     direction,
     exact_return,
     focal_change_error,
+    load_scene,
     reflect_through_apex,
+    run_sweep,
+    serialize_scene,
     translate,
     two_step,
 )
+from conicsteps.construction import _return_length
 from conftest import random_conic, random_param
 
 ELL = Conic(Ellipse(5, 3))
@@ -357,6 +365,13 @@ class TestExactReturn:
                 want = _oracle_return_length(conic, dc, uc, delta)
                 assert abs(res.t_star - want) <= eps * (1 + conic.scale)
 
+    @pytest.mark.parametrize("ox", [-1.0, -4.0])
+    def test_bracket_end_on_hyperbola_axis_has_no_branch(self, ox):
+        # delta = 2 puts the bracket ends at t = 1 and t = 4, so the
+        # canonical x of one end is exactly 0
+        with pytest.raises(NoBranchError):
+            _return_length(Hyperbola(3.0, 4.0), ox, 0.5, 1.0, 0.0, 2.0)
+
     def test_bracket_error_is_conic_error(self):
         assert issubclass(BracketError, ConicError)
 
@@ -383,3 +398,32 @@ def _oracle_return_length(conic: Conic, dc: Point, uc: Direction, delta: float) 
         lo, hi = Decimal(delta) / 2, Decimal(delta) * 2
         (root,) = [t for t in roots if lo <= t <= hi]
         return float(root)
+
+
+POSED = (
+    (Conic(Ellipse(5.0, 3.0), Placement(1.5, -2.0, 0.7)), 0.9),
+    (Conic(Parabola(1.25), Placement(-3.0, 4.0, -1.1)), 1.3),
+    (Conic(Hyperbola(3.0, 4.0, 1), Placement(2.0, 1.0, 2.3)), 0.6),
+    (Conic(Hyperbola(2.0, 1.5, -1), Placement(-1.0, -2.5, -0.4)), -0.45),
+)
+
+
+class TestFrozenOutput:
+    def test_construction_digest(self):
+        # Frozen: any change to the arithmetic of a walk, an exact return,
+        # a sweep metric or a scene's serialized text moves the digest.
+        parts = []
+        for conic, t in POSED:
+            anchor = conic.point_at(t)
+            for orientation in ("forward", "backward"):
+                cfg = SweepConfig(conic=conic, anchor=anchor, delta0=0.1, halvings=8,
+                                  orientation=orientation)
+                parts.append(run_sweep(cfg).to_csv())
+                for delta in (0.2, 0.05, 0.003):
+                    parts.append(repr(exact_return(conic, anchor, delta, orientation)))
+        for name in ("cassegrain.json", "ellipse.json"):
+            path = resources.files("conicsteps").joinpath("scenes", name)
+            parts.append(serialize_scene(load_scene(str(path))))
+        assert len(parts) == 34
+        digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+        assert digest == "2e676ffb64430eb83d1946214d8a991a6b5fbf494681fa3559d60262e8399c6c"

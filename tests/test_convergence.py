@@ -133,6 +133,23 @@ class TestRunSweep:
         assert report.failure is None
         assert len(report.deltas) == 5
 
+    def test_anchor_tangent_computed_once(self, monkeypatch):
+        calls = []
+        tangent_normal = Conic.tangent_normal
+
+        def counted(self, q, tol=None):
+            calls.append(q)
+            return tangent_normal(self, q, tol)
+
+        monkeypatch.setattr(Conic, "tangent_normal", counted)
+        anchor = ELL.point_at(1.1)
+        run_sweep(SweepConfig(conic=ELL, anchor=anchor, delta0=0.1, halvings=10))
+        assert calls == [anchor]
+        calls.clear()
+        run_sweep(SweepConfig(conic=ELL, anchor=anchor, delta0=0.1, halvings=10,
+                              metrics=("residual_B",)))
+        assert calls == []
+
     def test_degenerate_anchor_reports_zero_rows(self):
         cfg = SweepConfig(
             conic=Conic(Parabola(1)), anchor=Point(0, 0), delta0=0.1, halvings=4

@@ -94,6 +94,19 @@ class TestRejection:
         with pytest.raises(SceneFormatError, match="[ab]"):
             parse_scene('{"conics": [{"kind": "ellipse", "a": 5}]}')
 
+    def test_key_error_names_its_path_once(self):
+        with pytest.raises(SceneFormatError) as info:
+            parse_scene('{"conics": [{"kind": "ellipse", "a": 5}]}', source="s.json")
+        assert str(info.value) == "s.json:conics[0]: missing required key 'b'"
+
+    @pytest.mark.parametrize("branch", ["true", "-1.0"])
+    def test_non_integer_branch(self, branch):
+        text = ('{"conics": [{"kind": "hyperbola", "a": 1, "b": 1, "branch": %s}]}'
+                % branch)
+        with pytest.raises(SceneFormatError) as info:
+            parse_scene(text, source="s.json")
+        assert str(info.value).startswith("s.json:conics[0].branch: expected 1 or -1")
+
     def test_unknown_kind(self):
         with pytest.raises(SceneFormatError, match="circle"):
             parse_scene('{"conics": [{"kind": "circle", "a": 1}]}')
