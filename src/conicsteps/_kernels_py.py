@@ -2,7 +2,7 @@
 
 These are the hot inner loops of the library: canonical-frame residuals,
 implicit-form gradients, parametric points, stable quadratic roots for
-ray-conic intersection, and the nearest-point parameter search, all reached
+ray-conic intersection, and the direct foot-of-normal solves, all reached
 through ``conicsteps._backend.kernels``: the per-shape kernels only from the
 shape methods in ``conics``, ``quadratic_roots`` from ``optics`` and
 ``construction``.
@@ -170,144 +170,106 @@ def hyperbola_ray_coeffs(
 
 # ----------------------------------------------------------- nearest point
 #
-# All three searches share the same scheme: seed the foot-of-normal
-# parameter from the best of a coarse grid of squared distances, then run
-# damped Newton on g(t) = (q - P(t)) . P'(t) until the step is negligible.
-# They return ``(t, ok)`` with ``ok`` zero when the iteration cap was hit.
+# Each search solves for the foot of the normal from q directly.  On the
+# ellipse and the hyperbola that foot is (a^2 qx / (a^2 + s), b^2 qy /
+# (b^2 +- s)) for a root s of the Lagrange secular function; the nearest
+# foot lies on q's side of both axes, which gives a closed-form bracket
+# holding exactly that root.  Each secular function is written in a shifted
+# variable, the denominator that can get small, so that denominator never
+# comes from a cancelling difference; _bracketed_root finds the root.
+# The parabola's foot is the root of a depressed cubic, in closed form.
+# All three return ``(t, ok)``, with ``ok`` zero only when _bracketed_root
+# hits its step cap.  Mirror-image ties, for q on an axis of symmetry, go
+# to the upper ellipse foot and to t < 0 on the parabola and hyperbola.
 
-_STEP_TOL = 1e-13
-_MAX_HALVINGS = 60
-
-
-def ellipse_nearest_param(
-    a: float, b: float, qx: float, qy: float, grid: int, max_iter: int
-) -> tuple[float, int]:
-    best_t = 0.0
-    best_d = math.inf
-    step = TWO_PI / grid
-    for i in range(grid):
-        t = i * step
-        px = a * math.cos(t)
-        py = b * math.sin(t)
-        d = (px - qx) * (px - qx) + (py - qy) * (py - qy)
-        if d < best_d:
-            best_d = d
-            best_t = t
-    t = best_t
-
-    def g(t: float) -> float:
-        ct = math.cos(t)
-        st = math.sin(t)
-        return -(qx - a * ct) * (a * st) + (qy - b * st) * (b * ct)
-
-    for _ in range(max_iter):
-        ct = math.cos(t)
-        st = math.sin(t)
-        gv = -(qx - a * ct) * (a * st) + (qy - b * st) * (b * ct)
-        gp = (
-            -a * a * st * st
-            - b * b * ct * ct
-            - a * ct * (qx - a * ct)
-            - b * st * (qy - b * st)
-        )
-        if gp == 0.0:
-            return t, 0
-        dt = -gv / gp
-        halvings = 0
-        while halvings < _MAX_HALVINGS and abs(g(t + dt)) > abs(gv):
-            dt *= 0.5
-            halvings += 1
-        t += dt
-        if abs(dt) <= _STEP_TOL * (1.0 + abs(t)):
-            t = math.fmod(t, TWO_PI)
-            if t < 0.0:
-                t += TWO_PI
-            return t, 1
-    return t, 0
+_MAX_STEPS = 64
 
 
-def parabola_nearest_param(
-    p: float, qx: float, qy: float, lo: float, hi: float, grid: int, max_iter: int
-) -> tuple[float, int]:
-    best_t = lo
-    best_d = math.inf
-    step = (hi - lo) / (grid - 1)
-    for i in range(grid):
-        t = lo + i * step
-        px = t
-        py = t * t / (4.0 * p)
-        d = (px - qx) * (px - qx) + (py - qy) * (py - qy)
-        if d < best_d:
-            best_d = d
-            best_t = t
-    t = best_t
+def _bracketed_root(f, lo: float, hi: float) -> tuple[float, int]:
+    """Root of ``f`` in ``[lo, hi]`` by Newton steps from ``lo``.
 
-    def g(t: float) -> float:
-        return (qx - t) + (qy - t * t / (4.0 * p)) * (t / (2.0 * p))
-
-    for _ in range(max_iter):
-        gv = (qx - t) + (qy - t * t / (4.0 * p)) * (t / (2.0 * p))
-        gp = -1.0 - (t / (2.0 * p)) * (t / (2.0 * p)) + (qy - t * t / (4.0 * p)) / (2.0 * p)
-        if gp == 0.0:
-            return t, 0
-        dt = -gv / gp
-        halvings = 0
-        while halvings < _MAX_HALVINGS and abs(g(t + dt)) > abs(gv):
-            dt *= 0.5
-            halvings += 1
-        t += dt
-        if abs(dt) <= _STEP_TOL * (1.0 + abs(t)):
-            return t, 1
-    return t, 0
+    ``f(s)`` returns the value and the derivative; the value is positive
+    left of the root and negative right of it, and ``lo > 0``.  Every
+    iterate tightens the bracket, and a step that would leave it bisects it
+    instead.  Stops when the step or the bracket is within two ulps.
+    """
+    s = lo
+    for _ in range(_MAX_STEPS):
+        v, dv = f(s)
+        if v > 0.0:
+            lo = s
+        elif v < 0.0:
+            hi = s
+        else:
+            return s, 1
+        nxt = s - v / dv if dv != 0.0 else hi
+        if abs(nxt - s) <= 4e-16 * s:
+            return nxt, 1
+        if hi - lo <= 4e-16 * s:
+            return s, 1
+        s = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    return s, 0
 
 
-def hyperbola_nearest_param(
-    a: float,
-    b: float,
-    sigma: int,
-    qx: float,
-    qy: float,
-    lo: float,
-    hi: float,
-    grid: int,
-    max_iter: int,
-) -> tuple[float, int]:
-    best_t = lo
-    best_d = math.inf
-    step = (hi - lo) / (grid - 1)
-    for i in range(grid):
-        t = lo + i * step
-        px = sigma * a * math.cosh(t)
-        py = b * math.sinh(t)
-        d = (px - qx) * (px - qx) + (py - qy) * (py - qy)
-        if d < best_d:
-            best_d = d
-            best_t = t
-    t = best_t
+def ellipse_nearest_param(a: float, b: float, qx: float, qy: float, *_unused) -> tuple[float, int]:
+    # ``_unused``: bench/kernel_timing.py still passes the retired grid
+    # size and step cap.
+    d = (a - b) * (a + b)
+    A, B = a * abs(qx), b * abs(qy)
+    if B == 0.0 and A <= d:  # on the major axis, inside the evolute: a tie
+        cx = a * qx / d
+        return math.atan2(math.sqrt((1.0 - cx) * (1.0 + cx)), cx), 1
 
-    def g(t: float) -> float:
-        ch = math.cosh(t)
-        sh = math.sinh(t)
-        return (qx - sigma * a * ch) * (sigma * a * sh) + (qy - b * sh) * (b * ch)
+    def f(u: float) -> tuple[float, float]:  # u = b^2 + lambda
+        p, r = A / (d + u), B / u
+        return p * p + r * r - 1.0, -2.0 * (p * p / (d + u) + r * r / u)
 
-    for _ in range(max_iter):
-        ch = math.cosh(t)
-        sh = math.sinh(t)
-        gv = (qx - sigma * a * ch) * (sigma * a * sh) + (qy - b * sh) * (b * ch)
-        gp = (
-            -a * a * sh * sh
-            - b * b * ch * ch
-            + sigma * a * ch * (qx - sigma * a * ch)
-            + b * sh * (qy - b * sh)
-        )
-        if gp == 0.0:
-            return t, 0
-        dt = -gv / gp
-        halvings = 0
-        while halvings < _MAX_HALVINGS and abs(g(t + dt)) > abs(gv):
-            dt *= 0.5
-            halvings += 1
-        t += dt
-        if abs(dt) <= _STEP_TOL * (1.0 + abs(t)):
-            return t, 1
-    return t, 0
+    u, ok = _bracketed_root(f, max(B, A - d), math.hypot(A, B))
+    return math.atan2(b * qy / u, a * qx / (d + u)) % TWO_PI, ok
+
+
+def parabola_nearest_param(p: float, qx: float, qy: float) -> tuple[float, int]:
+    # The foot (t, t^2/(4p)) solves t^3 + P t - 8 p^2 qx = 0.  Its root of
+    # qx's sign is the nearest foot and the largest root for |qx|.
+    P = 4.0 * p * (2.0 * p - qy)
+    h = 4.0 * p * p * abs(qx)
+    if h == 0.0:
+        return (-math.sqrt(-P) if P < 0.0 else 0.0), 1
+    P3 = P / 3.0
+    D = h * h + P3 * P3 * P3
+    if D >= 0.0:  # one real root, from Cardano's form without cancellation
+        u = (h + math.sqrt(D)) ** (1.0 / 3.0)
+        t = 2.0 * h / (u * u + P3 + (P3 / u) ** 2)
+    else:  # three real roots: the largest, in trigonometric form
+        m = math.sqrt(-P3)
+        t = 2.0 * m * math.cos(math.acos(min(h / (m * m * m), 1.0)) / 3.0)
+    t -= (t * t * t + P * t - 2.0 * h) / (3.0 * t * t + P)
+    return math.copysign(t, qx), 1
+
+
+def hyperbola_nearest_param(a: float, b: float, sigma: int, qx: float, qy: float) -> tuple[float, int]:
+    xa, yb = sigma * qx / a, qy / b  # xa > 0 on the branch's own side
+    cc = a * a + b * b
+    A, B = a * a * abs(xa), b * b * abs(yb)
+    if xa > 0.0 and xa * xa - yb * yb > 1.0:  # inside the branch
+        if B == 0.0:  # on the axis
+            r = a * a * xa / cc
+            return (-math.acosh(r) if r > 1.0 else 0.0), 1
+
+        def f_in(v: float) -> tuple[float, float]:  # v = b^2 - lambda
+            p, r = A / (cc - v), B / v
+            return r * r + 1.0 - p * p, -2.0 * (r * r / v + p * p / (cc - v))
+
+        v, ok = _bracketed_root(f_in, B / math.sqrt((xa - 1.0) * (xa + 1.0)), b * b)
+        return math.asinh(b * qy / v), ok
+    if A == 0.0:  # on the axis between the branches
+        return math.asinh(b * qy / cc), 1
+    # s = a^2 + lambda on the own side, -(a^2 + lambda) on the far side
+    k = cc if xa > 0.0 else -cc
+
+    def f(s: float) -> tuple[float, float]:
+        p, r = A / s, B / (k - s)
+        return p * p - r * r - 1.0, -2.0 * (p * p / s + r * r / (k - s))
+
+    s, ok = _bracketed_root(f, A / math.hypot(1.0, yb), min(A, a * a) if k > 0.0 else A)
+    return math.asinh(b * qy / abs(k - s)), ok

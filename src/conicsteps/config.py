@@ -1,9 +1,9 @@
 """Numeric policy in one place.
 
-Every tolerance, iteration cap, and sampling density used by the library
-lives here so that call sites never bury magic numbers.  ``DEFAULT`` is the
-stock policy; callers that need a different on-curve tolerance (for example
-the CLI's ``--tol`` flag) derive a new instance with ``replace``.
+Every tolerance used by the library lives here so that call sites never
+bury magic numbers.  ``DEFAULT`` is the stock policy; callers that need a
+different on-curve tolerance (for example the CLI's ``--tol`` flag) derive
+a new instance with ``replace``.
 """
 from __future__ import annotations
 
@@ -28,10 +28,6 @@ class Tolerances:
     #: intersection parameters beyond this are cancellation noise from
     #: near-degenerate (almost linear) quadratics and are discarded.
     max_ray_t: float = 1e12
-    #: coarse samples seeding the nearest-point search.
-    nearest_grid: int = 257
-    #: hard cap on damped Newton steps for the nearest-point search.
-    nearest_max_iter: int = 64
     #: scene-frame distance allowed between coincident focal points of a
     #: two-mirror scene.
     confocal: float = 1e-9
@@ -42,11 +38,8 @@ class Tolerances:
     def __post_init__(self) -> None:
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(f.default, float) and not (math.isfinite(v) and v > 0.0):
+            if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{f.name} must be finite and positive, got {v}")
-        if self.nearest_grid < 2 or self.nearest_max_iter < 1:
-            raise ValueError("need nearest_grid >= 2 and nearest_max_iter >= 1, got "
-                             f"{self.nearest_grid} and {self.nearest_max_iter}")
 
     def with_on_curve(self, tol: float) -> "Tolerances":
         return replace(self, on_curve=tol)

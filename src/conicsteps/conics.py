@@ -92,10 +92,10 @@ class Ellipse:
     def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
         return kernels.ellipse_ray_coeffs(self.a, self.b, ox, oy, dx, dy)
 
-    def _nearest(self, x: float, y: float, grid: int, max_iter: int) -> tuple[float, int]:
+    def _nearest(self, x: float, y: float) -> tuple[float, int]:
         if x == 0.0 and y == 0.0:
             raise ValueError("nearest point is ambiguous at the ellipse center")
-        return kernels.ellipse_nearest_param(self.a, self.b, x, y, grid, max_iter)
+        return kernels.ellipse_nearest_param(self.a, self.b, x, y)
 
     def _on_branch(self, x: float) -> bool:
         return True
@@ -136,9 +136,8 @@ class Parabola:
     def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
         return kernels.parabola_ray_coeffs(self.p, ox, oy, dx, dy)
 
-    def _nearest(self, x: float, y: float, grid: int, max_iter: int) -> tuple[float, int]:
-        w = abs(x) + math.sqrt(4.0 * self.p * max(y, 0.0)) + 4.0 * self.p + 1.0
-        return kernels.parabola_nearest_param(self.p, x, y, -w, w, grid, max_iter)
+    def _nearest(self, x: float, y: float) -> tuple[float, int]:
+        return kernels.parabola_nearest_param(self.p, x, y)
 
     def _on_branch(self, x: float) -> bool:
         return True
@@ -199,10 +198,8 @@ class Hyperbola:
     def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
         return kernels.hyperbola_ray_coeffs(self.a, self.b, ox, oy, dx, dy)
 
-    def _nearest(self, x: float, y: float, grid: int, max_iter: int) -> tuple[float, int]:
-        w = math.asinh((abs(x) + abs(y)) / min(self.a, self.b)) + 2.0
-        return kernels.hyperbola_nearest_param(self.a, self.b, self.branch, x, y,
-                                               -w, w, grid, max_iter)
+    def _nearest(self, x: float, y: float) -> tuple[float, int]:
+        return kernels.hyperbola_nearest_param(self.a, self.b, self.branch, x, y)
 
     def _on_branch(self, x: float) -> bool:
         return x != 0.0 and (x > 0.0) == (self.branch > 0)
@@ -351,15 +348,19 @@ class Conic:
     def project_to_curve(self, q: Point, tolerances: Tolerances = DEFAULT) -> Projection:
         """Nearest point on the curve to ``q``.
 
-        A coarse parameter grid seeds a damped Newton iteration on the
-        stationarity condition of the squared distance.  Raises ValueError
+        The foot of the normal is solved for directly in the canonical
+        frame: the root of the Lagrange secular function on a closed-form
+        bracket for the ellipse and hyperbola, a closed-form cubic root for
+        the parabola.  No field of ``tolerances`` applies; the parameter
+        stays for callers that pass their policy everywhere.  Mirror-image
+        ties on an axis of symmetry go to the upper ellipse foot and to the
+        negative parameter on the parabola and hyperbola.  Raises ValueError
         for the one genuinely ambiguous input (the exact center of an
-        ellipse, where antipodal feet tie) and IterationError if the
-        iteration fails to settle.
+        ellipse, where antipodal feet tie) and IterationError if the root
+        search hits its step cap.
         """
         qc = self.placement.to_canonical(q)
-        t, ok = self.shape._nearest(qc.x, qc.y, tolerances.nearest_grid,
-                                    tolerances.nearest_max_iter)
+        t, ok = self.shape._nearest(qc.x, qc.y)
         if not ok:
             raise IterationError(
                 f"nearest-point search did not converge for ({q.x!r}, {q.y!r})"

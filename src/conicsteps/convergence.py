@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 from .config import DEFAULT, Tolerances
@@ -32,7 +32,7 @@ from .construction import (
     two_step,
 )
 from .errors import ConicError, OffCurveError
-from .geometry import Direction, Point, angle_between, direction
+from .geometry import Direction, Point, _require_count, angle_between, direction
 
 __all__ = [
     "METRICS",
@@ -73,10 +73,7 @@ class SweepConfig:
         object.__setattr__(self, "conic", as_conic(self.conic))
         if not (math.isfinite(self.delta0) and self.delta0 > 0.0):
             raise ValueError(f"delta0 must be positive, got {self.delta0}")
-        if self.halvings < 2:
-            raise ValueError(
-                f"need >= 2 halving levels, got {self.halvings}"
-            )
+        _require_count("halvings", self.halvings, 2)
         if self.metrics is not None:
             object.__setattr__(self, "metrics", tuple(self.metrics))
             for name in self.metrics:

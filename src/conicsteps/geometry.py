@@ -66,6 +66,12 @@ class Direction:
         return self.x * other.y - self.y * other.x
 
 
+def _require_count(name: str, value: int, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an int, not a bool, >= ``minimum``."""
+    if type(value) is not int or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def _require_finite(x: float, y: float) -> None:
     """The check every Point makes: raise ValueError unless both are finite."""
     if not (math.isfinite(x) and math.isfinite(y)):

@@ -40,6 +40,7 @@ from .geometry import (
     Line,
     Point,
     _normalized,
+    _require_count,
     _require_finite,
     _unit_unchecked,
     angle_between,
@@ -127,8 +128,7 @@ class Scene:
         for role in self.roles:
             if role not in ROLES:
                 raise ValueError(f"unknown role {role!r}; expected one of {ROLES}")
-        if self.max_bounces < 1:
-            raise ValueError(f"max_bounces must be >= 1, got {self.max_bounces}")
+        _require_count("max_bounces", self.max_bounces, 1)
         if not (math.isfinite(self.on_curve_tol) and self.on_curve_tol > 0.0):
             raise ValueError(f"on_curve_tol must be positive, got {self.on_curve_tol}")
         if not (math.isfinite(self.confocal_tol) and self.confocal_tol > 0.0):
@@ -294,8 +294,7 @@ def trace(
     """
     if max_bounces is None:
         max_bounces = scene.max_bounces
-    if max_bounces < 1:
-        raise ValueError(f"max_bounces must be >= 1, got {max_bounces}")
+    _require_count("max_bounces", max_bounces, 1)
     hits: list[Hit] = []
     ox, oy, dx, dy = ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y
     for _ in range(max_bounces):
@@ -407,8 +406,7 @@ def cassegrain_spot(
     ray is taken on-axis instead: it bounces straight back off the
     secondary's outer side and its line still passes through the target.
     """
-    if n_rays < 1:
-        raise ValueError(f"n_rays must be >= 1, got {n_rays}")
+    _require_count("n_rays", n_rays, 1)
     if not (math.isfinite(aperture) and aperture > 0.0):
         raise ValueError(f"aperture must be positive, got {aperture}")
     primary, _ = _require_pair(scene)

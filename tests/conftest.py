@@ -54,6 +54,16 @@ def random_param(rng: random.Random, conic: Conic) -> float:
     return rng.uniform(-1.5, 1.5)
 
 
+# Posed conics, one per family plus a branch=-1 hyperbola, each with an
+# anchor parameter away from its vertices.
+POSED = (
+    (Conic(Ellipse(5.0, 3.0), Placement(1.5, -2.0, 0.7)), 0.9),
+    (Conic(Parabola(1.25), Placement(-3.0, 4.0, -1.1)), 1.3),
+    (Conic(Hyperbola(3.0, 4.0, 1), Placement(2.0, 1.0, 2.3)), 0.6),
+    (Conic(Hyperbola(2.0, 1.5, -1), Placement(-1.0, -2.5, -0.4)), -0.45),
+)
+
+
 def _placement(rng: random.Random) -> Placement:
     return Placement(
         rng.uniform(-8.0, 8.0), rng.uniform(-8.0, 8.0), rng.uniform(-math.pi, math.pi)

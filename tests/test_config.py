@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from conicsteps import DEFAULT, Conic, Parabola, Point, Tolerances
+from conicsteps import DEFAULT, Tolerances
 
 FLOAT_FIELDS = [f.name for f in dataclasses.fields(Tolerances) if isinstance(f.default, float)]
 
@@ -27,15 +27,3 @@ class TestTolerances:
         with pytest.raises(ValueError, match="on_curve"):
             DEFAULT.with_on_curve(math.nan)
 
-    def test_nearest_grid_needs_two_samples(self):
-        # one sample divided the parabola's search window by zero
-        with pytest.raises(ValueError, match="nearest_grid"):
-            Tolerances(nearest_grid=1)
-        tol = Tolerances(nearest_grid=2)
-        proj = Conic(Parabola(1)).project_to_curve(Point(0.5, 1.0), tol)
-        assert proj.distance < 1.0
-
-    def test_nearest_max_iter_needs_one_step(self):
-        with pytest.raises(ValueError, match="nearest_max_iter"):
-            Tolerances(nearest_max_iter=0)
-        Tolerances(nearest_max_iter=1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from decimal import Decimal
 
 import pytest
 
@@ -18,8 +19,12 @@ from conicsteps import (
     Placement,
     Point,
     as_conic,
+    two_step,
 )
-from conftest import random_conic, random_param
+import oracle
+from conftest import POSED, random_conic, random_param
+
+EPS = 2.220446049250313e-16
 
 
 class TestShapeValidation:
@@ -226,6 +231,97 @@ class TestProjection:
     def test_ellipse_center_is_ambiguous(self):
         with pytest.raises(ValueError):
             Conic(Ellipse(5, 5)).project_to_curve(Point(0, 0))
+
+
+class TestProjectionOracle:
+    """``project_to_curve`` against the 50-digit foot of the normal, in
+    units of eps * (1 + scale)."""
+
+    def test_sweep_apex_points(self, anchor_set):
+        worst = max(_oracle_error(conic, two_step(conic, anchor, 0.1 / 2**k).D)
+                    for conic, anchor in anchor_set for k in range(11))
+        assert worst <= 1.0
+
+    @pytest.mark.parametrize("family", ["posed", "evolute", "far side", "axis"])
+    def test_point_family(self, family):
+        worst = max(_oracle_error(conic, q) for conic, q in _ORACLE_POINTS[family]())
+        assert worst <= 8.0
+
+    @pytest.mark.parametrize("shape, q, t", [
+        (Ellipse(5, 3), Point(1, 0), 1.2529726228670159),
+        (Ellipse(5, 3), Point(-1, 0), 1.8886200307227774),
+        (Parabola(1), Point(0, 5), -3.4641016151377544),
+        (Hyperbola(3, 4, 1), Point(20, 0), -1.52207936746365),
+        (Hyperbola(3, 4, -1), Point(-20, 0), -1.52207936746365),
+    ])
+    def test_mirror_ties_pick_a_fixed_foot(self, shape, q, t):
+        # two feet tie on an axis of symmetry: the upper ellipse foot, and
+        # the negative parameter on the parabola and the hyperbola
+        assert Conic(shape).project_to_curve(q).param == pytest.approx(t, abs=1e-14)
+
+
+def _oracle_error(conic: Conic, q: Point) -> float:
+    got = conic.project_to_curve(q).distance
+    want = oracle.foot_of_normal(conic.shape, *conic.placement._xy_to_canonical(q.x, q.y))
+    return float(abs(Decimal(got) - want)) / (EPS * (1.0 + conic.scale))
+
+
+def _posed_points():
+    for conic, t in POSED:
+        anchor = conic.point_at(t)
+        for delta in (0.1, 0.01, 0.001):
+            for orientation in ("forward", "backward"):
+                yield conic, two_step(conic, anchor, delta, orientation).D
+        for dt in (-0.7, 0.4):
+            p = conic.point_at(t + dt)
+            for r in (0.0, 1e-6, 0.3, 2.0, 8.0):
+                for angle in (0.3, 4.1):
+                    yield conic, Point(p.x + r * math.cos(angle), p.y + r * math.sin(angle))
+
+
+def _evolute_points():
+    # strictly inside each evolute, where three or four normals meet
+    ell, par = Conic(Ellipse(5.0, 3.0)), Conic(Parabola(1.0))
+    for k in range(12):
+        theta = 2.0 * math.pi * (k + 0.5) / 12
+        for s in (0.3, 0.9):
+            yield ell, Point(s * 16 / 5 * math.cos(theta) ** 3, s * 16 / 3 * math.sin(theta) ** 3)
+    for sigma in (1, -1):
+        hyp = Conic(Hyperbola(3.0, 4.0, sigma))
+        for tau in (-0.6, -0.1, 0.05, 0.4, 0.7):
+            for s in (1.05, 1.5):
+                yield hyp, Point(sigma * s * 25 / 3 * math.cosh(tau) ** 3, 25 / 4 * math.sinh(tau) ** 3)
+    for x in (-6.0, -2.0, -0.3, 0.1, 1.0, 4.0):
+        for s in (0.2, 1.0):
+            yield par, Point(x, 2.0 + 1.1 * (27 * x * x / 4) ** (1 / 3) + s)
+
+
+def _far_side_points():
+    posed = Conic(Hyperbola(0.5, 2.0, 1), Placement(1.0, -1.0, 0.3))
+    for x in (-0.01, -2.5, -7.0, -20.0):
+        for y in (-12.0, -0.2, 0.0, 1e-7, 6.0):
+            yield Conic(Hyperbola(3.0, 4.0, 1)), Point(x, y)
+            yield Conic(Hyperbola(3.0, 4.0, -1)), Point(-x, y)
+            yield posed, posed.placement.to_scene(Point(x, y))
+
+
+def _axis_points():
+    # qx == 0 or qy == 0, cusps of the evolutes included: (3.2, 0) for the
+    # ellipse, (0, 2) for the parabola, (25/3, 0) for the hyperbola
+    shapes = (Ellipse(5.0, 3.0), Ellipse(4.0, 4.0), Parabola(1.0),
+              Hyperbola(3.0, 4.0, 1), Hyperbola(3.0, 4.0, -1), Hyperbola(2.0, 0.5, 1))
+    for v in (-20.0, -4.0, -1e-8, 0.5, 2.0, 3.2, 25 / 3, 30.0):
+        for shape in shapes:
+            yield Conic(shape), Point(0.0, v)
+            yield Conic(shape), Point(v, 0.0)
+
+
+_ORACLE_POINTS = {
+    "posed": _posed_points,
+    "evolute": _evolute_points,
+    "far side": _far_side_points,
+    "axis": _axis_points,
+}
 
 
 class TestPlacement:

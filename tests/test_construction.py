@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import math
 import random
-from decimal import Decimal, localcontext
 from importlib import resources
 
 import pytest
@@ -39,7 +38,8 @@ from conicsteps import (
     two_step,
 )
 from conicsteps.construction import _return_length
-from conftest import random_conic, random_param
+import oracle
+from conftest import POSED, random_conic, random_param
 
 ELL = Conic(Ellipse(5, 3))
 TOP = Point(0.0, 3.0)
@@ -362,7 +362,7 @@ class TestExactReturn:
                     continue
                 dc = conic.placement.to_canonical(tri.D)
                 uc = conic.placement.dir_to_canonical(tri.leg2_dir)
-                want = _oracle_return_length(conic, dc, uc, delta)
+                want = oracle.return_length(conic, dc, uc, delta)
                 assert abs(res.t_star - want) <= eps * (1 + conic.scale)
 
     @pytest.mark.parametrize("ox", [-1.0, -4.0])
@@ -374,38 +374,6 @@ class TestExactReturn:
 
     def test_bracket_error_is_conic_error(self):
         assert issubclass(BracketError, ConicError)
-
-
-def _oracle_return_length(conic: Conic, dc: Point, uc: Direction, delta: float) -> float:
-    """Root in [delta/2, 2*delta] of the implicit form along dc + t*uc, at 50 digits."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        ox, oy, dx, dy = (Decimal(v) for v in (dc.x, dc.y, uc.x, uc.y))
-        s = conic.shape
-        if isinstance(s, Parabola):
-            p = Decimal(s.p)
-            A = dx * dx
-            B = 2 * ox * dx - 4 * p * dy
-            C = ox * ox - 4 * p * oy
-        else:
-            aa = Decimal(s.a) ** 2
-            bb = Decimal(s.b) ** 2 * (1 if isinstance(s, Ellipse) else -1)
-            A = dx * dx / aa + dy * dy / bb
-            B = 2 * (ox * dx / aa + oy * dy / bb)
-            C = ox * ox / aa + oy * oy / bb - 1
-        sq = (B * B - 4 * A * C).sqrt()
-        roots = [(-B - sq) / (2 * A), (-B + sq) / (2 * A)]
-        lo, hi = Decimal(delta) / 2, Decimal(delta) * 2
-        (root,) = [t for t in roots if lo <= t <= hi]
-        return float(root)
-
-
-POSED = (
-    (Conic(Ellipse(5.0, 3.0), Placement(1.5, -2.0, 0.7)), 0.9),
-    (Conic(Parabola(1.25), Placement(-3.0, 4.0, -1.1)), 1.3),
-    (Conic(Hyperbola(3.0, 4.0, 1), Placement(2.0, 1.0, 2.3)), 0.6),
-    (Conic(Hyperbola(2.0, 1.5, -1), Placement(-1.0, -2.5, -0.4)), -0.45),
-)
 
 
 class TestFrozenOutput:
@@ -426,4 +394,4 @@ class TestFrozenOutput:
             parts.append(serialize_scene(load_scene(str(path))))
         assert len(parts) == 34
         digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-        assert digest == "2e676ffb64430eb83d1946214d8a991a6b5fbf494681fa3559d60262e8399c6c"
+        assert digest == "1edbd618691d437b66cde3455e929a0f1a080cd7a2f6af0480a79b8e5d1fd837"

@@ -62,6 +62,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="halving"):
             SweepConfig(conic=ELL, anchor=TOP, delta0=0.1, halvings=1)
 
+    def test_halvings_must_be_an_int(self):
+        # 3.0 used to construct and then fail in run_sweep with a TypeError
+        with pytest.raises(ValueError, match="halvings"):
+            SweepConfig(conic=ELL, anchor=TOP, delta0=0.1, halvings=3.0)
+
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
             SweepConfig(

@@ -202,8 +202,20 @@ class TestScene:
         with pytest.raises(ValueError):
             Scene(mirrors=(ELL,), max_bounces=0)
 
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_max_bounces_must_be_an_int(self, value):
+        # True serialized as "max_bounces": true, which parse_scene rejects;
+        # 2.5 failed later, inside trace, with a TypeError
+        with pytest.raises(ValueError, match="max_bounces"):
+            Scene(mirrors=(ELL,), max_bounces=value)
+
 
 class TestTrace:
+    @pytest.mark.parametrize("value", [True, 1.5])
+    def test_max_bounces_must_be_an_int(self, value):
+        with pytest.raises(ValueError, match="max_bounces"):
+            trace(Scene(mirrors=(ELL,)), Ray(Point(0, 0), Direction(1, 0)), max_bounces=value)
+
     def test_miss_keeps_original_ray(self):
         scene = Scene(mirrors=(ELL,))
         ray = Ray(Point(0, 4), Direction(1, 0))
@@ -278,6 +290,10 @@ class TestCassegrain:
         report = cassegrain_spot(scene, n_rays=1, aperture=5.0)
         assert report.n_blocked == 1
         assert report.n_focused == 0
+
+    def test_n_rays_must_be_an_int(self):
+        with pytest.raises(ValueError, match="n_rays"):
+            cassegrain_spot(default_cassegrain_scene(), 2.5, 4.0)
 
     def test_generated_bundle_avoids_shadow(self):
         scene = default_cassegrain_scene()

@@ -1,0 +1,50 @@
+"""Properties checked on generated inputs, shrunk to a minimal case on failure."""
+from __future__ import annotations
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conicsteps import Conic, Ellipse, Hyperbola, Parabola, Placement, Point
+
+EPS = 2.220446049250313e-16
+SAMPLES = 256
+
+
+def _floats(lo: float, hi: float):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def posed_conics(draw) -> Conic:
+    kind = draw(st.sampled_from(("ellipse", "parabola", "hyperbola")))
+    if kind == "ellipse":
+        a = draw(_floats(0.1, 10.0))
+        shape = Ellipse(a, a * draw(_floats(0.05, 1.0)))
+    elif kind == "parabola":
+        shape = Parabola(draw(_floats(0.1, 5.0)))
+    else:
+        shape = Hyperbola(draw(_floats(0.1, 6.0)), draw(_floats(0.1, 6.0)),
+                          draw(st.sampled_from((1, -1))))
+    return Conic(shape, Placement(draw(_floats(-10.0, 10.0)), draw(_floats(-10.0, 10.0)),
+                                  draw(_floats(-math.pi, math.pi))))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(conic=posed_conics(), t=_floats(-3.0, 3.0), angle=_floats(0.0, 2.0 * math.pi),
+       mantissa=_floats(0.0, 1.0), exponent=st.integers(-9, 2))
+def test_projection_is_no_farther_than_any_sample(conic, t, angle, mantissa, exponent):
+    # q lies near the curve or far from it; a wrong root or a wrong branch
+    # would lose to one of the samples, which the fixed oracle points can miss
+    r = mantissa * 10.0 ** exponent
+    p = conic.point_at(t)
+    q = Point(p.x + r * math.cos(angle), p.y + r * math.sin(angle))
+    proj = conic.project_to_curve(q)
+    if conic.kind == "ellipse":
+        params = [2.0 * math.pi * k / SAMPLES for k in range(SAMPLES)]
+    else:
+        span = abs(t) + 2.0 + r
+        params = [span * (2.0 * k / (SAMPLES - 1) - 1.0) for k in range(SAMPLES)]
+    best = min(q.distance_to(conic.point_at(s)) for s in params)
+    assert proj.distance <= best + 4.0 * EPS * (1.0 + conic.scale)
