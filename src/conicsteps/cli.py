@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from .config import DEFAULT, Tolerances
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Placement
@@ -117,7 +118,7 @@ def _point_from(args: argparse.Namespace, conic: Conic,
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
     if args.tol is not None:
-        return DEFAULT.with_on_curve(args.tol)
+        return replace(DEFAULT, on_curve=args.tol)
     return DEFAULT
 
 
@@ -198,7 +199,7 @@ def _cmd_residual(args, parser) -> int:
 def _cmd_tangent(args, parser) -> int:
     conic = _conic_from(args, parser)
     q = _point_from(args, conic, parser)
-    tangent, normal = conic.tangent_normal(q, _tolerances(args).on_curve)
+    tangent, normal = conic.tangent_normal(q, _tolerances(args))
     print(f"tangent {_g(tangent.x)} {_g(tangent.y)}")
     print(f"normal {_g(normal.x)} {_g(normal.y)}")
     return 0
@@ -256,7 +257,7 @@ def _cmd_converge(args, parser) -> int:
 def _cmd_reflect(args, parser) -> int:
     conic = _conic_from(args, parser)
     q = _point_from(args, conic, parser)
-    out = reflect_at(conic, q, Direction(*args.incoming), _tolerances(args).on_curve)
+    out = reflect_at(conic, q, Direction(*args.incoming), _tolerances(args))
     print(f"outgoing {_g(out.x)} {_g(out.y)}")
     return 0
 

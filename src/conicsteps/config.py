@@ -1,14 +1,17 @@
 """Numeric policy in one place.
 
 Every tolerance used by the library lives here so that call sites never
-bury magic numbers.  ``DEFAULT`` is the stock policy; callers that need a
-different on-curve tolerance (for example the CLI's ``--tol`` flag) derive
-a new instance with ``replace``.
+bury magic numbers, and every tolerance is set through a ``Tolerances``.
+``DEFAULT`` is the stock policy; callers that need another value (for
+example the CLI's ``--tol`` flag) derive a new instance with
+``dataclasses.replace``.  A ``Scene`` carries its own ``Tolerances``, which
+``trace`` and the spot statistics read; the curve-level functions take one
+as an argument.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -40,9 +43,6 @@ class Tolerances:
             v = getattr(self, f.name)
             if not (math.isfinite(v) and v > 0.0):
                 raise ValueError(f"{f.name} must be finite and positive, got {v}")
-
-    def with_on_curve(self, tol: float) -> "Tolerances":
-        return replace(self, on_curve=tol)
 
 
 DEFAULT = Tolerances()

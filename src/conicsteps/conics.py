@@ -298,38 +298,46 @@ class Conic:
         _require_finite(x, y)
         return self.shape._residual(x, y)
 
-    def is_on_curve(self, q: Point, tol: float | None = None) -> bool:
-        if tol is None:
-            tol = DEFAULT.on_curve
-        return abs(self.residual(q)) <= tol * (1.0 + self.scale)
+    def is_on_curve(self, q: Point, tolerances: Tolerances = DEFAULT) -> bool:
+        return abs(self.residual(q)) <= tolerances.on_curve * (1.0 + self.scale)
+
+    def _require_on_curve(
+        self, x: float, y: float, tolerances: Tolerances, what: str = "point"
+    ) -> tuple[float, float]:
+        """Canonical-frame coordinates of the scene point ``(x, y)``; the one
+        on-curve check.  Raises OffCurveError, naming the point as ``what``,
+        when its residual exceeds ``tolerances.on_curve * (1 + scale)``."""
+        xc, yc = self.placement._xy_to_canonical(x, y)
+        _require_finite(xc, yc)
+        res = self.shape._residual(xc, yc)
+        limit = tolerances.on_curve * (1.0 + self.scale)
+        if abs(res) > limit:
+            raise OffCurveError(
+                f"{what} ({x!r}, {y!r}) is off the curve: "
+                f"residual {res!r} exceeds {limit!r}"
+            )
+        return xc, yc
 
     # ------------------------------------------------- tangent and normal
 
-    def tangent_normal(self, q: Point, tol: float | None = None) -> tuple[Direction, Direction]:
+    def tangent_normal(
+        self, q: Point, tolerances: Tolerances = DEFAULT
+    ) -> tuple[Direction, Direction]:
         """Unit tangent and unit normal of the curve at an on-curve point.
 
         The normal is the normalized gradient of the canonical implicit
         form (pointing toward increasing implicit value) mapped to scene
         coordinates; the tangent is the normal rotated by -pi/2, so
         (tangent, normal) is a right-handed frame.  Raises OffCurveError
-        when ``q`` is not on the curve within ``tol * (1 + scale)``.
+        when ``q`` is not on the curve within ``tolerances.on_curve * (1 + scale)``.
         """
-        normal = _unit_unchecked(*self._unit_normal(q.x, q.y, tol))
+        normal = _unit_unchecked(*self._unit_normal(q.x, q.y, tolerances))
         return normal.perpendicular(), normal
 
-    def _unit_normal(self, x: float, y: float, tol: float | None) -> tuple[float, float]:
+    def _unit_normal(self, x: float, y: float, tolerances: Tolerances) -> tuple[float, float]:
         """``tangent_normal``'s scene-frame unit normal at the scene point
         ``(x, y)``, as floats, after the same on-curve check."""
-        if tol is None:
-            tol = DEFAULT.on_curve
-        xc, yc = self.placement._xy_to_canonical(x, y)
-        _require_finite(xc, yc)
-        res = self.shape._residual(xc, yc)
-        if abs(res) > tol * (1.0 + self.scale):
-            raise OffCurveError(
-                f"point ({x!r}, {y!r}) is off the curve: "
-                f"residual {res!r} exceeds {tol * (1.0 + self.scale)!r}"
-            )
+        xc, yc = self._require_on_curve(x, y, tolerances)
         gx, gy = _normalized(*self.shape._gradient(xc, yc))
         return _normalized(*self.placement._rotate_to_scene(gx, gy))
 
@@ -345,19 +353,18 @@ class Conic:
 
     # ------------------------------------------------------------ nearest
 
-    def project_to_curve(self, q: Point, tolerances: Tolerances = DEFAULT) -> Projection:
+    def project_to_curve(self, q: Point) -> Projection:
         """Nearest point on the curve to ``q``.
 
         The foot of the normal is solved for directly in the canonical
         frame: the root of the Lagrange secular function on a closed-form
         bracket for the ellipse and hyperbola, a closed-form cubic root for
-        the parabola.  No field of ``tolerances`` applies; the parameter
-        stays for callers that pass their policy everywhere.  Mirror-image
-        ties on an axis of symmetry go to the upper ellipse foot and to the
-        negative parameter on the parabola and hyperbola.  Raises ValueError
-        for the one genuinely ambiguous input (the exact center of an
-        ellipse, where antipodal feet tie) and IterationError if the root
-        search hits its step cap.
+        the parabola; no tolerance applies.  Mirror-image ties on an axis of
+        symmetry go to the upper ellipse foot and to the negative parameter
+        on the parabola and hyperbola.  Raises ValueError for the one
+        genuinely ambiguous input (the exact center of an ellipse, where
+        antipodal feet tie) and IterationError if the root search hits its
+        step cap.
         """
         qc = self.placement.to_canonical(q)
         t, ok = self.shape._nearest(qc.x, qc.y)

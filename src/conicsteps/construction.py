@@ -36,7 +36,6 @@ from .errors import (
     BracketError,
     ConicError,
     DegenerateTriangleError,
-    OffCurveError,
     UnsupportedVariantError,
 )
 from .geometry import (
@@ -164,19 +163,11 @@ def two_step(
         raise ValueError(f"step length must be positive and finite, got {delta}")
     if orientation not in ("forward", "backward"):
         raise ValueError(f"orientation must be 'forward' or 'backward', got {orientation!r}")
-    res_a = conic.residual(A)
-    if abs(res_a) > tolerances.on_curve * (1.0 + conic.scale):
-        raise OffCurveError(
-            f"start point ({A.x!r}, {A.y!r}) is off the curve: "
-            f"residual {res_a!r}"
-        )
-    ac = conic.placement.to_canonical(A)
+    ac = Point(*conic._require_on_curve(A.x, A.y, tolerances, "start point"))
     u1c, dc, u2c, bc = _canonical_steps(conic.shape, ac, delta, orientation)
 
     d = conic.placement.to_scene(dc)
     b = conic.placement.to_scene(bc)
-    chord = math.hypot(b.x - A.x, b.y - A.y)
-    degenerate = chord <= tolerances.degenerate_step * (1.0 + delta)
     return StepTriangle(
         A=A,
         D=d,
@@ -186,8 +177,14 @@ def two_step(
         leg2_dir=conic.placement.dir_to_scene(u2c),
         residual_b=conic.residual(b),
         orientation=orientation,
-        degenerate=degenerate,
+        degenerate=_retraced(A, b, delta, tolerances),
     )
+
+
+def _retraced(A: Point, B: Point, delta: float, tolerances: Tolerances) -> bool:
+    """Whether a walk of step ``delta`` from ``A`` to ``B`` retraced itself:
+    its chord is at most ``degenerate_step * (1 + delta)``."""
+    return math.hypot(B.x - A.x, B.y - A.y) <= tolerances.degenerate_step * (1.0 + delta)
 
 
 def apex_reflector(tri: StepTriangle) -> Line:
@@ -321,11 +318,10 @@ def exact_return(
 
     b_star_c = Point(dc.x + t_star * u2c.x, dc.y + t_star * u2c.y)
     b_star = conic.placement.to_scene(b_star_c)
-    chord = math.hypot(b_star.x - A.x, b_star.y - A.y)
     tri_star = replace(
         tri,
         B=b_star,
         residual_b=conic.residual(b_star),
-        degenerate=chord <= tolerances.degenerate_step * (1.0 + delta),
+        degenerate=_retraced(A, b_star, delta, tolerances),
     )
     return ExactReturn(triangle=tri_star, t_star=t_star, gap=abs(t_star - delta))

@@ -31,7 +31,7 @@ from .construction import (
     focal_change_error,
     two_step,
 )
-from .errors import ConicError, OffCurveError
+from .errors import ConicError
 from .geometry import Direction, Point, _require_count, angle_between, direction
 
 __all__ = [
@@ -190,7 +190,7 @@ def _measure_level(cfg: SweepConfig, names: tuple[str, ...], delta: float,
             theta = angle_between(direction(tri.A, tri.B), tangent)
             out[m] = min(theta, math.pi - theta)
         elif m == "apex_curve_distance":
-            out[m] = conic.project_to_curve(tri.D, tolerances).distance
+            out[m] = conic.project_to_curve(tri.D).distance
         elif m == "parallelism_error":
             out[m] = focal_change_error(conic, tri).parallelism_error
         else:
@@ -209,16 +209,11 @@ def run_sweep(cfg: SweepConfig, tolerances: Tolerances = DEFAULT) -> Convergence
     and reason instead of raising.
     """
     conic = cfg.conic
-    res = conic.residual(cfg.anchor)
-    if abs(res) > tolerances.on_curve * (1.0 + conic.scale):
-        raise OffCurveError(
-            f"sweep anchor ({cfg.anchor.x!r}, {cfg.anchor.y!r}) is off the "
-            f"curve: residual {res!r}"
-        )
+    conic._require_on_curve(cfg.anchor.x, cfg.anchor.y, tolerances, "sweep anchor")
     names = cfg.resolved_metrics()
     tangent = None  # fixed anchor and tolerances: one tangent for every level
     if "chord_tangent_angle" in names:
-        tangent, _ = conic.tangent_normal(cfg.anchor, tolerances.on_curve)
+        tangent, _ = conic.tangent_normal(cfg.anchor, tolerances)
     deltas: list[float] = []
     columns: dict[str, list[float]] = {m: [] for m in names}
     failed_level: int | None = None

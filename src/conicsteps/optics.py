@@ -24,6 +24,8 @@ are built only at this public edge, for what is returned.  Every check the
 objects made (finite points, normalizable directions, the on-curve and
 branch checks) is still made on the floats, in the same order and with the
 same arithmetic, so results are bit-identical to tracing with objects.
+Tracing reads every tolerance from ``Scene.tolerances``, the one policy of
+a scene; functions without a scene take a ``Tolerances`` argument.
 """
 from __future__ import annotations
 
@@ -105,7 +107,7 @@ class Scene:
     ``primary`` (a parabola) / ``secondary`` (a hyperbola).  When both
     telescope roles are present the pair must be confocal: the secondary's
     near focus must coincide with the primary's focus within
-    ``confocal_tol``.  The default tolerance is tight (1e-9); misalignment
+    ``tolerances.confocal``.  The default is tight (1e-9); misalignment
     studies may widen it deliberately to trace an imperfect pair.
     """
 
@@ -113,8 +115,7 @@ class Scene:
     roles: tuple[str, ...] = ()
     rays: tuple[Ray, ...] = ()
     max_bounces: int = 8
-    on_curve_tol: float = DEFAULT.on_curve
-    confocal_tol: float = DEFAULT.confocal
+    tolerances: Tolerances = DEFAULT
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mirrors", tuple(self.mirrors))
@@ -129,10 +130,8 @@ class Scene:
             if role not in ROLES:
                 raise ValueError(f"unknown role {role!r}; expected one of {ROLES}")
         _require_count("max_bounces", self.max_bounces, 1)
-        if not (math.isfinite(self.on_curve_tol) and self.on_curve_tol > 0.0):
-            raise ValueError(f"on_curve_tol must be positive, got {self.on_curve_tol}")
-        if not (math.isfinite(self.confocal_tol) and self.confocal_tol > 0.0):
-            raise ValueError(f"confocal_tol must be positive, got {self.confocal_tol}")
+        if not isinstance(self.tolerances, Tolerances):
+            raise TypeError(f"tolerances must be a Tolerances, got {self.tolerances!r}")
         if self.roles.count("primary") > 1 or self.roles.count("secondary") > 1:
             raise ValueError("at most one primary and one secondary mirror allowed")
         for mirror, role in zip(self.mirrors, self.roles):
@@ -146,10 +145,10 @@ class Scene:
             pf = primary.focus_points()[0]
             hf_near = secondary.focus_points()[0]
             gap = pf.distance_to(hf_near)
-            if gap > self.confocal_tol:
+            if gap > self.tolerances.confocal:
                 raise ValueError(
                     f"primary/secondary pair is not confocal: focus gap {gap!r} "
-                    f"exceeds {self.confocal_tol!r}"
+                    f"exceeds {self.tolerances.confocal!r}"
                 )
 
     def telescope_pair(self) -> tuple[Conic, Conic] | None:
@@ -234,11 +233,11 @@ def intersect_ray(
 
 
 def _reflect(
-    conic: Conic, x: float, y: float, dx: float, dy: float, tol: float | None
+    conic: Conic, x: float, y: float, dx: float, dy: float, tolerances: Tolerances
 ) -> tuple[float, float]:
     """``reflect_at`` on floats: the unit direction leaving the scene point
     ``(x, y)`` for the incoming direction ``(dx, dy)``."""
-    nx, ny = conic._unit_normal(x, y, tol)
+    nx, ny = conic._unit_normal(x, y, tolerances)
     tx, ty = ny, -nx  # the tangent: the normal turned by -pi/2
     s = dx * tx + dy * ty
     return _normalized(2.0 * s * tx - dx, 2.0 * s * ty - dy)
@@ -248,14 +247,15 @@ def reflect_at(
     conic: Conic | Shape,
     q: Point,
     incoming: Direction,
-    tol: float | None = None,
+    tolerances: Tolerances = DEFAULT,
 ) -> Direction:
     """Reflect ``incoming`` across the analytic tangent line at ``q``."""
-    return _unit_unchecked(*_reflect(as_conic(conic), q.x, q.y, incoming.x, incoming.y, tol))
+    return _unit_unchecked(*_reflect(as_conic(conic), q.x, q.y, incoming.x, incoming.y,
+                                     tolerances))
 
 
 def focal_property_error(
-    conic: Conic | Shape, q: Point, tol: float | None = None
+    conic: Conic | Shape, q: Point, tolerances: Tolerances = DEFAULT
 ) -> float:
     """Angular error of the conic's focal reflection property at ``q``.
 
@@ -276,25 +276,22 @@ def focal_property_error(
             expected = direction(q, f2)
         else:
             expected = direction(f2, q)
-    outgoing = reflect_at(conic, q, incoming, tol)
+    outgoing = reflect_at(conic, q, incoming, tolerances)
     return angle_between(outgoing, expected)
 
 
-def trace(
-    scene: Scene,
-    ray: Ray,
-    max_bounces: int | None = None,
-    tolerances: Tolerances = DEFAULT,
-) -> TracePath:
+def trace(scene: Scene, ray: Ray, max_bounces: int | None = None) -> TracePath:
     """Trace ``ray`` through the scene, always taking the nearest bounce.
 
     Stops when no mirror lies ahead or the bounce cap is reached; ties on
     hit distance go to the lower mirror index.  ``final`` is the free ray
-    leaving the last bounce (the input ray itself for a clean miss).
+    leaving the last bounce (the input ray itself for a clean miss).  Every
+    tolerance, for hits and for reflections, comes from ``scene.tolerances``.
     """
     if max_bounces is None:
         max_bounces = scene.max_bounces
     _require_count("max_bounces", max_bounces, 1)
+    tolerances = scene.tolerances
     hits: list[Hit] = []
     ox, oy, dx, dy = ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y
     for _ in range(max_bounces):
@@ -306,7 +303,7 @@ def trace(
         if best is None:
             break
         t, ox, oy, index = best
-        dx, dy = _reflect(scene.mirrors[index], ox, oy, dx, dy, scene.on_curve_tol)
+        dx, dy = _reflect(scene.mirrors[index], ox, oy, dx, dy, tolerances)
         hits.append(Hit(mirror_index=index, point=Point(ox, oy), t=t,
                         outgoing=_unit_unchecked(dx, dy)))
     final = Ray(hits[-1].point, hits[-1].outgoing) if hits else ray
@@ -327,11 +324,7 @@ def _require_pair(scene: Scene) -> tuple[Conic, Conic]:
     return pair
 
 
-def spot_report(
-    scene: Scene,
-    rays: Iterable[Ray],
-    tolerances: Tolerances = DEFAULT,
-) -> SpotReport:
+def spot_report(scene: Scene, rays: Iterable[Ray]) -> SpotReport:
     """Trace ``rays`` and measure how tightly they aim at the second focus.
 
     Each ray with at least one bounce contributes the distance from the
@@ -340,7 +333,7 @@ def spot_report(
     passes through it).  Missed rays are counted, never dropped.
     """
     _require_pair(scene)
-    return _spot_report(scene, [trace(scene, ray, tolerances=tolerances) for ray in rays])
+    return _spot_report(scene, [trace(scene, ray) for ray in rays])
 
 
 def _spot_report(scene: Scene, paths: Sequence[TracePath]) -> SpotReport:
@@ -382,22 +375,7 @@ def _spot_report(scene: Scene, paths: Sequence[TracePath]) -> SpotReport:
     )
 
 
-def _hits_secondary_first(
-    scene: Scene, x: float, y_top: float, primary: Conic, secondary_index: int,
-    tolerances: Tolerances,
-) -> bool:
-    origin = primary.placement.to_scene(Point(x, y_top))
-    d = primary.placement.dir_to_scene(Direction(0.0, -1.0))
-    path = trace(scene, Ray(origin, d), max_bounces=1, tolerances=tolerances)
-    return bool(path.hits) and path.hits[0].mirror_index == secondary_index
-
-
-def cassegrain_spot(
-    scene: Scene,
-    n_rays: int,
-    aperture: float,
-    tolerances: Tolerances = DEFAULT,
-) -> SpotReport:
+def cassegrain_spot(scene: Scene, n_rays: int, aperture: float) -> SpotReport:
     """Spot statistics for axis-parallel rays filling the aperture.
 
     Generates ``n_rays`` rays parallel to the primary's axis, spread
@@ -414,21 +392,22 @@ def cassegrain_spot(
     p = primary.shape.p  # type: ignore[union-attr]
     y_top = aperture * aperture / (4.0 * p) + 2.0 * p + 1.0
 
-    def blocked(x: float) -> bool:
-        return _hits_secondary_first(scene, x, y_top, primary, secondary_index, tolerances)
-
     axis_dir = primary.placement.dir_to_scene(Direction(0.0, -1.0))
 
     def ray_at(x: float) -> Ray:
         return Ray(primary.placement.to_scene(Point(x, y_top)), axis_dir)
 
+    def blocked(x: float) -> bool:
+        path = trace(scene, ray_at(x), max_bounces=1)
+        return bool(path.hits) and path.hits[0].mirror_index == secondary_index
+
     if n_rays == 1:
-        return spot_report(scene, [ray_at(0.0)], tolerances)
+        return spot_report(scene, [ray_at(0.0)])
 
     if blocked(aperture):
         # The whole aperture is shadowed; report the blocked bundle as-is.
         xs = [aperture * (i + 1) / n_rays for i in range(n_rays)]
-        return spot_report(scene, [ray_at(x) for x in xs], tolerances)
+        return spot_report(scene, [ray_at(x) for x in xs])
 
     lo, hi = 0.0, aperture
     if blocked(lo + 1e-12 * aperture):
@@ -449,4 +428,4 @@ def cassegrain_spot(
         for i in range(n_pos)
     ]
     xs += [-x for x in xs[:n_neg]]
-    return spot_report(scene, [ray_at(x) for x in xs], tolerances)
+    return spot_report(scene, [ray_at(x) for x in xs])

@@ -17,21 +17,25 @@ Layout::
 Every key is validated; unknown keys anywhere are rejected with the path
 to the offender, malformed JSON is reported with line and column, and all
 numbers must be finite.  ``placement``, ``role``, ``branch``, ``rays`` and
-``options`` are optional with the defaults shown.  Serialization writes
-every field explicitly with full-precision floats, so a scene survives a
-save/load round trip bit-for-bit.
+``options`` are optional with the defaults shown (the tolerances are
+``DEFAULT``'s, and set ``Scene.tolerances.on_curve`` and ``.confocal``).
+Serialization writes every field explicitly with full-precision floats,
+and parsing keeps the bits of a direction already of unit length, so a
+scene survives a save/load round trip bit-for-bit.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-from dataclasses import asdict
+import sys
+from dataclasses import asdict, fields, replace
 from typing import Any
 
+from .config import DEFAULT
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Placement
 from .errors import SceneFormatError
-from .geometry import Direction, Point
+from .geometry import Direction, Point, _unit_unchecked
 from .optics import Ray, Scene
 
 __all__ = ["parse_scene", "load_scene", "serialize_scene", "save_scene"]
@@ -140,6 +144,9 @@ def _parse_ray(value: Any, path: str) -> Ray:
     ox, oy = _pair(obj["origin"], f"{path}.origin")
     dx, dy = _pair(obj["dir"], f"{path}.dir")
     try:
+        # _pair checked finiteness, and a norm near 1 is not degenerate.
+        if abs(math.hypot(dx, dy) - 1.0) <= 4.0 * sys.float_info.epsilon:
+            return Ray(Point(ox, oy), _unit_unchecked(dx, dy))
         return Ray(Point(ox, oy), Direction(dx, dy))
     except ValueError as exc:
         raise SceneFormatError(f"{path}: {exc}") from exc
@@ -172,16 +179,19 @@ def parse_scene(text: str, source: str = "<scene>") -> Scene:
     max_bounces = options.get("max_bounces", 8)
     if isinstance(max_bounces, bool) or not isinstance(max_bounces, int):
         raise SceneFormatError(f"{source}:options.max_bounces: expected an integer")
-    on_curve_tol = _num(options, "on_curve_tol", f"{source}:options", default=1e-9)
-    confocal_tol = _num(options, "confocal_tol", f"{source}:options", default=1e-9)
+    on_curve = _num(options, "on_curve_tol", f"{source}:options", DEFAULT.on_curve)
+    confocal = _num(options, "confocal_tol", f"{source}:options", DEFAULT.confocal)
+    try:
+        tolerances = replace(DEFAULT, on_curve=on_curve, confocal=confocal)
+    except ValueError as exc:
+        raise SceneFormatError(f"{source}:options: {exc}") from exc
     try:
         return Scene(
             mirrors=tuple(mirrors),
             roles=tuple(roles),
             rays=tuple(rays),
             max_bounces=max_bounces,
-            on_curve_tol=on_curve_tol,
-            confocal_tol=confocal_tol,
+            tolerances=tolerances,
         )
     except ValueError as exc:
         raise SceneFormatError(f"{source}: {exc}") from exc
@@ -205,7 +215,16 @@ def _conic_to_dict(conic: Conic, role: str) -> dict:
 
 
 def serialize_scene(scene: Scene) -> str:
-    """Scene back to JSON text; full-precision floats, stable layout."""
+    """Scene back to JSON text; full-precision floats, stable layout.
+    Raises ValueError for a tolerance the format has no key for."""
+    tolerances = scene.tolerances
+    for f in fields(tolerances):
+        value = getattr(tolerances, f.name)
+        if f.name not in ("on_curve", "confocal") and value != getattr(DEFAULT, f.name):
+            raise ValueError(
+                f"scene files cannot hold tolerances.{f.name}; only on_curve and "
+                "confocal are saved"
+            )
     data = {
         "conics": [
             _conic_to_dict(conic, role)
@@ -217,8 +236,8 @@ def serialize_scene(scene: Scene) -> str:
         ],
         "options": {
             "max_bounces": scene.max_bounces,
-            "on_curve_tol": scene.on_curve_tol,
-            "confocal_tol": scene.confocal_tol,
+            "on_curve_tol": tolerances.on_curve,
+            "confocal_tol": tolerances.confocal,
         },
     }
     return json.dumps(data, indent=2) + "\n"

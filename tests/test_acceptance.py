@@ -33,6 +33,7 @@ from conicsteps import (
     Placement,
     Point,
     SweepConfig,
+    Tolerances,
     direction,
     exact_return,
     figure_svg,
@@ -245,7 +246,7 @@ def test_criterion_7_cassegrain_composition():
         ),
     )
     blurred_scene = dataclasses.replace(
-        scene, mirrors=(scene.mirrors[0], moved), confocal_tol=1e-2
+        scene, mirrors=(scene.mirrors[0], moved), tolerances=Tolerances(confocal=1e-2)
     )
     blurred = spot_report(blurred_scene, blurred_scene.rays)
     factor = blurred.max_distance / base.max_distance

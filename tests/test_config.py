@@ -25,5 +25,5 @@ class TestTolerances:
     def test_nan_on_curve_rejected(self):
         # NaN would switch every on-curve check off: abs(r) > nan is False
         with pytest.raises(ValueError, match="on_curve"):
-            DEFAULT.with_on_curve(math.nan)
+            dataclasses.replace(DEFAULT, on_curve=math.nan)
 

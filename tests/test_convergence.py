@@ -1,26 +1,21 @@
 """Step-halving sweeps, order estimation, and the CSV report."""
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from conicsteps import (
+    DEFAULT,
     METRICS,
     Conic,
-    ConvergenceReport,
     Ellipse,
-    Hyperbola,
     OffCurveError,
     Parabola,
     Point,
     SweepConfig,
     Tolerances,
-    UnsupportedVariantError,
     estimate_order,
     noise_floor,
     run_sweep,
-    standard_anchors,
 )
 
 ELL = Conic(Ellipse(5, 3))
@@ -142,9 +137,9 @@ class TestRunSweep:
         calls = []
         tangent_normal = Conic.tangent_normal
 
-        def counted(self, q, tol=None):
+        def counted(self, q, tolerances=DEFAULT):
             calls.append(q)
-            return tangent_normal(self, q, tol)
+            return tangent_normal(self, q, tolerances)
 
         monkeypatch.setattr(Conic, "tangent_normal", counted)
         anchor = ELL.point_at(1.1)

@@ -20,6 +20,7 @@ from conicsteps import (
     Point,
     Ray,
     Scene,
+    Tolerances,
     UnsupportedVariantError,
     cassegrain_spot,
     focal_property_error,
@@ -194,9 +195,9 @@ class TestScene:
         with pytest.raises(ValueError):
             dataclasses.replace(base, mirrors=(base.mirrors[0], displaced))
         loose = dataclasses.replace(
-            base, mirrors=(base.mirrors[0], displaced), confocal_tol=1e-2
+            base, mirrors=(base.mirrors[0], displaced), tolerances=Tolerances(confocal=1e-2)
         )
-        assert loose.confocal_tol == 1e-2
+        assert loose.tolerances.confocal == 1e-2
 
     def test_max_bounces_positive(self):
         with pytest.raises(ValueError):
@@ -208,6 +209,42 @@ class TestScene:
         # 2.5 failed later, inside trace, with a TypeError
         with pytest.raises(ValueError, match="max_bounces"):
             Scene(mirrors=(ELL,), max_bounces=value)
+
+
+class TestSceneTolerances:
+    """Every field of ``Scene.tolerances`` reaches ``trace``."""
+
+    # A hit far out on an unbounded mirror whose focal residual rounds past
+    # the default on-curve bound (about one ulp of |q|).
+    FAR = Scene(mirrors=(Conic(Parabola(15.005139657844566), Placement(
+        4.858639398674109, 4.476153546859036, 0.15773819922633248)),))
+    FAR_RAY = Ray(Point(-57.74866606423953, 296.80279335864697),
+                  Direction(0.12524483622638735, -0.9921258644943318))
+
+    def test_tolerances_must_be_a_policy(self):
+        with pytest.raises(TypeError, match="Tolerances"):
+            Scene(mirrors=(ELL,), tolerances=1e-6)
+
+    def test_on_curve_read_from_scene(self):
+        with pytest.raises(OffCurveError):
+            trace(self.FAR, self.FAR_RAY, max_bounces=5)
+        loose = dataclasses.replace(self.FAR, tolerances=Tolerances(on_curve=1e-6))
+        assert len(trace(loose, self.FAR_RAY, max_bounces=5).hits) == 4
+
+    def test_max_ray_t_read_by_trace(self):
+        scene = Scene(mirrors=(ELL,))
+        ray = Ray(Point(0.0, 0.0), Direction(0.0, 1.0))  # the mirror is 3 away
+        assert len(trace(scene, ray).hits) >= 1
+        short = dataclasses.replace(scene, tolerances=Tolerances(max_ray_t=2.0))
+        assert trace(short, ray).hits == ()
+
+    def test_max_ray_t_read_by_spot_statistics(self):
+        base = default_cassegrain_scene(10)
+        short = dataclasses.replace(base, tolerances=Tolerances(max_ray_t=1e-3))
+        assert spot_report(base, base.rays).n_missed == 0
+        assert spot_report(short, short.rays).n_missed == 10
+        report = cassegrain_spot(short, 6, 4.0)
+        assert report.n_missed == report.n_rays == 6
 
 
 class TestTrace:
@@ -311,7 +348,7 @@ class TestCassegrain:
             ),
         )
         scene = dataclasses.replace(
-            base, mirrors=(base.mirrors[0], moved), confocal_tol=1e-2
+            base, mirrors=(base.mirrors[0], moved), tolerances=Tolerances(confocal=1e-2)
         )
         report = spot_report(scene, scene.rays)
         assert report.max_distance > 1e-5
@@ -396,7 +433,7 @@ class TestFloatCore:
                 hit = path.hits[0]
                 mirror = scene.mirrors[hit.mirror_index]
                 assert intersect_ray(mirror, ray)[0] == (hit.t, hit.point)
-                out = reflect_at(mirror, hit.point, ray.dir, scene.on_curve_tol)
+                out = reflect_at(mirror, hit.point, ray.dir, scene.tolerances)
                 assert (out.x, out.y) == (hit.outgoing.x, hit.outgoing.y)
                 checked += 1
         assert checked == 3 * 41

@@ -10,6 +10,7 @@ from conicsteps import (
     Placement,
     Scene,
     SceneFormatError,
+    Tolerances,
     load_scene,
     parse_scene,
     save_scene,
@@ -69,8 +70,7 @@ class TestParse:
         assert len(scene.rays) == 1
         assert scene.rays[0].origin.y == 8.0
         assert scene.max_bounces == 3
-        assert scene.on_curve_tol == 1e-8
-        assert scene.confocal_tol == 1e-6
+        assert scene.tolerances == Tolerances(on_curve=1e-8, confocal=1e-6)
 
 
 class TestRejection:
@@ -139,6 +139,13 @@ class TestRejection:
         with pytest.raises(SceneFormatError, match="confocal"):
             parse_scene(text)
 
+    @pytest.mark.parametrize(
+        "key, value, field", [("on_curve_tol", 0, "on_curve"), ("confocal_tol", -1, "confocal")]
+    )
+    def test_non_positive_tolerance_option_rejected(self, key, value, field):
+        with pytest.raises(SceneFormatError, match=f"options.*{field}"):
+            parse_scene(f'{{"options": {{"{key}": {value}}}}}')
+
     def test_top_level_must_be_object(self):
         with pytest.raises(SceneFormatError):
             parse_scene("[1, 2, 3]")
@@ -187,5 +194,11 @@ class TestRoundTrip:
         scene = Scene(mirrors=())
         again = parse_scene(serialize_scene(scene))
         assert again.max_bounces == scene.max_bounces
-        assert again.on_curve_tol == scene.on_curve_tol
-        assert again.confocal_tol == scene.confocal_tol
+        assert again.tolerances == scene.tolerances
+
+    def test_tolerance_without_a_file_key_rejected(self):
+        # the format keeps only on_curve and confocal; saving must not drop
+        # another field silently
+        scene = Scene(mirrors=(), tolerances=Tolerances(self_hit=1e-6))
+        with pytest.raises(ValueError, match="self_hit"):
+            serialize_scene(scene)
