@@ -349,7 +349,19 @@ class Conic:
         Ellipse: ``(a cos t, b sin t)``; parabola: ``(t, t^2/(4p))``;
         hyperbola: ``(sigma a cosh t, b sinh t)`` on the selected branch.
         """
-        return self.placement.to_scene(Point(*self.shape._point(t)))
+        return Point(*self._xy_at(t))
+
+    def _xy_at(self, t: float) -> tuple[float, float]:
+        """``point_at`` as a scene-frame float pair, with the same finiteness
+        checks: the one parametric path, shared with figure sampling."""
+        x, y = self.shape._point(t)
+        sx, sy = self.placement._xy_to_scene(x, y)
+        if not (math.isfinite(sx) and math.isfinite(sy)):
+            # A non-finite canonical pair always maps to a non-finite scene
+            # pair, so checking it only here still reports it first.
+            _require_finite(x, y)
+            _require_finite(sx, sy)
+        return sx, sy
 
     # ------------------------------------------------------------ nearest
 

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Placement
 from .construction import StepTriangle, two_step
-from .geometry import Direction, Point, direction, translate
+from .geometry import Direction, Point, _require_count, direction, translate
 from .optics import Ray, Scene, TracePath, trace
 
 __all__ = ["FIGURE_IDS", "REQUIRED_ELEMENTS", "figure_svg", "trace_svg"]
@@ -55,40 +55,45 @@ def _f(v: float) -> str:
     return "%.8g" % v
 
 
+def _require_size(width: int, height: int) -> None:
+    """Raise ValueError unless the document size is two positive ints."""
+    _require_count("width", width, 1)
+    _require_count("height", height, 1)
+
+
 class _SvgDoc:
-    """Collects world-coordinate primitives; renders them y-flipped."""
+    """Collects world-coordinate primitives as float pairs; renders them y-flipped."""
 
     def __init__(self) -> None:
         self._items: list[tuple] = []
-        self._xs: list[float] = []
-        self._ys: list[float] = []
+        self._xy: list[tuple[float, float]] = []  # polyline and marker vertices, for the viewBox
 
-    def _track(self, pts: list[Point]) -> None:
-        self._xs.extend(p.x for p in pts)
-        self._ys.extend(p.y for p in pts)
+    def polyline_xy(
+        self, elem_id: str, xy: list[tuple[float, float]], closed: bool = False,
+        dashed: bool = False,
+    ) -> None:
+        self._xy.extend(xy)
+        self._items.append(("polyline", elem_id, xy, closed, dashed))
 
     def polyline(
         self, elem_id: str, pts: list[Point], closed: bool = False, dashed: bool = False
     ) -> None:
-        self._track(pts)
-        self._items.append(("polyline", elem_id, list(pts), closed, dashed))
+        self.polyline_xy(elem_id, [(p.x, p.y) for p in pts], closed, dashed)
 
     def segment(self, elem_id: str, p1: Point, p2: Point, dashed: bool = False) -> None:
         self.polyline(elem_id, [p1, p2], dashed=dashed)
 
     def marker(self, elem_id: str, center: Point) -> None:
-        self._track([center])
-        self._items.append(("marker", elem_id, center))
+        self._xy.append((center.x, center.y))
+        self._items.append(("marker", elem_id, center.x, center.y))
 
     def label(self, text: str, anchor: Point) -> None:
-        self._items.append(("label", text, anchor))
+        self._items.append(("label", text, anchor.x, anchor.y))
 
     def emit(self, width: int, height: int) -> str:
-        if not self._xs:
-            self._xs = [0.0, 1.0]
-            self._ys = [0.0, 1.0]
-        xmin, xmax = min(self._xs), max(self._xs)
-        ymin, ymax = min(self._ys), max(self._ys)
+        xs, ys = zip(*self._xy) if self._xy else ((0.0, 1.0), (0.0, 1.0))
+        xmin, xmax = min(xs), max(xs)
+        ymin, ymax = min(ys), max(ys)
         w = xmax - xmin
         h = ymax - ymin
         mx = 0.1 * w if w > 0.0 else 1.0
@@ -101,8 +106,8 @@ class _SvgDoc:
         body: list[str] = []
         for item in self._items:
             if item[0] == "polyline":
-                _, elem_id, pts, closed, dashed = item
-                coords = " ".join(f"{_f(p.x)},{_f(-p.y)}" for p in pts)
+                _, elem_id, xy, closed, dashed = item
+                coords = " ".join(["%.8g,%.8g" % (x, -y) for x, y in xy])
                 tag = "polygon" if closed else "polyline"
                 dash = f' stroke-dasharray="{_f(3.0 * stroke)},{_f(2.0 * stroke)}"' if dashed else ""
                 body.append(
@@ -110,15 +115,15 @@ class _SvgDoc:
                     f'stroke="black" stroke-width="{_f(stroke)}"{dash}/>'
                 )
             elif item[0] == "marker":
-                _, elem_id, c = item
+                _, elem_id, x, y = item
                 body.append(
-                    f'<circle id="{elem_id}" cx="{_f(c.x)}" cy="{_f(-c.y)}" '
+                    f'<circle id="{elem_id}" cx="{_f(x)}" cy="{_f(-y)}" '
                     f'r="{_f(radius)}" fill="black"/>'
                 )
             else:
-                _, text, p = item
+                _, text, x, y = item
                 body.append(
-                    f'<text x="{_f(p.x + 1.2 * radius)}" y="{_f(-p.y - 1.2 * radius)}" '
+                    f'<text x="{_f(x + 1.2 * radius)}" y="{_f(-y - 1.2 * radius)}" '
                     f'font-family="serif" font-size="{_f(font)}">{text}</text>'
                 )
         head = (
@@ -133,8 +138,8 @@ class _SvgDoc:
 def _sample(conic: Conic, t0: float, t1: float, elem_id: str, doc: _SvgDoc,
             closed: bool = False) -> None:
     n = _CURVE_SAMPLES
-    pts = [conic.point_at(t0 + (t1 - t0) * i / n) for i in range(n + 1)]
-    doc.polyline(elem_id, pts, closed=closed)
+    xy_at = conic._xy_at
+    doc.polyline_xy(elem_id, [xy_at(t0 + (t1 - t0) * i / n) for i in range(n + 1)], closed)
 
 
 def _draw_triangle(doc: _SvgDoc, tri: StepTriangle, with_reflector: bool = True) -> None:
@@ -289,6 +294,7 @@ def figure_svg(
         raise ValueError(
             f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}"
         )
+    _require_size(width, height)
     doc = _SvgDoc()
     if figure_id == "isosceles":
         _figure_isosceles(doc)
@@ -316,6 +322,7 @@ def trace_svg(
     max_bounces: int | None = None,
 ) -> str:
     """Draw a scene's mirrors and all its bundled rays."""
+    _require_size(width, height)
     paths = [trace(scene, ray, max_bounces=max_bounces) for ray in scene.rays]
     return _trace_svg(scene, paths, width, height)
 
@@ -324,6 +331,7 @@ def _trace_svg(
     scene: Scene, paths: Sequence[TracePath], width: int = 640, height: int = 480
 ) -> str:
     """``trace_svg`` of the scene's rays already traced as ``paths``."""
+    _require_size(width, height)
     doc = _SvgDoc()
     for i, mirror in enumerate(scene.mirrors):
         elem_id = "curve" if i == 0 else f"curve-{i + 1}"

@@ -1,6 +1,7 @@
 """Shared fixtures: random samplers and cached convergence sweeps."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -13,6 +14,8 @@ from conicsteps import (
     Hyperbola,
     Parabola,
     Placement,
+    Ray,
+    Scene,
     SweepConfig,
     run_sweep,
     standard_anchors,
@@ -73,6 +76,21 @@ def _placement(rng: random.Random) -> Placement:
 # One verdict line per acceptance criterion, filled by test_acceptance.py
 # and echoed as a terminal section so the lines survive output capture.
 ACCEPTANCE_LINES: list[str] = []
+
+
+def pose_scene(scene: Scene, motion: Placement) -> Scene:
+    """``scene`` with its mirrors and rays all moved as a whole by ``motion``."""
+    c, s = math.cos(motion.rotate), math.sin(motion.rotate)
+    mirrors = tuple(
+        Conic(m.shape, Placement(
+            c * m.placement.tx - s * m.placement.ty + motion.tx,
+            s * m.placement.tx + c * m.placement.ty + motion.ty,
+            m.placement.rotate + motion.rotate,
+        ))
+        for m in scene.mirrors
+    )
+    rays = tuple(Ray(motion.to_scene(r.origin), motion.dir_to_scene(r.dir)) for r in scene.rays)
+    return dataclasses.replace(scene, mirrors=mirrors, rays=rays)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -308,6 +308,13 @@ class TestFigure:
         assert err.startswith("error: value:")
         assert "isosceles" in err and "cassegrain" in err
 
+    @pytest.mark.parametrize("option", ["--width", "--height"])
+    def test_non_positive_size_is_value_error(self, capsys, option):
+        code, out, err = run(capsys, "figure", "isosceles", option, "0")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: value: {option[2:]} must be an integer >= 1, got 0\n"
+
 
 class TestTolScope:
     """--tol exists only on the commands that read a tolerance."""

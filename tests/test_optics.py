@@ -31,7 +31,7 @@ from conicsteps import (
     trace,
 )
 from conicsteps.svgout import default_cassegrain_scene
-from conftest import random_conic, random_param
+from conftest import pose_scene, random_conic, random_param
 
 ELL = Conic(Ellipse(5, 3))
 
@@ -386,21 +386,7 @@ def posed_cassegrain(motion: Placement) -> Scene:
     base = default_cassegrain_scene(40)
     down = Direction(0.0, -1.0)
     rays = base.rays + (Ray(Point(0.3, 8.0), down), Ray(Point(20.0, 8.0), down))
-    c, s = math.cos(motion.rotate), math.sin(motion.rotate)
-    mirrors = tuple(
-        Conic(m.shape, Placement(
-            c * m.placement.tx - s * m.placement.ty + motion.tx,
-            s * m.placement.tx + c * m.placement.ty + motion.ty,
-            m.placement.rotate + motion.rotate,
-        ))
-        for m in base.mirrors
-    )
-    return Scene(
-        mirrors=mirrors,
-        roles=base.roles,
-        rays=tuple(Ray(motion.to_scene(r.origin), motion.dir_to_scene(r.dir)) for r in rays),
-        max_bounces=base.max_bounces,
-    )
+    return pose_scene(dataclasses.replace(base, rays=rays), motion)
 
 
 class TestFloatCore:

@@ -1,17 +1,27 @@
 """SVG figure generation: structure, determinism, and coordinate handling."""
 from __future__ import annotations
 
+import hashlib
+import re
 import xml.etree.ElementTree as ET
+from importlib import resources
 
 import pytest
 
 from conicsteps import (
     FIGURE_IDS,
     REQUIRED_ELEMENTS,
+    Conic,
+    Ellipse,
+    Parabola,
+    Placement,
+    Scene,
     figure_svg,
+    load_scene,
     trace_svg,
 )
-from conicsteps.svgout import default_cassegrain_scene
+from conicsteps.svgout import _sample, _SvgDoc, default_cassegrain_scene
+from conftest import pose_scene
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -93,3 +103,71 @@ class TestTraceSvg:
         scene = default_cassegrain_scene(2)
         root = ET.fromstring(trace_svg(scene))
         assert root.tag == f"{SVG_NS}svg"
+
+
+class TestFrozenSvg:
+    def test_svg_digest(self):
+        # Frozen: any change to curve sampling, the viewBox fit or number
+        # formatting moves the digest.
+        docs = [figure_svg(fid) for fid in FIGURE_IDS]
+        docs += [figure_svg(fid, delta=0.05, anchor_param=0.7) for fid in FIGURE_IDS]
+        for name in ("cassegrain.json", "ellipse.json"):
+            path = resources.files("conicsteps").joinpath("scenes", name)
+            docs.append(trace_svg(load_scene(str(path))))
+        docs.append(trace_svg(pose_scene(default_cassegrain_scene(4),
+                                         Placement(1.5, -2.25, 0.7))))
+        assert len(docs) == 15
+        digest = hashlib.sha256("".join(docs).encode("utf-8")).hexdigest()
+        assert digest == "6bfe335a206d7fa7f035e7f383dc9f2c86184f5ea9398a3eb6f3ba07f8b90c18"
+
+
+# Finite canonical axes whose translated samples overflow to infinity.
+OVERFLOWING = Conic(Ellipse(1e308, 1e308), Placement(1.5e308, 0.0, 0.0))
+OVERFLOW_MESSAGE = re.escape("point coordinates must be finite, got (inf, 0.0)")
+
+
+class TestSampleFiniteness:
+    def test_sample_rejects_overflow(self):
+        with pytest.raises(ValueError, match=OVERFLOW_MESSAGE):
+            _sample(OVERFLOWING, 0.0, 1.0, "curve", _SvgDoc())
+
+    def test_trace_svg_rejects_overflow(self):
+        with pytest.raises(ValueError, match=OVERFLOW_MESSAGE):
+            trace_svg(Scene(mirrors=(OVERFLOWING,)))
+
+    def test_point_at_rejects_overflow(self):
+        with pytest.raises(ValueError, match=OVERFLOW_MESSAGE):
+            OVERFLOWING.point_at(0.0)
+
+    def test_canonical_overflow_reported_first(self):
+        # The canonical sample (1e200, inf) is named, not the rotated scene pair.
+        conic = Conic(Parabola(1.0), Placement(0.0, 0.0, 0.3))
+        message = re.escape("point coordinates must be finite, got (1e+200, inf)")
+        with pytest.raises(ValueError, match=message):
+            conic.point_at(1e200)
+        with pytest.raises(ValueError, match=message):
+            _sample(conic, 1e200, 1e200, "curve", _SvgDoc())
+
+
+class TestSize:
+    @pytest.mark.parametrize("width, height, bad", [
+        (True, 480, "width"),
+        (640, -3, "height"),
+        (0, 480, "width"),
+        (640, 2.5, "height"),
+    ])
+    def test_figure_rejects_bad_size(self, width, height, bad):
+        with pytest.raises(ValueError, match=f"^{bad} must be an integer >= 1"):
+            figure_svg("isosceles", width=width, height=height)
+
+    @pytest.mark.parametrize("width, height, bad", [
+        (False, 480, "width"),
+        (640, 0, "height"),
+    ])
+    def test_trace_svg_rejects_bad_size(self, width, height, bad):
+        with pytest.raises(ValueError, match=f"^{bad} must be an integer >= 1"):
+            trace_svg(default_cassegrain_scene(2), width=width, height=height)
+
+    def test_size_is_written(self):
+        root = ET.fromstring(figure_svg("isosceles", width=1, height=2))
+        assert (root.get("width"), root.get("height")) == ("1", "2")
