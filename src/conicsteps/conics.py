@@ -294,7 +294,11 @@ class Conic:
 
     def residual(self, q: Point) -> float:
         """Signed focal-distance residual of ``q`` (zero on the curve)."""
-        x, y = self.placement._xy_to_canonical(q.x, q.y)
+        return self._residual_xy(q.x, q.y)
+
+    def _residual_xy(self, x: float, y: float) -> float:
+        """``residual`` at the scene point ``(x, y)``, on floats."""
+        x, y = self.placement._xy_to_canonical(x, y)
         _require_finite(x, y)
         return self.shape._residual(x, y)
 

@@ -22,6 +22,10 @@ conic.
 reversed).  Walks started exactly on an axis vertex retrace themselves
 (B == A); such triangles are returned flagged ``degenerate`` and have no
 apex reflector.
+
+The float core is ``_walk_xy``, the one walk, on canonical-frame floats;
+``two_step``, ``exact_return`` and the halving sweep all take it, and the
+value objects are built only when a public function returns.
 """
 from __future__ import annotations
 
@@ -32,22 +36,9 @@ from typing import Literal
 from ._backend import kernels
 from .config import DEFAULT, Tolerances
 from .conics import Conic, Ellipse, Parabola, Shape, as_conic
-from .errors import (
-    BracketError,
-    ConicError,
-    DegenerateTriangleError,
-    UnsupportedVariantError,
-)
-from .geometry import (
-    Direction,
-    Line,
-    Point,
-    angle_between,
-    direction,
-    reflect_direction,
-    scalar_projection,
-    translate,
-)
+from .errors import BracketError, ConicError, DegenerateTriangleError, UnsupportedVariantError
+from .geometry import (Direction, Line, Point, _angle_xy, _normalized, _require_finite,
+                       reflect_direction, scalar_projection)
 
 __all__ = [
     "Orientation",
@@ -115,35 +106,50 @@ class ExactReturn:
     gap: float
 
 
-def _canonical_steps(
-    shape: Shape, ac: Point, delta: float, orientation: Orientation
-) -> tuple[Direction, Point, Direction, Point]:
-    """Step directions and points in the canonical frame."""
-    if isinstance(shape, Ellipse):
-        f_from, f_to = shape.foci
-        if orientation == "backward":
-            f_from, f_to = f_to, f_from
-        u1 = direction(f_from, ac)
-        d = translate(ac, u1, delta)
-        u2 = direction(d, f_to)
-    elif isinstance(shape, Parabola):
-        if orientation == "forward":
-            u1 = Direction(0.0, -1.0)
-            d = translate(ac, u1, delta)
-            u2 = direction(d, shape.focus)
-        else:
-            u1 = Direction(0.0, 1.0)
-            d = translate(ac, u1, delta)
-            u2 = direction(shape.focus, d)
+def _check_step(delta: float, orientation: str) -> None:
+    """Raise ValueError for a step length or an orientation ``two_step`` rejects."""
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"step length must be positive and finite, got {delta}")
+    if orientation not in ("forward", "backward"):
+        raise ValueError(f"orientation must be 'forward' or 'backward', got {orientation!r}")
+
+
+def _walk_xy(shape: Shape, ax: float, ay: float, delta: float,
+             orientation: Orientation) -> tuple[float, ...]:
+    """The walk from the canonical-frame point ``(ax, ay)``: the unit step
+    directions ``u1``, ``u2`` and the points ``D``, ``B``, as the canonical
+    floats ``(u1x, u1y, dx, dy, u2x, u2y, bx, by)``.  Each direction is
+    normalized and each point checked finite, as a Direction or a Point is."""
+    if isinstance(shape, Parabola):
+        f = shape.focus
+        u1x, u1y = 0.0, (-1.0 if orientation == "forward" else 1.0)
+        toward = orientation == "forward"
     else:
-        near, far = shape.foci
+        f_from, f = shape.foci
         if orientation == "backward":
-            near, far = far, near
-        u1 = direction(near, ac)
-        d = translate(ac, u1, delta)
-        u2 = direction(far, d)
-    b = translate(d, u2, delta)
-    return u1, d, u2, b
+            f_from, f = f, f_from
+        u1x, u1y = _normalized(ax - f_from.x, ay - f_from.y)
+        toward = isinstance(shape, Ellipse)
+    dx, dy = ax + delta * u1x, ay + delta * u1y
+    _require_finite(dx, dy)
+    u2x, u2y = _normalized(f.x - dx, f.y - dy) if toward else _normalized(dx - f.x, dy - f.y)
+    bx, by = dx + delta * u2x, dy + delta * u2y
+    _require_finite(bx, by)
+    return u1x, u1y, dx, dy, u2x, u2y, bx, by
+
+
+def _triangle_xy(conic: Conic, ax: float, ay: float, acx: float, acy: float, delta: float,
+                 orientation: Orientation, tolerances: Tolerances) -> tuple:
+    """The walk from the scene point ``(ax, ay)``, canonically ``(acx, acy)``, as
+    ``(u1x, u1y, u2x, u2y, dx, dy, bx, by, residual_b, degenerate)``; D and B in the scene."""
+    u1x, u1y, dx, dy, u2x, u2y, bx, by = _walk_xy(conic.shape, acx, acy, delta, orientation)
+    to_scene = conic.placement._xy_to_scene
+    dx, dy = to_scene(dx, dy)
+    _require_finite(dx, dy)
+    bx, by = to_scene(bx, by)
+    _require_finite(bx, by)
+    return (u1x, u1y, u2x, u2y, dx, dy, bx, by, conic._residual_xy(bx, by),
+            _retraced(ax, ay, bx, by, delta, tolerances))
 
 
 def two_step(
@@ -159,32 +165,22 @@ def two_step(
     tolerance, and ValueError for a non-positive or non-finite ``delta``.
     """
     conic = as_conic(conic)
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"step length must be positive and finite, got {delta}")
-    if orientation not in ("forward", "backward"):
-        raise ValueError(f"orientation must be 'forward' or 'backward', got {orientation!r}")
-    ac = Point(*conic._require_on_curve(A.x, A.y, tolerances, "start point"))
-    u1c, dc, u2c, bc = _canonical_steps(conic.shape, ac, delta, orientation)
-
-    d = conic.placement.to_scene(dc)
-    b = conic.placement.to_scene(bc)
-    return StepTriangle(
-        A=A,
-        D=d,
-        B=b,
-        delta=delta,
-        leg1_dir=conic.placement.dir_to_scene(u1c),
-        leg2_dir=conic.placement.dir_to_scene(u2c),
-        residual_b=conic.residual(b),
-        orientation=orientation,
-        degenerate=_retraced(A, b, delta, tolerances),
-    )
+    _check_step(delta, orientation)
+    ac = conic._require_on_curve(A.x, A.y, tolerances, "start point")
+    u1x, u1y, u2x, u2y, dx, dy, bx, by, residual_b, degenerate = _triangle_xy(
+        conic, A.x, A.y, *ac, delta, orientation, tolerances)
+    rotate = conic.placement._rotate_to_scene
+    return StepTriangle(A=A, D=Point(dx, dy), B=Point(bx, by), delta=delta,
+                        leg1_dir=Direction(*rotate(u1x, u1y)),
+                        leg2_dir=Direction(*rotate(u2x, u2y)), residual_b=residual_b,
+                        orientation=orientation, degenerate=degenerate)
 
 
-def _retraced(A: Point, B: Point, delta: float, tolerances: Tolerances) -> bool:
+def _retraced(ax: float, ay: float, bx: float, by: float, delta: float,
+              tolerances: Tolerances) -> bool:
     """Whether a walk of step ``delta`` from ``A`` to ``B`` retraced itself:
     its chord is at most ``degenerate_step * (1 + delta)``."""
-    return math.hypot(B.x - A.x, B.y - A.y) <= tolerances.degenerate_step * (1.0 + delta)
+    return math.hypot(bx - ax, by - ay) <= tolerances.degenerate_step * (1.0 + delta)
 
 
 def apex_reflector(tri: StepTriangle) -> Line:
@@ -238,18 +234,21 @@ def focal_change_error(conic: Conic | Shape, tri: StepTriangle) -> FocalChange:
     subtended angle.
     """
     conic = as_conic(conic)
-    if isinstance(conic.shape, Parabola):
-        raise UnsupportedVariantError(
-            "focal-change bookkeeping needs two foci; the parabola has one"
-        )
+    parallelism = _parallelism(conic, tri.A.x, tri.A.y, tri.B.x, tri.B.y, tri.orientation)
     p1 = abs(scalar_projection(tri.D - tri.A, tri.leg2_dir))
     p2 = abs(scalar_projection(tri.B - tri.D, tri.leg1_dir))
-    proj_gap = abs(p1 - p2)
+    return FocalChange(proj_gap=abs(p1 - p2), parallelism_error=parallelism)
 
-    foci = conic.focus_points()
-    target = foci[1] if tri.orientation == "forward" else foci[0]
-    parallelism = angle_between(direction(tri.A, target), direction(tri.B, target))
-    return FocalChange(proj_gap=proj_gap, parallelism_error=parallelism)
+
+def _parallelism(conic: Conic, ax: float, ay: float, bx: float, by: float,
+                 orientation: Orientation) -> float:
+    """``parallelism_error`` of the scene points ``A`` and ``B``, on floats."""
+    if isinstance(conic.shape, Parabola):
+        raise UnsupportedVariantError("focal-change bookkeeping needs two foci; "
+                                      "the parabola has one")
+    f = conic.shape.foci[1 if orientation == "forward" else 0]
+    fx, fy = conic.placement._xy_to_scene(f.x, f.y)
+    return _angle_xy(*_normalized(fx - ax, fy - ay), *_normalized(fx - bx, fy - by))
 
 
 def _return_length(shape: Shape, ox: float, oy: float, dx: float, dy: float,
@@ -311,17 +310,26 @@ def exact_return(
     tri = two_step(conic, A, delta, orientation, tolerances)
     if tri.degenerate:
         return ExactReturn(triangle=tri, t_star=delta, gap=0.0)
-
-    dc = conic.placement.to_canonical(tri.D)
-    u2c = conic.placement.dir_to_canonical(tri.leg2_dir)
-    t_star = _return_length(conic.shape, dc.x, dc.y, u2c.x, u2c.y, delta)
-
-    b_star_c = Point(dc.x + t_star * u2c.x, dc.y + t_star * u2c.y)
-    b_star = conic.placement.to_scene(b_star_c)
-    tri_star = replace(
-        tri,
-        B=b_star,
-        residual_b=conic.residual(b_star),
-        degenerate=_retraced(A, b_star, delta, tolerances),
-    )
+    t_star, bx, by, residual_b = _return_xy(
+        conic, tri.D.x, tri.D.y, tri.leg2_dir.x, tri.leg2_dir.y, delta)
+    tri_star = replace(tri, B=Point(bx, by), residual_b=residual_b,
+                       degenerate=_retraced(A.x, A.y, bx, by, delta, tolerances))
     return ExactReturn(triangle=tri_star, t_star=t_star, gap=abs(t_star - delta))
+
+
+def _return_xy(conic: Conic, dx: float, dy: float, lx: float, ly: float,
+               delta: float) -> tuple[float, float, float, float]:
+    """``exact_return`` on floats from the scene apex ``(dx, dy)`` and the
+    scene unit second-leg direction ``(lx, ly)``: ``t*``, the scene landing
+    point and its residual.  Both inputs go to the canonical frame as
+    ``to_canonical`` and ``dir_to_canonical`` take them there."""
+    pl = conic.placement
+    ox, oy = pl._xy_to_canonical(dx, dy)
+    _require_finite(ox, oy)
+    ux, uy = _normalized(*pl._rotate_to_canonical(lx, ly))
+    t = _return_length(conic.shape, ox, oy, ux, uy, delta)
+    bx, by = ox + t * ux, oy + t * uy
+    _require_finite(bx, by)
+    bx, by = pl._xy_to_scene(bx, by)
+    _require_finite(bx, by)
+    return t, bx, by, conic._residual_xy(bx, by)

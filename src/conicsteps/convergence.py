@@ -13,7 +13,9 @@ then halves the step ``halvings`` times, recording at each level:
 
 Orders are fitted as the mean of log2 ratios of successive values, skipping
 values at the rounding noise floor, so the reported exponent is the
-empirical rate at which each quantity vanishes as delta -> 0.
+empirical rate at which each quantity vanishes as delta -> 0.  Each level
+takes one walk through construction's float core and derives every metric
+from it on floats, with the checks and errors of the public functions.
 """
 from __future__ import annotations
 
@@ -25,14 +27,9 @@ from importlib import resources
 
 from .config import DEFAULT, Tolerances
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Shape, as_conic
-from .construction import (
-    Orientation,
-    exact_return,
-    focal_change_error,
-    two_step,
-)
+from .construction import Orientation, _check_step, _parallelism, _return_xy, _triangle_xy
 from .errors import ConicError
-from .geometry import Direction, Point, _require_count, angle_between, direction
+from .geometry import Direction, Point, _angle_xy, _normalized, _require_count
 
 __all__ = [
     "METRICS",
@@ -71,16 +68,23 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "conic", as_conic(self.conic))
+        if not isinstance(self.anchor, Point):
+            raise TypeError(f"anchor must be a Point, got {self.anchor!r}")
         if not (math.isfinite(self.delta0) and self.delta0 > 0.0):
             raise ValueError(f"delta0 must be positive, got {self.delta0}")
+        _check_step(self.delta0, self.orientation)  # delta0 passed: checks the orientation
         _require_count("halvings", self.halvings, 2)
         if self.metrics is not None:
-            object.__setattr__(self, "metrics", tuple(self.metrics))
-            for name in self.metrics:
+            names = tuple(self.metrics)
+            if isinstance(self.metrics, str) or not names or len(set(names)) < len(names):
+                raise ValueError("metrics must be a non-empty sequence of distinct names, "
+                                 f"got {self.metrics!r}")
+            for name in names:
                 if name not in METRICS:
                     raise ValueError(
                         f"unknown metric {name!r}; expected a subset of {METRICS}"
                     )
+            object.__setattr__(self, "metrics", names)
 
     def resolved_metrics(self) -> tuple[str, ...]:
         if self.metrics is not None:
@@ -131,28 +135,15 @@ class ConvergenceReport:
         for k, d in enumerate(self.deltas):
             row = [_fmt(d)] + [_fmt(self.values[m][k]) for m in names]
             lines.append(",".join(row))
-        lines.append(
-            "order,"
-            + ",".join(
-                "" if self.orders[m].order is None else _fmt(self.orders[m].order)
-                for m in names
-            )
-        )
-        lines.append(
-            "ratios_used," + ",".join(str(self.orders[m].ratios_used) for m in names)
-        )
-        lines.append(
-            "constant,"
-            + ",".join(
-                "" if self.constants[m] is None else _fmt(self.constants[m])
-                for m in names
-            )
-        )
+        lines.append("order," + ",".join(_fmt(self.orders[m].order) for m in names))
+        lines.append("ratios_used," + ",".join(str(self.orders[m].ratios_used) for m in names))
+        lines.append("constant," + ",".join(_fmt(self.constants[m]) for m in names))
         return "\n".join(lines) + "\n"
 
 
-def _fmt(v: float) -> str:
-    return "%.17g" % v
+def _fmt(v: float | None) -> str:
+    """Full precision; an empty field for a missing order or constant."""
+    return "" if v is None else "%.17g" % v
 
 
 def noise_floor(conic: Conic | Shape, tolerances: Tolerances = DEFAULT) -> float:
@@ -174,29 +165,33 @@ def estimate_order(
     return OrderEstimate(order=math.fsum(ratios) / len(ratios), ratios_used=len(ratios))
 
 
-def _measure_level(cfg: SweepConfig, names: tuple[str, ...], delta: float,
-                   tolerances: Tolerances, tangent: Direction | None) -> dict[str, float]:
-    conic = cfg.conic
-    tri = two_step(conic, cfg.anchor, delta, cfg.orientation, tolerances)
-    if tri.degenerate:
+def _measure_level(cfg: SweepConfig, names: tuple[str, ...], ac: tuple[float, float],
+                   delta: float, tolerances: Tolerances, tangent: Direction | None
+                   ) -> dict[str, float]:
+    """Every requested metric at step ``delta``, from one walk on floats;
+    ``ac`` is the anchor in the canonical frame."""
+    conic, ax, ay, orientation = cfg.conic, cfg.anchor.x, cfg.anchor.y, cfg.orientation
+    _check_step(delta, orientation)
+    _, _, u2x, u2y, dx, dy, bx, by, residual_b, degenerate = _triangle_xy(
+        conic, ax, ay, *ac, delta, orientation, tolerances)
+    if degenerate:
         # A retraced walk has no triangle to measure; every metric is
         # identically zero at every level.
         return {m: 0.0 for m in names}
     out: dict[str, float] = {}
     for m in names:
         if m == "residual_B":
-            out[m] = abs(tri.residual_b)
+            out[m] = abs(residual_b)
         elif m == "chord_tangent_angle":
-            theta = angle_between(direction(tri.A, tri.B), tangent)
+            theta = _angle_xy(*_normalized(bx - ax, by - ay), tangent.x, tangent.y)
             out[m] = min(theta, math.pi - theta)
         elif m == "apex_curve_distance":
-            out[m] = conic.project_to_curve(tri.D).distance
+            out[m] = conic.project_to_curve(Point(dx, dy)).distance
         elif m == "parallelism_error":
-            out[m] = focal_change_error(conic, tri).parallelism_error
+            out[m] = _parallelism(conic, ax, ay, bx, by, orientation)
         else:
-            out[m] = exact_return(
-                conic, cfg.anchor, delta, cfg.orientation, tolerances
-            ).gap
+            lx, ly = _normalized(*conic.placement._rotate_to_scene(u2x, u2y))
+            out[m] = abs(_return_xy(conic, dx, dy, lx, ly, delta)[0] - delta)
     return out
 
 
@@ -209,7 +204,7 @@ def run_sweep(cfg: SweepConfig, tolerances: Tolerances = DEFAULT) -> Convergence
     and reason instead of raising.
     """
     conic = cfg.conic
-    conic._require_on_curve(cfg.anchor.x, cfg.anchor.y, tolerances, "sweep anchor")
+    ac = conic._require_on_curve(cfg.anchor.x, cfg.anchor.y, tolerances, "sweep anchor")
     names = cfg.resolved_metrics()
     tangent = None  # fixed anchor and tolerances: one tangent for every level
     if "chord_tangent_angle" in names:
@@ -221,7 +216,7 @@ def run_sweep(cfg: SweepConfig, tolerances: Tolerances = DEFAULT) -> Convergence
     for k in range(cfg.halvings + 1):
         delta = cfg.delta0 / (2.0**k)
         try:
-            row = _measure_level(cfg, names, delta, tolerances, tangent)
+            row = _measure_level(cfg, names, ac, delta, tolerances, tangent)
         except ConicError as exc:
             failed_level = k
             failure = f"{type(exc).__name__}: {exc}"
@@ -232,15 +227,12 @@ def run_sweep(cfg: SweepConfig, tolerances: Tolerances = DEFAULT) -> Convergence
     floor = noise_floor(conic, tolerances)
     values = {m: tuple(columns[m]) for m in names}
     orders = {m: estimate_order(values[m], floor) for m in names}
-    constants: dict[str, float | None] = {}
+    constants: dict[str, float | None] = dict.fromkeys(names)
     for m in names:
-        est = orders[m]
-        constants[m] = None
-        if est.order is not None:
-            for d, v in zip(reversed(deltas), reversed(values[m])):
-                if v > floor:
-                    constants[m] = v / d**est.order
-                    break
+        order = orders[m].order
+        if order is not None:  # then some value is above the floor
+            d, v = next((d, v) for d, v in zip(reversed(deltas), reversed(values[m])) if v > floor)
+            constants[m] = v / d**order
     return ConvergenceReport(
         config=cfg,
         deltas=tuple(deltas),

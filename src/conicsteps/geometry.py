@@ -146,7 +146,12 @@ def angle_between(u: Direction, v: Direction) -> float:
     Computed as atan2(|cross|, dot), which stays accurate for nearly
     parallel and nearly opposite pairs alike.
     """
-    return math.atan2(abs(u.cross(v)), u.dot(v))
+    return _angle_xy(u.x, u.y, v.x, v.y)
+
+
+def _angle_xy(ux: float, uy: float, vx: float, vy: float) -> float:
+    """``angle_between`` the unit vectors ``(ux, uy)`` and ``(vx, vy)``."""
+    return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
 
 
 def scalar_projection(step: tuple[float, float], onto: Direction) -> float:

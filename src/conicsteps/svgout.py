@@ -294,6 +294,9 @@ def figure_svg(
         raise ValueError(
             f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}"
         )
+    if figure_id in ("isosceles", "cassegrain") and (delta, anchor_param) != (None, None):
+        raise ValueError(f"figure {figure_id!r} is drawn at fixed values; "
+                         "it takes no delta or anchor_param")
     _require_size(width, height)
     doc = _SvgDoc()
     if figure_id == "isosceles":

@@ -196,6 +196,16 @@ class TestConverge:
         assert err.startswith("error: value:")
         assert "wobble" in err
 
+    def test_duplicate_metric_is_value_error(self, capsys):
+        code, out, err = run(
+            capsys, "converge", "--ellipse", "5,3", "--anchor-param", "1.1",
+            "--delta0", "0.1", "--halvings", "4", "--metrics", "residual_B,residual_B",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: value:")
+        assert "distinct" in err
+
 
 class TestTrace:
     def test_bundled_cassegrain_spot(self, capsys):
@@ -307,6 +317,15 @@ class TestFigure:
         assert code == 2
         assert err.startswith("error: value:")
         assert "isosceles" in err and "cassegrain" in err
+
+    @pytest.mark.parametrize("figure_id", ["isosceles", "cassegrain"])
+    def test_unused_figure_option_is_value_error(self, capsys, figure_id):
+        code, out, err = run(capsys, "figure", figure_id, "--delta", "0.3",
+                             "--anchor-param", "9")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: value:")
+        assert figure_id in err
 
     @pytest.mark.parametrize("option", ["--width", "--height"])
     def test_non_positive_size_is_value_error(self, capsys, option):

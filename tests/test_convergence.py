@@ -1,6 +1,8 @@
 """Step-halving sweeps, order estimation, and the CSV report."""
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from conicsteps import (
@@ -13,10 +15,18 @@ from conicsteps import (
     Point,
     SweepConfig,
     Tolerances,
+    angle_between,
+    direction,
     estimate_order,
+    exact_return,
+    focal_change_error,
     noise_floor,
     run_sweep,
+    two_step,
 )
+from conicsteps import construction
+from conicsteps.convergence import _measure_level
+from conftest import POSED
 
 ELL = Conic(Ellipse(5, 3))
 TOP = Point(0.0, 3.0)
@@ -67,6 +77,25 @@ class TestSweepConfig:
             SweepConfig(
                 conic=ELL, anchor=TOP, delta0=0.1, halvings=4, metrics=("chord",)
             )
+
+    @pytest.mark.parametrize("metrics", [("residual_B", "residual_B"), (), "residual_B"])
+    def test_metrics_must_be_distinct_names(self, metrics):
+        # duplicates used to give twice the values of the deltas, pairing
+        # each delta with the wrong value; a bare str was split into letters
+        with pytest.raises(ValueError, match="non-empty sequence of distinct names"):
+            SweepConfig(conic=ELL, anchor=TOP, delta0=0.1, halvings=4, metrics=metrics)
+
+    def test_orientation_checked_at_construction(self):
+        with pytest.raises(ValueError) as from_config:
+            SweepConfig(conic=ELL, anchor=TOP, delta0=0.1, halvings=4,
+                        orientation="sideways")
+        with pytest.raises(ValueError) as from_walk:
+            two_step(ELL, TOP, 0.1, "sideways")
+        assert str(from_config.value) == str(from_walk.value)
+
+    def test_anchor_must_be_a_point(self):
+        with pytest.raises(TypeError, match="anchor"):
+            SweepConfig(conic=ELL, anchor=(0.0, 3.0), delta0=0.1, halvings=4)
 
     def test_default_metrics_exclude_parallelism_for_parabola(self):
         cfg = SweepConfig(conic=Conic(Parabola(1)), anchor=Point(2, 1), delta0=0.1, halvings=4)
@@ -149,6 +178,42 @@ class TestRunSweep:
         run_sweep(SweepConfig(conic=ELL, anchor=anchor, delta0=0.1, halvings=10,
                               metrics=("residual_B",)))
         assert calls == []
+
+    def test_one_walk_per_level(self, monkeypatch):
+        walks = []
+        walk_xy = construction._walk_xy
+
+        def counted(*args):
+            walks.append(args)
+            return walk_xy(*args)
+
+        monkeypatch.setattr(construction, "_walk_xy", counted)
+        anchor = ELL.point_at(1.1)
+        report = run_sweep(SweepConfig(conic=ELL, anchor=anchor, delta0=0.1, halvings=10))
+        assert report.metric_names == METRICS
+        assert len(walks) == 11
+
+    @pytest.mark.parametrize("orientation", ["forward", "backward"])
+    def test_level_values_equal_public_api(self, orientation):
+        for conic, t in POSED:
+            anchor = conic.point_at(t)
+            cfg = SweepConfig(conic=conic, anchor=anchor, delta0=0.1, halvings=2,
+                              orientation=orientation)
+            names = cfg.resolved_metrics()
+            ac = conic._require_on_curve(anchor.x, anchor.y, DEFAULT)
+            tangent, _ = conic.tangent_normal(anchor)
+            for delta in (0.2, 0.05, 0.003):
+                row = _measure_level(cfg, names, ac, delta, DEFAULT, tangent)
+                tri = two_step(conic, anchor, delta, orientation)
+                assert row["residual_B"] == abs(tri.residual_b)
+                theta = angle_between(direction(tri.A, tri.B), tangent)
+                assert row["chord_tangent_angle"] == min(theta, math.pi - theta)
+                assert row["apex_curve_distance"] == conic.project_to_curve(tri.D).distance
+                assert row["exact_return_gap"] == exact_return(
+                    conic, anchor, delta, orientation).gap
+                if "parallelism_error" in names:
+                    assert row["parallelism_error"] == focal_change_error(
+                        conic, tri).parallelism_error
 
     def test_degenerate_anchor_reports_zero_rows(self):
         cfg = SweepConfig(

@@ -81,6 +81,16 @@ class TestFigures:
         assert small != figure_svg("ellipse-two-step")
         assert "triangle" in element_ids(small)
 
+    @pytest.mark.parametrize("figure_id", ["isosceles", "cassegrain"])
+    @pytest.mark.parametrize("options", [
+        {"delta": 0.3}, {"anchor_param": 9.0}, {"delta": 0.3, "anchor_param": 9.0},
+    ])
+    def test_fixed_figures_reject_walk_options(self, figure_id, options):
+        # these two figures draw fixed scenes; the options used to be
+        # ignored, returning the default bytes
+        with pytest.raises(ValueError, match=figure_id):
+            figure_svg(figure_id, **options)
+
     def test_hyperbola_draws_both_branches(self):
         ids = element_ids(figure_svg("hyperbola"))
         assert "curve-2" in ids
@@ -110,7 +120,9 @@ class TestFrozenSvg:
         # Frozen: any change to curve sampling, the viewBox fit or number
         # formatting moves the digest.
         docs = [figure_svg(fid) for fid in FIGURE_IDS]
-        docs += [figure_svg(fid, delta=0.05, anchor_param=0.7) for fid in FIGURE_IDS]
+        # isosceles and cassegrain are fixed figures: they take no options
+        docs += [figure_svg(fid) if fid in ("isosceles", "cassegrain")
+                 else figure_svg(fid, delta=0.05, anchor_param=0.7) for fid in FIGURE_IDS]
         for name in ("cassegrain.json", "ellipse.json"):
             path = resources.files("conicsteps").joinpath("scenes", name)
             docs.append(trace_svg(load_scene(str(path))))
