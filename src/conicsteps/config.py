@@ -1,12 +1,14 @@
-"""Numeric policy in one place.
+"""Numeric policy: the two bounds callers set.
 
-Every tolerance used by the library lives here so that call sites never
-bury magic numbers, and every tolerance is set through a ``Tolerances``.
-``DEFAULT`` is the stock policy; callers that need another value (for
-example the CLI's ``--tol`` flag) derive a new instance with
+``Tolerances`` holds the tolerances a caller may choose: the on-curve bound
+(the CLI's ``--tol``, a scene file's ``on_curve_tol``) and the confocal bound
+of a telescope pair (a scene file's ``confocal_tol``).  ``DEFAULT`` is the
+stock policy; callers that need another value derive a new instance with
 ``dataclasses.replace``.  A ``Scene`` carries its own ``Tolerances``, which
 ``trace`` and the spot statistics read; the curve-level functions take one
-as an argument.
+as an argument.  Solver guards that no caller sets (the self-hit window,
+the root merge, the identity budget and the like) are private constants of
+the one module that reads each.
 """
 from __future__ import annotations
 
@@ -19,24 +21,9 @@ class Tolerances:
     #: |residual| allowed for "this point lies on the curve", scaled by
     #: (1 + conic scale).
     on_curve: float = 1e-9
-    #: componentwise budget for exact vector identities (unit norm,
-    #: reflection involution, the apex reflection identity).
-    identity: float = 1e-12
-    #: |B - A| below this (times 1 + delta) flags a collapsed step triangle.
-    degenerate_step: float = 1e-12
-    #: intersection parameters below this are the ray's own origin.
-    self_hit: float = 1e-9
-    #: quadratic roots closer than this merge into one tangency hit.
-    root_merge: float = 1e-7
-    #: intersection parameters beyond this are cancellation noise from
-    #: near-degenerate (almost linear) quadratics and are discarded.
-    max_ray_t: float = 1e12
     #: scene-frame distance allowed between coincident focal points of a
     #: two-mirror scene.
     confocal: float = 1e-9
-    #: noise floor for order fitting, in units of machine epsilon times
-    #: (1 + conic scale).
-    noise_floor_epsilons: float = 100.0
 
     def __post_init__(self) -> None:
         for f in fields(self):

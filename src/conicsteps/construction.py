@@ -139,7 +139,7 @@ def _walk_xy(shape: Shape, ax: float, ay: float, delta: float,
 
 
 def _triangle_xy(conic: Conic, ax: float, ay: float, acx: float, acy: float, delta: float,
-                 orientation: Orientation, tolerances: Tolerances) -> tuple:
+                 orientation: Orientation) -> tuple:
     """The walk from the scene point ``(ax, ay)``, canonically ``(acx, acy)``, as
     ``(u1x, u1y, u2x, u2y, dx, dy, bx, by, residual_b, degenerate)``; D and B in the scene."""
     u1x, u1y, dx, dy, u2x, u2y, bx, by = _walk_xy(conic.shape, acx, acy, delta, orientation)
@@ -149,7 +149,7 @@ def _triangle_xy(conic: Conic, ax: float, ay: float, acx: float, acy: float, del
     bx, by = to_scene(bx, by)
     _require_finite(bx, by)
     return (u1x, u1y, u2x, u2y, dx, dy, bx, by, conic._residual_xy(bx, by),
-            _retraced(ax, ay, bx, by, delta, tolerances))
+            _retraced(ax, ay, bx, by, delta))
 
 
 def two_step(
@@ -168,7 +168,7 @@ def two_step(
     _check_step(delta, orientation)
     ac = conic._require_on_curve(A.x, A.y, tolerances, "start point")
     u1x, u1y, u2x, u2y, dx, dy, bx, by, residual_b, degenerate = _triangle_xy(
-        conic, A.x, A.y, *ac, delta, orientation, tolerances)
+        conic, A.x, A.y, *ac, delta, orientation)
     rotate = conic.placement._rotate_to_scene
     return StepTriangle(A=A, D=Point(dx, dy), B=Point(bx, by), delta=delta,
                         leg1_dir=Direction(*rotate(u1x, u1y)),
@@ -176,11 +176,14 @@ def two_step(
                         orientation=orientation, degenerate=degenerate)
 
 
-def _retraced(ax: float, ay: float, bx: float, by: float, delta: float,
-              tolerances: Tolerances) -> bool:
+#: |B - A| below this (times 1 + delta) flags a collapsed step triangle.
+_DEGENERATE_STEP = 1e-12
+
+
+def _retraced(ax: float, ay: float, bx: float, by: float, delta: float) -> bool:
     """Whether a walk of step ``delta`` from ``A`` to ``B`` retraced itself:
-    its chord is at most ``degenerate_step * (1 + delta)``."""
-    return math.hypot(bx - ax, by - ay) <= tolerances.degenerate_step * (1.0 + delta)
+    its chord is at most ``_DEGENERATE_STEP * (1 + delta)``."""
+    return math.hypot(bx - ax, by - ay) <= _DEGENERATE_STEP * (1.0 + delta)
 
 
 def apex_reflector(tri: StepTriangle) -> Line:
@@ -206,22 +209,26 @@ def apex_reflector(tri: StepTriangle) -> Line:
     )
 
 
-def reflect_through_apex(tri: StepTriangle, tolerances: Tolerances = DEFAULT) -> Direction:
+#: componentwise budget for the exact apex reflection identity.
+_IDENTITY = 1e-12
+
+
+def reflect_through_apex(tri: StepTriangle) -> Direction:
     """Reflect the first leg across the apex reflector.
 
-    The result must equal the second leg direction componentwise to the
-    identity tolerance; this is the exact (step-size independent) mirror
-    property of the isosceles apex.
+    The result must equal the second leg direction componentwise to 1e-12,
+    else ConicError is raised; this is the exact (step-size independent)
+    mirror property of the isosceles apex.
     """
     reflected = reflect_direction(tri.leg1_dir, apex_reflector(tri))
     err = max(
         abs(reflected.x - tri.leg2_dir.x),
         abs(reflected.y - tri.leg2_dir.y),
     )
-    if err > tolerances.identity:
+    if err > _IDENTITY:
         raise ConicError(
             f"apex reflection mismatch of {err!r} exceeds the identity "
-            f"tolerance {tolerances.identity!r}"
+            f"tolerance {_IDENTITY!r}"
         )
     return reflected
 
@@ -313,7 +320,7 @@ def exact_return(
     t_star, bx, by, residual_b = _return_xy(
         conic, tri.D.x, tri.D.y, tri.leg2_dir.x, tri.leg2_dir.y, delta)
     tri_star = replace(tri, B=Point(bx, by), residual_b=residual_b,
-                       degenerate=_retraced(A.x, A.y, bx, by, delta, tolerances))
+                       degenerate=_retraced(A.x, A.y, bx, by, delta))
     return ExactReturn(triangle=tri_star, t_star=t_star, gap=abs(t_star - delta))
 
 

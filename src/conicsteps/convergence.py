@@ -70,10 +70,12 @@ class SweepConfig:
         object.__setattr__(self, "conic", as_conic(self.conic))
         if not isinstance(self.anchor, Point):
             raise TypeError(f"anchor must be a Point, got {self.anchor!r}")
-        if not (math.isfinite(self.delta0) and self.delta0 > 0.0):
-            raise ValueError(f"delta0 must be positive, got {self.delta0}")
-        _check_step(self.delta0, self.orientation)  # delta0 passed: checks the orientation
+        _check_step(self.delta0, self.orientation)
         _require_count("halvings", self.halvings, 2)
+        # 2.0**max_exp overflows; a positive last step makes every level positive
+        if self.halvings >= sys.float_info.max_exp or not self.delta0 / 2.0**self.halvings > 0.0:
+            raise ValueError(f"halvings={self.halvings} halves delta0={self.delta0!r} "
+                             "past the float range")
         if self.metrics is not None:
             names = tuple(self.metrics)
             if isinstance(self.metrics, str) or not names or len(set(names)) < len(names):
@@ -146,10 +148,14 @@ def _fmt(v: float | None) -> str:
     return "" if v is None else "%.17g" % v
 
 
-def noise_floor(conic: Conic | Shape, tolerances: Tolerances = DEFAULT) -> float:
+#: noise floor for order fitting, in machine epsilons times (1 + conic scale).
+_NOISE_FLOOR_EPSILONS = 100.0
+
+
+def noise_floor(conic: Conic | Shape) -> float:
     """Values below this are rounding noise for curves of this size."""
     conic = as_conic(conic)
-    return tolerances.noise_floor_epsilons * sys.float_info.epsilon * (1.0 + conic.scale)
+    return _NOISE_FLOOR_EPSILONS * sys.float_info.epsilon * (1.0 + conic.scale)
 
 
 def estimate_order(
@@ -166,14 +172,13 @@ def estimate_order(
 
 
 def _measure_level(cfg: SweepConfig, names: tuple[str, ...], ac: tuple[float, float],
-                   delta: float, tolerances: Tolerances, tangent: Direction | None
+                   delta: float, tangent: Direction | None
                    ) -> dict[str, float]:
     """Every requested metric at step ``delta``, from one walk on floats;
     ``ac`` is the anchor in the canonical frame."""
     conic, ax, ay, orientation = cfg.conic, cfg.anchor.x, cfg.anchor.y, cfg.orientation
-    _check_step(delta, orientation)
     _, _, u2x, u2y, dx, dy, bx, by, residual_b, degenerate = _triangle_xy(
-        conic, ax, ay, *ac, delta, orientation, tolerances)
+        conic, ax, ay, *ac, delta, orientation)
     if degenerate:
         # A retraced walk has no triangle to measure; every metric is
         # identically zero at every level.
@@ -216,7 +221,7 @@ def run_sweep(cfg: SweepConfig, tolerances: Tolerances = DEFAULT) -> Convergence
     for k in range(cfg.halvings + 1):
         delta = cfg.delta0 / (2.0**k)
         try:
-            row = _measure_level(cfg, names, ac, delta, tolerances, tangent)
+            row = _measure_level(cfg, names, ac, delta, tangent)
         except ConicError as exc:
             failed_level = k
             failure = f"{type(exc).__name__}: {exc}"
@@ -224,7 +229,7 @@ def run_sweep(cfg: SweepConfig, tolerances: Tolerances = DEFAULT) -> Convergence
         deltas.append(delta)
         for m in names:
             columns[m].append(row[m])
-    floor = noise_floor(conic, tolerances)
+    floor = noise_floor(conic)
     values = {m: tuple(columns[m]) for m in names}
     orders = {m: estimate_order(values[m], floor) for m in names}
     constants: dict[str, float | None] = dict.fromkeys(names)

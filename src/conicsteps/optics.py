@@ -24,8 +24,8 @@ are built only at this public edge, for what is returned.  Every check the
 objects made (finite points, normalizable directions, the on-curve and
 branch checks) is still made on the floats, in the same order and with the
 same arithmetic, so results are bit-identical to tracing with objects.
-Tracing reads every tolerance from ``Scene.tolerances``, the one policy of
-a scene; functions without a scene take a ``Tolerances`` argument.
+Tracing reads its bounds from ``Scene.tolerances``, the one policy of a
+scene; functions without a scene take a ``Tolerances`` argument.
 """
 from __future__ import annotations
 
@@ -65,6 +65,14 @@ __all__ = [
 ]
 
 ROLES = ("mirror", "primary", "secondary")
+
+#: intersection parameters below this are the ray's own origin.
+_SELF_HIT = 1e-9
+#: quadratic roots closer than this merge into one tangency hit.
+_ROOT_MERGE = 1e-7
+#: intersection parameters beyond this are cancellation noise from
+#: near-degenerate (almost linear) quadratics and are discarded.
+_MAX_RAY_T = 1e12
 
 
 @dataclass(frozen=True)
@@ -183,15 +191,15 @@ class SpotReport:
 
 
 def _hits(
-    conic: Conic, ox: float, oy: float, dx: float, dy: float, tolerances: Tolerances
+    conic: Conic, ox: float, oy: float, dx: float, dy: float
 ) -> list[tuple[float, float, float]]:
     """``intersect_ray`` on floats: ``(t, x, y)`` for each forward hit of the
     ray from ``(ox, oy)`` along ``(dx, dy)``, nearest first, all in scene
     coordinates.
 
     The ray is solved in the conic's canonical frame, where its direction
-    is renormalized.  The ``self_hit``/``max_ray_t`` window, the
-    ``root_merge`` tangency merge and the other-branch filter are applied
+    is renormalized.  The ``_SELF_HIT``/``_MAX_RAY_T`` window, the
+    ``_ROOT_MERGE`` tangency merge and the other-branch filter are applied
     here and nowhere else.
     """
     placement = conic.placement
@@ -200,10 +208,10 @@ def _hits(
     dcx, dcy = _normalized(*placement._rotate_to_canonical(dx, dy))
     shape = conic.shape
     n, r0, r1 = kernels.quadratic_roots(*shape._ray_coeffs(ocx, ocy, dcx, dcy),
-                                        tolerances.root_merge)
+                                        _ROOT_MERGE)
     hits = []
     for t in (r0, r1)[:n]:
-        if not (tolerances.self_hit < t <= tolerances.max_ray_t):
+        if not (_SELF_HIT < t <= _MAX_RAY_T):
             continue
         xc = ocx + t * dcx
         yc = ocy + t * dcy
@@ -216,19 +224,16 @@ def _hits(
     return hits
 
 
-def intersect_ray(
-    conic: Conic | Shape, ray: Ray, tolerances: Tolerances = DEFAULT
-) -> tuple[tuple[float, Point], ...]:
+def intersect_ray(conic: Conic | Shape, ray: Ray) -> tuple[tuple[float, Point], ...]:
     """All forward intersections of ``ray`` with the conic, nearest first.
 
-    Returns (t, point) pairs with ``t`` above the self-hit guard, solved
-    from the canonical implicit quadratic with a cancellation-free formula.
-    Nearly coincident root pairs (separation below the merge tolerance)
-    collapse to the single tangency point.  Hyperbola hits on the other
-    branch are discarded.
+    Returns (t, point) pairs with ``1e-9 < t <= 1e12`` (nearer is the ray's
+    own origin, farther is cancellation noise), solved from the canonical
+    implicit quadratic with a cancellation-free formula.  Root pairs closer
+    than 1e-7 collapse to the single tangency point.  Hyperbola hits on the
+    other branch are discarded.
     """
-    found = _hits(as_conic(conic), ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y,
-                  tolerances)
+    found = _hits(as_conic(conic), ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y)
     return tuple((t, Point(x, y)) for t, x, y in found)
 
 
@@ -285,8 +290,8 @@ def trace(scene: Scene, ray: Ray, max_bounces: int | None = None) -> TracePath:
 
     Stops when no mirror lies ahead or the bounce cap is reached; ties on
     hit distance go to the lower mirror index.  ``final`` is the free ray
-    leaving the last bounce (the input ray itself for a clean miss).  Every
-    tolerance, for hits and for reflections, comes from ``scene.tolerances``.
+    leaving the last bounce (the input ray itself for a clean miss).  The
+    on-curve bound of each reflection comes from ``scene.tolerances``.
     """
     if max_bounces is None:
         max_bounces = scene.max_bounces
@@ -297,7 +302,7 @@ def trace(scene: Scene, ray: Ray, max_bounces: int | None = None) -> TracePath:
     for _ in range(max_bounces):
         best: tuple[float, float, float, int] | None = None
         for index, mirror in enumerate(scene.mirrors):
-            found = _hits(mirror, ox, oy, dx, dy, tolerances)
+            found = _hits(mirror, ox, oy, dx, dy)
             if found and (best is None or found[0][0] < best[0]):
                 best = (*found[0], index)
         if best is None:

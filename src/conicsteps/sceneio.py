@@ -18,9 +18,10 @@ Every key is validated; unknown keys anywhere are rejected with the path
 to the offender, malformed JSON is reported with line and column, and all
 numbers must be finite.  ``placement``, ``role``, ``branch``, ``rays`` and
 ``options`` are optional with the defaults shown (the tolerances are
-``DEFAULT``'s, and set ``Scene.tolerances.on_curve`` and ``.confocal``).
+``DEFAULT``'s).  ``on_curve_tol`` and ``confocal_tol`` are the two fields of
+``Scene.tolerances``, so a scene file holds the whole tolerance policy.
 Serialization writes every field explicitly with full-precision floats,
-and parsing keeps the bits of a direction already of unit length, so a
+and parsing keeps the bits of a direction already of unit length, so every
 scene survives a save/load round trip bit-for-bit.
 """
 from __future__ import annotations
@@ -29,10 +30,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict
 from typing import Any
 
-from .config import DEFAULT
+from .config import DEFAULT, Tolerances
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Placement
 from .errors import SceneFormatError
 from .geometry import Direction, Point, _unit_unchecked
@@ -65,33 +66,28 @@ def _list(value: Any, path: str) -> list:
     return value
 
 
+def _number(value: Any, where: str) -> float:
+    """``value`` as a float; ``where`` names it in the error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SceneFormatError(f"{where}: expected a number, got {type(value).__name__}")
+    if not math.isfinite(value):
+        raise SceneFormatError(f"{where}: numbers must be finite, got {value}")
+    return float(value)
+
+
 def _num(obj: dict, key: str, path: str, default: float | None = None) -> float:
     if key not in obj:
         if default is None:
             raise SceneFormatError(f"{path}: missing required key {key!r}")
         return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SceneFormatError(f"{path}.{key}: expected a number, got {type(v).__name__}")
-    if not math.isfinite(v):
-        raise SceneFormatError(f"{path}.{key}: numbers must be finite, got {v}")
-    return float(v)
+    return _number(obj[key], f"{path}.{key}")
 
 
 def _pair(value: Any, path: str) -> tuple[float, float]:
     items = _list(value, path)
     if len(items) != 2:
         raise SceneFormatError(f"{path}: expected [x, y], got {len(items)} items")
-    out = []
-    for i, v in enumerate(items):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SceneFormatError(
-                f"{path}[{i}]: expected a number, got {type(v).__name__}"
-            )
-        if not math.isfinite(v):
-            raise SceneFormatError(f"{path}[{i}]: numbers must be finite, got {v}")
-        out.append(float(v))
-    return (out[0], out[1])
+    return (_number(items[0], f"{path}[0]"), _number(items[1], f"{path}[1]"))
 
 
 def _parse_placement(value: Any, path: str) -> Placement:
@@ -182,7 +178,7 @@ def parse_scene(text: str, source: str = "<scene>") -> Scene:
     on_curve = _num(options, "on_curve_tol", f"{source}:options", DEFAULT.on_curve)
     confocal = _num(options, "confocal_tol", f"{source}:options", DEFAULT.confocal)
     try:
-        tolerances = replace(DEFAULT, on_curve=on_curve, confocal=confocal)
+        tolerances = Tolerances(on_curve=on_curve, confocal=confocal)
     except ValueError as exc:
         raise SceneFormatError(f"{source}:options: {exc}") from exc
     try:
@@ -216,15 +212,8 @@ def _conic_to_dict(conic: Conic, role: str) -> dict:
 
 def serialize_scene(scene: Scene) -> str:
     """Scene back to JSON text; full-precision floats, stable layout.
-    Raises ValueError for a tolerance the format has no key for."""
+    Every field, each tolerance included, has a key, so any scene saves."""
     tolerances = scene.tolerances
-    for f in fields(tolerances):
-        value = getattr(tolerances, f.name)
-        if f.name not in ("on_curve", "confocal") and value != getattr(DEFAULT, f.name):
-            raise ValueError(
-                f"scene files cannot hold tolerances.{f.name}; only on_curve and "
-                "confocal are saved"
-            )
     data = {
         "conics": [
             _conic_to_dict(conic, role)

@@ -179,6 +179,16 @@ class TestConverge:
         assert err.startswith("error: usage:")
         assert "halving" in err
 
+    def test_overflowing_halvings_is_value_error(self, capsys):
+        # 2.0**2000 overflowed inside run_sweep and printed a traceback
+        code, _, err = run(
+            capsys, "converge", "--ellipse", "5,3", "--anchor-param", "1.1",
+            "--delta0", "0.1", "--halvings", "2000",
+        )
+        assert code == 2
+        assert err.startswith("error: value:")
+        assert "halvings" in err
+
     def test_truncation_note_on_stderr(self, capsys):
         code, out, err = run(
             capsys, "converge", "--ellipse", "1,0.8", "--anchor-param", "0.3",

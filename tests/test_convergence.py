@@ -72,6 +72,13 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="halvings"):
             SweepConfig(conic=ELL, anchor=TOP, delta0=0.1, halvings=3.0)
 
+    @pytest.mark.parametrize("delta0, halvings", [(1e-300, 90), (0.1, 2000)])
+    def test_halving_ladder_must_stay_positive_and_finite(self, delta0, halvings):
+        # delta0 / 2**90 underflowed to 0 and failed inside run_sweep with a
+        # bare ValueError; 2.0**2000 raised OverflowError there
+        with pytest.raises(ValueError, match="halvings"):
+            SweepConfig(conic=ELL, anchor=TOP, delta0=delta0, halvings=halvings)
+
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):
             SweepConfig(
@@ -203,7 +210,7 @@ class TestRunSweep:
             ac = conic._require_on_curve(anchor.x, anchor.y, DEFAULT)
             tangent, _ = conic.tangent_normal(anchor)
             for delta in (0.2, 0.05, 0.003):
-                row = _measure_level(cfg, names, ac, delta, DEFAULT, tangent)
+                row = _measure_level(cfg, names, ac, delta, tangent)
                 tri = two_step(conic, anchor, delta, orientation)
                 assert row["residual_B"] == abs(tri.residual_b)
                 theta = angle_between(direction(tri.A, tri.B), tangent)

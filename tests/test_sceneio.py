@@ -1,6 +1,8 @@
 """Scene-file parsing, validation diagnostics, and round-trips."""
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 from importlib import resources
 
@@ -196,9 +198,8 @@ class TestRoundTrip:
         assert again.max_bounces == scene.max_bounces
         assert again.tolerances == scene.tolerances
 
-    def test_tolerance_without_a_file_key_rejected(self):
-        # the format keeps only on_curve and confocal; saving must not drop
-        # another field silently
-        scene = Scene(mirrors=(), tolerances=Tolerances(self_hit=1e-6))
-        with pytest.raises(ValueError, match="self_hit"):
-            serialize_scene(scene)
+    def test_every_tolerance_has_a_file_key(self):
+        # saving drops no tolerance: each field of the policy has an option
+        options = json.loads(serialize_scene(Scene(mirrors=())))["options"]
+        keys = {key.removesuffix("_tol") for key in options}
+        assert {f.name for f in dataclasses.fields(Tolerances)} <= keys
