@@ -30,6 +30,7 @@ from conicsteps import (
     spot_report,
     trace,
 )
+from conicsteps import optics
 from conicsteps.svgout import default_cassegrain_scene
 from conftest import pose_scene, random_conic, random_param
 
@@ -223,7 +224,7 @@ class TestScene:
 
 
 class TestSceneTolerances:
-    """Every field of ``Scene.tolerances`` reaches ``trace``."""
+    """Every field of ``Scene.tolerances``, and the far-hit window, reaches ``trace``."""
 
     # A hit far out on an unbounded mirror whose focal residual rounds past
     # the default on-curve bound (about one ulp of |q|).
@@ -242,6 +243,22 @@ class TestSceneTolerances:
         loose = dataclasses.replace(self.FAR, tolerances=Tolerances(on_curve=1e-6))
         assert len(trace(loose, self.FAR_RAY, max_bounces=5).hits) == 4
 
+    # The far-hit window is a solver constant, not a scene field; shrinking
+    # it shows trace and the spot statistics both read the one window.
+    def test_max_ray_t_read_by_trace(self, monkeypatch):
+        scene = Scene(mirrors=(ELL,))
+        ray = Ray(Point(0.0, 0.0), Direction(0.0, 1.0))  # the mirror is 3 away
+        assert len(trace(scene, ray).hits) >= 1
+        monkeypatch.setattr(optics, "_MAX_RAY_T", 2.0)
+        assert trace(scene, ray).hits == ()
+
+    def test_max_ray_t_read_by_spot_statistics(self, monkeypatch):
+        scene = default_cassegrain_scene(10)
+        assert spot_report(scene, scene.rays).n_missed == 0
+        monkeypatch.setattr(optics, "_MAX_RAY_T", 1e-3)
+        assert spot_report(scene, scene.rays).n_missed == 10
+        report = cassegrain_spot(scene, 6, 4.0)
+        assert report.n_missed == report.n_rays == 6
 
 
 class TestTrace:
