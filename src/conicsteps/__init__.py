@@ -13,9 +13,15 @@ and SVG/CSV emitters, all with a CLI front end (``conicsteps``).
 The numeric kernels are plain Python (``conicsteps._kernels_py``); the
 package needs no compiler and no build step.  ``BACKEND`` names that
 implementation (``"python"``) for benchmark records.
+
+The names of ``construction`` and ``convergence`` are loaded on first
+access (PEP 562), because tracing a scene, the CLI's cold-start path,
+calls neither module and would otherwise pay to compile and run both.
 """
+from importlib import import_module
+
 from ._backend import BACKEND
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, METRICS, Tolerances
 from .conics import (
     Conic,
     Ellipse,
@@ -24,26 +30,6 @@ from .conics import (
     Placement,
     Projection,
     as_conic,
-)
-from .construction import (
-    ExactReturn,
-    FocalChange,
-    StepTriangle,
-    apex_reflector,
-    exact_return,
-    focal_change_error,
-    reflect_through_apex,
-    two_step,
-)
-from .convergence import (
-    METRICS,
-    ConvergenceReport,
-    OrderEstimate,
-    SweepConfig,
-    estimate_order,
-    noise_floor,
-    run_sweep,
-    standard_anchors,
 )
 from .errors import (
     BracketError,
@@ -84,6 +70,35 @@ from .sceneio import load_scene, parse_scene, save_scene, serialize_scene
 from .svgout import FIGURE_IDS, REQUIRED_ELEMENTS, figure_svg, trace_svg
 
 __version__ = "0.1.0"
+
+# Public name -> the module that defines it, imported on first access.
+_LAZY = {
+    **dict.fromkeys(
+        ("StepTriangle", "FocalChange", "ExactReturn", "two_step", "apex_reflector",
+         "reflect_through_apex", "focal_change_error", "exact_return"),
+        "construction",
+    ),
+    **dict.fromkeys(
+        ("SweepConfig", "OrderEstimate", "ConvergenceReport", "run_sweep",
+         "estimate_order", "noise_floor", "standard_anchors"),
+        "convergence",
+    ),
+}
+
+
+def __getattr__(name: str):
+    """Import the module that defines ``name`` and cache the name here."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "__version__",

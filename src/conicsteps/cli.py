@@ -15,6 +15,8 @@ Conics are selected with ``--ellipse a,b``, ``--parabola p`` or
 ``--translate x,y --rotate r``.  Human-facing numbers use 15 significant
 digits; CSV and scene files keep full precision.  Every failure exits
 nonzero with a one-line ``error: <category>: <reason>`` on stderr.
+``walk`` and ``converge`` import the construction and the sweep when they
+run, so the other commands start without loading either.
 """
 from __future__ import annotations
 
@@ -23,10 +25,8 @@ import math
 import sys
 from dataclasses import replace
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, METRICS, Tolerances
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Placement
-from .construction import exact_return, two_step
-from .convergence import METRICS, SweepConfig, run_sweep
 from .errors import (
     BracketError,
     ConicError,
@@ -163,7 +163,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta0", type=float, required=True)
     p.add_argument("--halvings", type=int, required=True)
     p.add_argument("--metrics", type=str, default=None,
-                   help=f"comma-separated subset of: {','.join(METRICS)}")
+                   help=f"comma-separated subset of: {', '.join(METRICS)}")
     p.add_argument("--orientation", choices=("forward", "backward"), default="forward")
     p.add_argument("--csv", type=str, default=None, metavar="PATH")
 
@@ -206,6 +206,8 @@ def _cmd_tangent(args, parser) -> int:
 
 
 def _cmd_walk(args, parser) -> int:
+    from .construction import exact_return, two_step
+
     if not (math.isfinite(args.delta) and args.delta > 0.0):
         parser.error(f"--delta must be positive, got {args.delta}")
     conic = _conic_from(args, parser)
@@ -230,6 +232,8 @@ def _cmd_walk(args, parser) -> int:
 
 
 def _cmd_converge(args, parser) -> int:
+    from .convergence import SweepConfig, run_sweep
+
     if args.halvings < 2:
         parser.error(f"need >= 2 halving levels, got {args.halvings}")
     if not (math.isfinite(args.delta0) and args.delta0 > 0.0):

@@ -9,6 +9,9 @@ stock policy; callers that need another value derive a new instance with
 as an argument.  Solver guards that no caller sets (the self-hit window,
 the root merge, the identity budget and the like) are private constants of
 the one module that reads each.
+
+``METRICS`` names the quantities a halving sweep can record.  It lives here,
+not in ``convergence``, so the CLI can list them without loading the sweep.
 """
 from __future__ import annotations
 
@@ -16,13 +19,25 @@ import math
 from dataclasses import dataclass, fields
 
 
+METRICS = (
+    "residual_B",
+    "chord_tangent_angle",
+    "apex_curve_distance",
+    "parallelism_error",
+    "exact_return_gap",
+)
+
+
 @dataclass(frozen=True)
 class Tolerances:
-    #: |residual| allowed for "this point lies on the curve", scaled by
-    #: (1 + conic scale).
+    """The tolerances a caller may set; each must be finite and positive.
+
+    ``on_curve`` is the |residual| allowed for "this point lies on the
+    curve", scaled by (1 + conic scale).  ``confocal`` is the scene-frame
+    distance allowed between coincident focal points of a two-mirror scene.
+    """
+
     on_curve: float = 1e-9
-    #: scene-frame distance allowed between coincident focal points of a
-    #: two-mirror scene.
     confocal: float = 1e-9
 
     def __post_init__(self) -> None:

@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from importlib import resources
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, METRICS, Tolerances
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Shape, as_conic
 from .construction import Orientation, _check_step, _parallelism, _return_xy, _triangle_xy
 from .errors import ConicError
@@ -41,14 +41,6 @@ __all__ = [
     "noise_floor",
     "standard_anchors",
 ]
-
-METRICS = (
-    "residual_B",
-    "chord_tangent_angle",
-    "apex_curve_distance",
-    "parallelism_error",
-    "exact_return_gap",
-)
 
 
 @dataclass(frozen=True)

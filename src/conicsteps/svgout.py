@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Placement
-from .construction import StepTriangle, two_step
 from .geometry import Direction, Point, _require_count, direction, translate
 from .optics import Ray, Scene, TracePath, trace
+
+if TYPE_CHECKING:
+    from .construction import StepTriangle
 
 __all__ = ["FIGURE_IDS", "REQUIRED_ELEMENTS", "figure_svg", "trace_svg"]
 
@@ -142,6 +145,14 @@ def _sample(conic: Conic, t0: float, t1: float, elem_id: str, doc: _SvgDoc,
     doc.polyline_xy(elem_id, [xy_at(t0 + (t1 - t0) * i / n) for i in range(n + 1)], closed)
 
 
+def _figure_triangle(conic: Conic, delta: float, anchor_param: float) -> StepTriangle:
+    """The forward two-step walk a figure draws, anchored at ``anchor_param``."""
+    # Imported here so that tracing a scene does not load the construction.
+    from .construction import two_step
+
+    return two_step(conic, conic.point_at(anchor_param), delta)
+
+
 def _draw_triangle(doc: _SvgDoc, tri: StepTriangle, with_reflector: bool = True) -> None:
     doc.polyline("triangle", [tri.A, tri.D, tri.B], closed=True)
     if with_reflector:
@@ -173,7 +184,7 @@ def _figure_ellipse(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
     doc.marker("focus-2", f2)
     doc.label("F1", f1)
     doc.label("F2", f2)
-    tri = two_step(conic, conic.point_at(anchor_param), delta)
+    tri = _figure_triangle(conic, delta, anchor_param)
     doc.segment("beam-in", f1, tri.D)
     doc.segment("beam-out", tri.D, f2)
     _draw_triangle(doc, tri)
@@ -187,7 +198,7 @@ def _figure_projection(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
     doc.marker("focus-2", f2)
     doc.label("F1", f1)
     doc.label("F2", f2)
-    tri = two_step(conic, conic.point_at(anchor_param), delta)
+    tri = _figure_triangle(conic, delta, anchor_param)
     u1, u2 = tri.leg1_dir, tri.leg2_dir
     s1 = (tri.A.x - tri.D.x) * u2.x + (tri.A.y - tri.D.y) * u2.y
     foot1 = Point(tri.D.x + s1 * u2.x, tri.D.y + s1 * u2.y)
@@ -205,7 +216,7 @@ def _figure_parabola(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
     doc.marker("focus-1", focus)
     doc.label("F", focus)
     doc.segment("directrix", Point(-2.5, -1.0), Point(2.5, -1.0), dashed=True)
-    tri = two_step(conic, conic.point_at(anchor_param), delta)
+    tri = _figure_triangle(conic, delta, anchor_param)
     top = max(tri.A.y + 1.0, 1.8)
     doc.segment("beam-in", Point(tri.A.x, top), tri.D)
     doc.segment("beam-out", tri.D, focus)
@@ -222,7 +233,7 @@ def _figure_hyperbola(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
     doc.marker("focus-2", far)
     doc.label("F1", near)
     doc.label("F2", far)
-    tri = two_step(conic, conic.point_at(anchor_param), delta)
+    tri = _figure_triangle(conic, delta, anchor_param)
     doc.segment("beam-in", near, tri.D)
     doc.segment("beam-out", tri.D, translate(tri.B, tri.leg2_dir, 1.0))
     _draw_triangle(doc, tri)

@@ -22,6 +22,9 @@ class TestTolerances:
         with pytest.raises(ValueError, match=name):
             Tolerances(**{name: value})
 
+    def test_has_a_written_docstring(self):
+        assert not Tolerances.__doc__.startswith("Tolerances(")
+
     def test_nan_on_curve_rejected(self):
         # NaN would switch every on-curve check off: abs(r) > nan is False
         with pytest.raises(ValueError, match="on_curve"):
