@@ -17,35 +17,17 @@ import math
 TWO_PI = 6.283185307179586476925287
 
 
-def _hyp(x: float, y: float) -> float:
-    """Scaled two-norm built from correctly-rounded primitives only.
-
-    ``math.hypot`` is more accurate and can differ from this sequence in
-    the last ulp.  The frozen reference values and the recorded digests
-    of CSV/SVG output were produced with this sequence, so it stays until a
-    change deliberately re-baselines them.
-    """
-    ax = abs(x)
-    ay = abs(y)
-    if ax < ay:
-        ax, ay = ay, ax
-    if ax == 0.0:
-        return 0.0
-    r = ay / ax
-    return ax * math.sqrt(1.0 + r * r)
-
-
 # ---------------------------------------------------------------- residuals
 
 def ellipse_residual(a: float, b: float, x: float, y: float) -> float:
     """Sum of focal distances minus the major-axis length 2a."""
     c = math.sqrt(a * a - b * b)
-    return _hyp(x + c, y) + _hyp(x - c, y) - 2.0 * a
+    return math.hypot(x + c, y) + math.hypot(x - c, y) - 2.0 * a
 
 
 def parabola_residual(p: float, x: float, y: float) -> float:
     """Focal distance minus directrix distance (positive on the convex side)."""
-    return _hyp(x, y - p) - abs(y + p)
+    return math.hypot(x, y - p) - abs(y + p)
 
 
 def hyperbola_residual(a: float, b: float, sigma: int, x: float, y: float) -> float:
@@ -55,8 +37,8 @@ def hyperbola_residual(a: float, b: float, sigma: int, x: float, y: float) -> fl
     selects, so points of the other branch are off the curve.
     """
     c = math.sqrt(a * a + b * b)
-    d_minus = _hyp(x + c, y)
-    d_plus = _hyp(x - c, y)
+    d_minus = math.hypot(x + c, y)
+    d_plus = math.hypot(x - c, y)
     if sigma > 0:
         return d_minus - d_plus - 2.0 * a
     return d_plus - d_minus - 2.0 * a

@@ -294,16 +294,17 @@ class Conic:
 
     def residual(self, q: Point) -> float:
         """Signed focal-distance residual of ``q`` (zero on the curve)."""
-        return self._residual_xy(q.x, q.y)
-
-    def _residual_xy(self, x: float, y: float) -> float:
-        """``residual`` at the scene point ``(x, y)``, on floats."""
-        x, y = self.placement._xy_to_canonical(x, y)
+        x, y = self.placement._xy_to_canonical(q.x, q.y)
         _require_finite(x, y)
         return self.shape._residual(x, y)
 
     def is_on_curve(self, q: Point, tolerances: Tolerances = DEFAULT) -> bool:
-        return abs(self.residual(q)) <= tolerances.on_curve * (1.0 + self.scale)
+        """Whether ``q`` passes ``_require_on_curve``, the one on-curve check."""
+        try:
+            self._require_on_curve(q.x, q.y, tolerances)
+        except OffCurveError:
+            return False
+        return True
 
     def _require_on_curve(
         self, x: float, y: float, tolerances: Tolerances, what: str = "point"
@@ -383,12 +384,8 @@ class Conic:
         step cap.
         """
         qc = self.placement.to_canonical(q)
-        t, ok = self.shape._nearest(qc.x, qc.y)
-        if not ok:
-            raise IterationError(
-                f"nearest-point search did not converge for ({q.x!r}, {q.y!r})"
-            )
-        foot = self.point_at(t)
+        t, fx, fy = _foot_xy(self.shape, qc.x, qc.y)
+        foot = Point(*self.placement._xy_to_scene(fx, fy))
         return Projection(foot=foot, param=t, distance=q.distance_to(foot))
 
     # -------------------------------------------------------------- foci
@@ -404,6 +401,21 @@ class Conic:
             return (self.placement.to_scene(s.focus),)
         f1, f2 = s.foci
         return (self.placement.to_scene(f1), self.placement.to_scene(f2))
+
+
+def _foot_xy(shape: Shape, x: float, y: float) -> tuple[float, float, float]:
+    """The foot of the normal from the canonical point ``(x, y)``, as its
+    parameter and canonical coordinates ``(t, fx, fy)``: the one nearest-point
+    path, shared by ``project_to_curve`` and the halving sweep.  Raises
+    IterationError if the root search hits its step cap."""
+    t, ok = shape._nearest(x, y)
+    if not ok:
+        raise IterationError(
+            f"nearest-point search did not converge for the canonical point ({x!r}, {y!r})"
+        )
+    fx, fy = shape._point(t)
+    _require_finite(fx, fy)
+    return t, fx, fy
 
 
 def as_conic(obj: Conic | Shape) -> Conic:

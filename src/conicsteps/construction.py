@@ -23,14 +23,15 @@ reversed).  Walks started exactly on an axis vertex retrace themselves
 (B == A); such triangles are returned flagged ``degenerate`` and have no
 apex reflector.
 
-The float core is ``_walk_xy``, the one walk, on canonical-frame floats;
-``two_step``, ``exact_return`` and the halving sweep all take it, and the
-value objects are built only when a public function returns.
+The float core is ``_walk_xy``, the one walk, on canonical-frame floats.
+The canonical frame is the frame of measurement: ``two_step``,
+``exact_return`` and the halving sweep each take one walk and measure it
+there, and only what a public function returns is mapped to the scene.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 from ._backend import kernels
@@ -63,7 +64,9 @@ class StepTriangle:
     ``B`` the landing point after the second.  ``leg1_dir`` and
     ``leg2_dir`` are the unit step directions; both legs have length
     ``delta``.  ``residual_b`` is the curve residual at ``B`` and
-    ``degenerate`` marks walks that retraced to their start (B == A).
+    ``degenerate`` marks walks that retraced to their start (B == A); both
+    are measured at the walk's canonical landing point, before ``B`` is
+    mapped to the scene, so they do not depend on the conic's placement.
     """
 
     A: Point
@@ -138,18 +141,19 @@ def _walk_xy(shape: Shape, ax: float, ay: float, delta: float,
     return u1x, u1y, dx, dy, u2x, u2y, bx, by
 
 
-def _triangle_xy(conic: Conic, ax: float, ay: float, acx: float, acy: float, delta: float,
-                 orientation: Orientation) -> tuple:
-    """The walk from the scene point ``(ax, ay)``, canonically ``(acx, acy)``, as
-    ``(u1x, u1y, u2x, u2y, dx, dy, bx, by, residual_b, degenerate)``; D and B in the scene."""
-    u1x, u1y, dx, dy, u2x, u2y, bx, by = _walk_xy(conic.shape, acx, acy, delta, orientation)
-    to_scene = conic.placement._xy_to_scene
-    dx, dy = to_scene(dx, dy)
-    _require_finite(dx, dy)
-    bx, by = to_scene(bx, by)
-    _require_finite(bx, by)
-    return (u1x, u1y, u2x, u2y, dx, dy, bx, by, conic._residual_xy(bx, by),
-            _retraced(ax, ay, bx, by, delta))
+def _triangle(conic: Conic, A: Point, ac: tuple[float, float], walk: tuple[float, ...],
+              delta: float, orientation: Orientation) -> StepTriangle:
+    """The StepTriangle of the canonical ``walk`` from ``A`` (canonically
+    ``ac``): ``residual_b`` and ``degenerate`` are measured at the canonical
+    landing point, and only the points and legs are mapped to the scene."""
+    u1x, u1y, dx, dy, u2x, u2y, bx, by = walk
+    pl = conic.placement
+    return StepTriangle(A=A, D=Point(*pl._xy_to_scene(dx, dy)),
+                        B=Point(*pl._xy_to_scene(bx, by)), delta=delta,
+                        leg1_dir=Direction(*pl._rotate_to_scene(u1x, u1y)),
+                        leg2_dir=Direction(*pl._rotate_to_scene(u2x, u2y)),
+                        residual_b=conic.shape._residual(bx, by), orientation=orientation,
+                        degenerate=_retraced(*ac, bx, by, delta))
 
 
 def two_step(
@@ -167,13 +171,8 @@ def two_step(
     conic = as_conic(conic)
     _check_step(delta, orientation)
     ac = conic._require_on_curve(A.x, A.y, tolerances, "start point")
-    u1x, u1y, u2x, u2y, dx, dy, bx, by, residual_b, degenerate = _triangle_xy(
-        conic, A.x, A.y, *ac, delta, orientation)
-    rotate = conic.placement._rotate_to_scene
-    return StepTriangle(A=A, D=Point(dx, dy), B=Point(bx, by), delta=delta,
-                        leg1_dir=Direction(*rotate(u1x, u1y)),
-                        leg2_dir=Direction(*rotate(u2x, u2y)), residual_b=residual_b,
-                        orientation=orientation, degenerate=degenerate)
+    return _triangle(conic, A, ac, _walk_xy(conic.shape, *ac, delta, orientation), delta,
+                     orientation)
 
 
 #: |B - A| below this (times 1 + delta) flags a collapsed step triangle.
@@ -241,21 +240,21 @@ def focal_change_error(conic: Conic | Shape, tri: StepTriangle) -> FocalChange:
     subtended angle.
     """
     conic = as_conic(conic)
-    parallelism = _parallelism(conic, tri.A.x, tri.A.y, tri.B.x, tri.B.y, tri.orientation)
+    a, b = conic.placement.to_canonical(tri.A), conic.placement.to_canonical(tri.B)
+    parallelism = _parallelism(conic.shape, a.x, a.y, b.x, b.y, tri.orientation)
     p1 = abs(scalar_projection(tri.D - tri.A, tri.leg2_dir))
     p2 = abs(scalar_projection(tri.B - tri.D, tri.leg1_dir))
     return FocalChange(proj_gap=abs(p1 - p2), parallelism_error=parallelism)
 
 
-def _parallelism(conic: Conic, ax: float, ay: float, bx: float, by: float,
+def _parallelism(shape: Shape, ax: float, ay: float, bx: float, by: float,
                  orientation: Orientation) -> float:
-    """``parallelism_error`` of the scene points ``A`` and ``B``, on floats."""
-    if isinstance(conic.shape, Parabola):
+    """``parallelism_error`` of the canonical points ``A`` and ``B``, on floats."""
+    if isinstance(shape, Parabola):
         raise UnsupportedVariantError("focal-change bookkeeping needs two foci; "
                                       "the parabola has one")
-    f = conic.shape.foci[1 if orientation == "forward" else 0]
-    fx, fy = conic.placement._xy_to_scene(f.x, f.y)
-    return _angle_xy(*_normalized(fx - ax, fy - ay), *_normalized(fx - bx, fy - by))
+    f = shape.foci[1 if orientation == "forward" else 0]
+    return _angle_xy(*_normalized(f.x - ax, f.y - ay), *_normalized(f.x - bx, f.y - by))
 
 
 def _return_length(shape: Shape, ox: float, oy: float, dx: float, dy: float,
@@ -314,29 +313,22 @@ def exact_return(
     step already ends on the curve.
     """
     conic = as_conic(conic)
-    tri = two_step(conic, A, delta, orientation, tolerances)
-    if tri.degenerate:
-        return ExactReturn(triangle=tri, t_star=delta, gap=0.0)
-    t_star, bx, by, residual_b = _return_xy(
-        conic, tri.D.x, tri.D.y, tri.leg2_dir.x, tri.leg2_dir.y, delta)
-    tri_star = replace(tri, B=Point(bx, by), residual_b=residual_b,
-                       degenerate=_retraced(A.x, A.y, bx, by, delta))
-    return ExactReturn(triangle=tri_star, t_star=t_star, gap=abs(t_star - delta))
+    _check_step(delta, orientation)
+    ac = conic._require_on_curve(A.x, A.y, tolerances, "start point")
+    u1x, u1y, dx, dy, u2x, u2y, bx, by = _walk_xy(conic.shape, *ac, delta, orientation)
+    t_star = delta
+    if not _retraced(*ac, bx, by, delta):
+        t_star, bx, by = _return_xy(conic.shape, dx, dy, u2x, u2y, delta)
+    tri = _triangle(conic, A, ac, (u1x, u1y, dx, dy, u2x, u2y, bx, by), delta, orientation)
+    return ExactReturn(triangle=tri, t_star=t_star, gap=abs(t_star - delta))
 
 
-def _return_xy(conic: Conic, dx: float, dy: float, lx: float, ly: float,
-               delta: float) -> tuple[float, float, float, float]:
-    """``exact_return`` on floats from the scene apex ``(dx, dy)`` and the
-    scene unit second-leg direction ``(lx, ly)``: ``t*``, the scene landing
-    point and its residual.  Both inputs go to the canonical frame as
-    ``to_canonical`` and ``dir_to_canonical`` take them there."""
-    pl = conic.placement
-    ox, oy = pl._xy_to_canonical(dx, dy)
-    _require_finite(ox, oy)
-    ux, uy = _normalized(*pl._rotate_to_canonical(lx, ly))
-    t = _return_length(conic.shape, ox, oy, ux, uy, delta)
-    bx, by = ox + t * ux, oy + t * uy
+def _return_xy(shape: Shape, dx: float, dy: float, ux: float, uy: float,
+               delta: float) -> tuple[float, float, float]:
+    """``exact_return`` on canonical floats from the apex ``(dx, dy)`` along
+    the unit second leg ``(ux, uy)``: ``t*`` and the landing point, checked
+    finite."""
+    t = _return_length(shape, dx, dy, ux, uy, delta)
+    bx, by = dx + t * ux, dy + t * uy
     _require_finite(bx, by)
-    bx, by = pl._xy_to_scene(bx, by)
-    _require_finite(bx, by)
-    return t, bx, by, conic._residual_xy(bx, by)
+    return t, bx, by

@@ -16,6 +16,9 @@ values at the rounding noise floor, so the reported exponent is the
 empirical rate at which each quantity vanishes as delta -> 0.  Each level
 takes one walk through construction's float core and derives every metric
 from it on floats, with the checks and errors of the public functions.
+Everything is measured in the conic's canonical frame, from the anchor's
+canonical coordinates, so a sweep does not depend on the conic's placement:
+the scene is only the public edge, where the anchor comes in.
 """
 from __future__ import annotations
 
@@ -26,8 +29,9 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .config import DEFAULT, METRICS, Tolerances
-from .conics import Conic, Ellipse, Hyperbola, Parabola, Shape, as_conic
-from .construction import Orientation, _check_step, _parallelism, _return_xy, _triangle_xy
+from .conics import Conic, Ellipse, Hyperbola, Parabola, Shape, _foot_xy, as_conic
+from .construction import (Orientation, _check_step, _parallelism, _retraced, _return_xy,
+                           _walk_xy)
 from .errors import ConicError
 from .geometry import Direction, Point, _angle_xy, _normalized, _require_count
 
@@ -166,29 +170,29 @@ def estimate_order(
 def _measure_level(cfg: SweepConfig, names: tuple[str, ...], ac: tuple[float, float],
                    delta: float, tangent: Direction | None
                    ) -> dict[str, float]:
-    """Every requested metric at step ``delta``, from one walk on floats;
-    ``ac`` is the anchor in the canonical frame."""
-    conic, ax, ay, orientation = cfg.conic, cfg.anchor.x, cfg.anchor.y, cfg.orientation
-    _, _, u2x, u2y, dx, dy, bx, by, residual_b, degenerate = _triangle_xy(
-        conic, ax, ay, *ac, delta, orientation)
-    if degenerate:
+    """Every requested metric at step ``delta``, from one walk on canonical
+    floats: ``ac`` is the anchor and ``tangent`` its unit tangent, both in
+    the canonical frame."""
+    shape, (ax, ay), orientation = cfg.conic.shape, ac, cfg.orientation
+    _, _, dx, dy, u2x, u2y, bx, by = _walk_xy(shape, ax, ay, delta, orientation)
+    if _retraced(ax, ay, bx, by, delta):
         # A retraced walk has no triangle to measure; every metric is
         # identically zero at every level.
         return {m: 0.0 for m in names}
     out: dict[str, float] = {}
     for m in names:
         if m == "residual_B":
-            out[m] = abs(residual_b)
+            out[m] = abs(shape._residual(bx, by))
         elif m == "chord_tangent_angle":
             theta = _angle_xy(*_normalized(bx - ax, by - ay), tangent.x, tangent.y)
             out[m] = min(theta, math.pi - theta)
         elif m == "apex_curve_distance":
-            out[m] = conic.project_to_curve(Point(dx, dy)).distance
+            _, fx, fy = _foot_xy(shape, dx, dy)
+            out[m] = math.hypot(dx - fx, dy - fy)
         elif m == "parallelism_error":
-            out[m] = _parallelism(conic, ax, ay, bx, by, orientation)
+            out[m] = _parallelism(shape, ax, ay, bx, by, orientation)
         else:
-            lx, ly = _normalized(*conic.placement._rotate_to_scene(u2x, u2y))
-            out[m] = abs(_return_xy(conic, dx, dy, lx, ly, delta)[0] - delta)
+            out[m] = abs(_return_xy(shape, dx, dy, u2x, u2y, delta)[0] - delta)
     return out
 
 
@@ -205,7 +209,7 @@ def run_sweep(cfg: SweepConfig, tolerances: Tolerances = DEFAULT) -> Convergence
     names = cfg.resolved_metrics()
     tangent = None  # fixed anchor and tolerances: one tangent for every level
     if "chord_tangent_angle" in names:
-        tangent, _ = conic.tangent_normal(cfg.anchor, tolerances)
+        tangent, _ = Conic(conic.shape).tangent_normal(Point(*ac), tolerances)
     deltas: list[float] = []
     columns: dict[str, list[float]] = {m: [] for m in names}
     failed_level: int | None = None

@@ -9,26 +9,26 @@ from __future__ import annotations
 import math
 from decimal import Decimal, localcontext
 
-from conicsteps import Conic, Direction, Ellipse, Hyperbola, Parabola, Point
+from conicsteps import Ellipse, Hyperbola, Parabola
 
 PREC = 50
 SCAN = 512  # parameter samples scanned for sign changes per foot-of-normal solve
 
 
-def return_length(conic: Conic, dc: Point, uc: Direction, delta: float) -> float:
-    """Root in [delta/2, 2*delta] of the implicit form along dc + t*uc, at 50 digits."""
+def return_length(shape: Ellipse | Parabola | Hyperbola, ox, oy, dx, dy, delta: float) -> Decimal:
+    """Root in [delta/2, 2*delta] of the implicit form along the canonical
+    ray (ox, oy) + t*(dx, dy), at 50 digits; the inputs are floats or Decimals."""
     with localcontext() as ctx:
         ctx.prec = PREC
-        ox, oy, dx, dy = (Decimal(v) for v in (dc.x, dc.y, uc.x, uc.y))
-        s = conic.shape
-        if isinstance(s, Parabola):
-            p = Decimal(s.p)
+        ox, oy, dx, dy = (Decimal(v) for v in (ox, oy, dx, dy))
+        if isinstance(shape, Parabola):
+            p = Decimal(shape.p)
             A = dx * dx
             B = 2 * ox * dx - 4 * p * dy
             C = ox * ox - 4 * p * oy
         else:
-            aa = Decimal(s.a) ** 2
-            bb = Decimal(s.b) ** 2 * (1 if isinstance(s, Ellipse) else -1)
+            aa = Decimal(shape.a) ** 2
+            bb = Decimal(shape.b) ** 2 * (1 if isinstance(shape, Ellipse) else -1)
             A = dx * dx / aa + dy * dy / bb
             B = 2 * (ox * dx / aa + oy * dy / bb)
             C = ox * ox / aa + oy * oy / bb - 1
@@ -36,11 +36,114 @@ def return_length(conic: Conic, dc: Point, uc: Direction, delta: float) -> float
         roots = [(-B - sq) / (2 * A), (-B + sq) / (2 * A)]
         lo, hi = Decimal(delta) / 2, Decimal(delta) * 2
         (root,) = [t for t in roots if lo <= t <= hi]
-        return float(root)
+        return root
 
 
-def foot_of_normal(shape: Ellipse | Parabola | Hyperbola, x: float, y: float) -> Decimal:
-    """Distance from the canonical-frame point (x, y) to ``shape``, at 50 digits.
+def sweep_level(shape: Ellipse | Parabola | Hyperbola, ax: float, ay: float, delta: float,
+                orientation: str) -> dict[str, object]:
+    """The halving-sweep metrics of one walk from the canonical float anchor
+    (ax, ay), at 50 digits.
+
+    Distances are Decimals.  ``decimal`` has no ``atan2``, so each angle is
+    given as its (sine, cosine) pair: ``chord_tangent_angle`` folded to
+    [0, pi/2], ``parallelism_error`` in [0, pi] (None for the parabola).
+    Grade a float angle against a pair with ``angle_error``.
+    """
+    with localcontext() as ctx:
+        ctx.prec = PREC
+        X, Y, d = Decimal(ax), Decimal(ay), Decimal(delta)
+        if isinstance(shape, Parabola):
+            p = Decimal(shape.p)
+            f = (Decimal(0), p)
+            u1 = (Decimal(0), Decimal(-1 if orientation == "forward" else 1))
+            toward = orientation == "forward"
+            g = (2 * X, -4 * p)
+        else:
+            a, b = Decimal(shape.a), Decimal(shape.b)
+            if isinstance(shape, Ellipse):
+                c = (a * a - b * b).sqrt()
+                foci = ((-c, Decimal(0)), (c, Decimal(0)))
+                g = (X / (a * a), Y / (b * b))
+            else:
+                c = (a * a + b * b).sqrt()
+                foci = ((shape.branch * c, Decimal(0)), (-shape.branch * c, Decimal(0)))
+                g = (X / (a * a), -Y / (b * b))
+            f_from, f = foci if orientation == "forward" else foci[::-1]
+            u1 = _unit(X - f_from[0], Y - f_from[1])
+            toward = isinstance(shape, Ellipse)
+        D = (X + d * u1[0], Y + d * u1[1])
+        u2 = _unit(f[0] - D[0], f[1] - D[1]) if toward else _unit(D[0] - f[0], D[1] - f[1])
+        B = (D[0] + d * u2[0], D[1] + d * u2[1])
+        chord = (B[0] - X, B[1] - Y)
+        norm = _norm(*chord) * _norm(*g)
+        out = {
+            "residual_B": abs(_residual(shape, *B)),
+            # the tangent is perpendicular to g: sin is |chord . g|, cos |chord x g|
+            "chord_tangent_angle": (abs(chord[0] * g[0] + chord[1] * g[1]) / norm,
+                                    abs(chord[0] * g[1] - chord[1] * g[0]) / norm),
+            "apex_curve_distance": foot_of_normal(shape, *D),
+            "exact_return_gap": abs(return_length(shape, *D, *u2, delta) - d),
+            "parallelism_error": None,
+        }
+        if not isinstance(shape, Parabola):
+            v, w = (f[0] - X, f[1] - Y), (f[0] - B[0], f[1] - B[1])
+            norm = _norm(*v) * _norm(*w)
+            out["parallelism_error"] = (abs(v[0] * w[1] - v[1] * w[0]) / norm,
+                                        (v[0] * w[0] + v[1] * w[1]) / norm)
+        return out
+
+
+def angle_error(phi: float, sin_cos: tuple[Decimal, Decimal]) -> Decimal:
+    """|sin(phi - psi)| for the angle psi given by its (sine, cosine): the
+    error of the float angle ``phi``, to first order, at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = PREC
+        s, c = sin_cos
+        sin_phi, cos_phi = _sin_cos(Decimal(phi))
+        return abs(sin_phi * c - cos_phi * s)
+
+
+def _residual(shape, x: Decimal, y: Decimal) -> Decimal:
+    """The focal residual of the canonical point (x, y), by ``conics``' conventions."""
+    if isinstance(shape, Parabola):
+        p = Decimal(shape.p)
+        return _norm(x, y - p) - abs(y + p)
+    a, b = Decimal(shape.a), Decimal(shape.b)
+    if isinstance(shape, Ellipse):
+        c = (a * a - b * b).sqrt()
+        return _norm(x + c, y) + _norm(x - c, y) - 2 * a
+    c = (a * a + b * b).sqrt()
+    minus, plus = _norm(x + c, y), _norm(x - c, y)
+    return (minus - plus if shape.branch > 0 else plus - minus) - 2 * a
+
+
+def _norm(x: Decimal, y: Decimal) -> Decimal:
+    return (x * x + y * y).sqrt()
+
+
+def _unit(x: Decimal, y: Decimal) -> tuple[Decimal, Decimal]:
+    n = _norm(x, y)
+    return x / n, y / n
+
+
+def _sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
+    """Taylor series of sin x and cos x, for the |x| <= pi of an angle."""
+    out = []
+    for total, k in ((x, 1), (Decimal(1), 0)):
+        term = total
+        while True:
+            term *= -x * x / ((k + 1) * (k + 2))
+            k += 2
+            if total + term == total:
+                break
+            total += term
+        out.append(total)
+    return out[0], out[1]
+
+
+def foot_of_normal(shape: Ellipse | Parabola | Hyperbola, x, y) -> Decimal:
+    """Distance from the canonical-frame point (x, y), floats or Decimals, to
+    ``shape``, at 50 digits.
 
     Each curve is written in rational parameters in which the feet of the
     normals through (x, y) are the real roots of one polynomial: the

@@ -9,6 +9,7 @@ from decimal import Decimal
 import pytest
 
 from conicsteps import (
+    DEFAULT,
     Conic,
     Direction,
     Ellipse,
@@ -98,6 +99,34 @@ class TestResidual:
         assert plus.residual(q) == pytest.approx(-12.0, abs=1e-12)
         with pytest.raises(OffCurveError):
             plus.tangent_normal(q)
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("conic,t", POSED)
+    def test_is_on_curve_agrees_with_the_on_curve_check_at_the_bound(self, conic, t, side):
+        # bisect along the normal to the last point inside the bound and the
+        # first outside it; both checks must give the same verdict on each
+        p = conic.point_at(t)
+        _, n = conic.tangent_normal(p)
+        limit = DEFAULT.on_curve * (1.0 + conic.scale)
+
+        def at(s: float) -> Point:
+            return Point(p.x + side * s * n.x, p.y + side * s * n.y)
+
+        inside, outside = 0.0, 1.0
+        for _ in range(80):
+            mid = 0.5 * (inside + outside)
+            if abs(conic.residual(at(mid))) <= limit:
+                inside = mid
+            else:
+                outside = mid
+        assert abs(conic.residual(at(inside))) >= (1.0 - 1e-6) * limit
+        q = at(inside)
+        assert conic.is_on_curve(q)
+        conic._require_on_curve(q.x, q.y, DEFAULT)
+        q = at(outside)
+        assert not conic.is_on_curve(q)
+        with pytest.raises(OffCurveError):
+            conic._require_on_curve(q.x, q.y, DEFAULT)
 
     def test_residual_respects_placement(self):
         placed = Conic(Ellipse(5, 3), Placement(2.0, -1.0, math.pi / 2))

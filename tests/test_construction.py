@@ -10,6 +10,7 @@ from importlib import resources
 import pytest
 
 from conicsteps import (
+    DEFAULT,
     BracketError,
     Conic,
     ConicError,
@@ -37,7 +38,7 @@ from conicsteps import (
     translate,
     two_step,
 )
-from conicsteps.construction import _return_length
+from conicsteps.construction import _return_length, _walk_xy
 import oracle
 from conftest import POSED, random_conic, random_param
 
@@ -350,19 +351,19 @@ class TestExactReturn:
         """t_star is the leg-2 root to within one ulp-scale of the float inputs.
 
         The oracle solves the canonical implicit-form quadratic along
-        D + t * u2 at 50 digits, from the same float apex and direction.
+        D + t * u2 at 50 digits, from the canonical walk's float apex and
+        direction, the inputs exact_return solves from.
         """
         eps = 2.220446049250313e-16
         for conic, anchor in anchor_set:
+            ac = conic._require_on_curve(anchor.x, anchor.y, DEFAULT)
             for k in range(11):
                 delta = 0.1 / 2**k
                 res = exact_return(conic, anchor, delta)
-                tri = res.triangle
-                if tri.degenerate:
+                if res.triangle.degenerate:
                     continue
-                dc = conic.placement.to_canonical(tri.D)
-                uc = conic.placement.dir_to_canonical(tri.leg2_dir)
-                want = oracle.return_length(conic, dc, uc, delta)
+                _, _, dx, dy, u2x, u2y, _, _ = _walk_xy(conic.shape, *ac, delta, "forward")
+                want = float(oracle.return_length(conic.shape, dx, dy, u2x, u2y, delta))
                 assert abs(res.t_star - want) <= eps * (1 + conic.scale)
 
     @pytest.mark.parametrize("ox", [-1.0, -4.0])
@@ -394,4 +395,4 @@ class TestFrozenOutput:
             parts.append(serialize_scene(load_scene(str(path))))
         assert len(parts) == 34
         digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-        assert digest == "1edbd618691d437b66cde3455e929a0f1a080cd7a2f6af0480a79b8e5d1fd837"
+        assert digest == "7cec959a1b2045c1adaff48a3637856b33db38c7fe60df70f64e16b4b89753bf"

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import random
+from decimal import Decimal
 
 import pytest
 
@@ -24,12 +26,14 @@ from conicsteps import (
     run_sweep,
     two_step,
 )
-from conicsteps import construction
+from conicsteps import convergence
 from conicsteps.convergence import _measure_level
-from conftest import POSED
+import oracle
+from conftest import POSED, random_conic, random_param
 
 ELL = Conic(Ellipse(5, 3))
 TOP = Point(0.0, 3.0)
+EPS = 2.220446049250313e-16
 
 
 class TestOrderEstimation:
@@ -170,31 +174,35 @@ class TestRunSweep:
         assert len(report.deltas) == 5
 
     def test_anchor_tangent_computed_once(self, monkeypatch):
+        # one tangent per sweep, at the anchor's canonical coordinates
         calls = []
         tangent_normal = Conic.tangent_normal
 
         def counted(self, q, tolerances=DEFAULT):
-            calls.append(q)
+            calls.append((self, q))
             return tangent_normal(self, q, tolerances)
 
         monkeypatch.setattr(Conic, "tangent_normal", counted)
-        anchor = ELL.point_at(1.1)
-        run_sweep(SweepConfig(conic=ELL, anchor=anchor, delta0=0.1, halvings=10))
-        assert calls == [anchor]
-        calls.clear()
-        run_sweep(SweepConfig(conic=ELL, anchor=anchor, delta0=0.1, halvings=10,
-                              metrics=("residual_B",)))
-        assert calls == []
+        for conic, t in ((ELL, 1.1),) + POSED:
+            anchor = conic.point_at(t)
+            ac = conic._require_on_curve(anchor.x, anchor.y, DEFAULT)
+            calls.clear()
+            run_sweep(SweepConfig(conic=conic, anchor=anchor, delta0=0.1, halvings=10))
+            assert calls == [(Conic(conic.shape), Point(*ac))]
+            calls.clear()
+            run_sweep(SweepConfig(conic=conic, anchor=anchor, delta0=0.1, halvings=10,
+                                  metrics=("residual_B",)))
+            assert calls == []
 
     def test_one_walk_per_level(self, monkeypatch):
         walks = []
-        walk_xy = construction._walk_xy
+        walk_xy = convergence._walk_xy
 
         def counted(*args):
             walks.append(args)
             return walk_xy(*args)
 
-        monkeypatch.setattr(construction, "_walk_xy", counted)
+        monkeypatch.setattr(convergence, "_walk_xy", counted)
         anchor = ELL.point_at(1.1)
         report = run_sweep(SweepConfig(conic=ELL, anchor=anchor, delta0=0.1, halvings=10))
         assert report.metric_names == METRICS
@@ -202,25 +210,28 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("orientation", ["forward", "backward"])
     def test_level_values_equal_public_api(self, orientation):
+        # a posed sweep's row equals, bit for bit, the public functions on the
+        # unplaced conic at the anchor's canonical coordinates
         for conic, t in POSED:
             anchor = conic.point_at(t)
             cfg = SweepConfig(conic=conic, anchor=anchor, delta0=0.1, halvings=2,
                               orientation=orientation)
             names = cfg.resolved_metrics()
             ac = conic._require_on_curve(anchor.x, anchor.y, DEFAULT)
-            tangent, _ = conic.tangent_normal(anchor)
+            canon, anchor_c = Conic(conic.shape), Point(*ac)
+            tangent, _ = canon.tangent_normal(anchor_c)
             for delta in (0.2, 0.05, 0.003):
                 row = _measure_level(cfg, names, ac, delta, tangent)
-                tri = two_step(conic, anchor, delta, orientation)
+                tri = two_step(canon, anchor_c, delta, orientation)
                 assert row["residual_B"] == abs(tri.residual_b)
                 theta = angle_between(direction(tri.A, tri.B), tangent)
                 assert row["chord_tangent_angle"] == min(theta, math.pi - theta)
-                assert row["apex_curve_distance"] == conic.project_to_curve(tri.D).distance
+                assert row["apex_curve_distance"] == canon.project_to_curve(tri.D).distance
                 assert row["exact_return_gap"] == exact_return(
-                    conic, anchor, delta, orientation).gap
+                    canon, anchor_c, delta, orientation).gap
                 if "parallelism_error" in names:
                     assert row["parallelism_error"] == focal_change_error(
-                        conic, tri).parallelism_error
+                        canon, tri).parallelism_error
 
     def test_degenerate_anchor_reports_zero_rows(self):
         cfg = SweepConfig(
@@ -330,3 +341,36 @@ class TestStandardAnchors:
         for conic, anchor in anchor_set:
             assert abs(conic.residual(anchor)) <= 1e-9 * (1 + conic.scale)
             assert not two_step(conic, anchor, 0.1).degenerate
+
+
+class TestOracle:
+    # Largest error of each metric against the 50-digit walk from the same
+    # canonical float anchor, in units of eps * (1 + scale).  The chord
+    # angle loses digits to cancellation in B - A, so its bound is taken
+    # per unit of 1/delta.
+    BOUNDS = {"residual_B": 2.0, "chord_tangent_angle": 1.0, "apex_curve_distance": 1.0,
+              "parallelism_error": 0.5, "exact_return_gap": 2.0}
+
+    def test_sweep_metrics_match_oracle(self):
+        rng = random.Random(12)
+        worst = dict.fromkeys(METRICS, 0.0)
+        for _ in range(12):
+            conic = random_conic(rng, placed=True)
+            anchor = conic.point_at(random_param(rng, conic))
+            ac = conic._require_on_curve(anchor.x, anchor.y, DEFAULT)
+            unit = EPS * (1.0 + conic.scale)
+            for orientation in ("forward", "backward"):
+                report = run_sweep(SweepConfig(conic=conic, anchor=anchor, delta0=0.1,
+                                               halvings=10, orientation=orientation))
+                for k, delta in enumerate(report.deltas):
+                    want = oracle.sweep_level(conic.shape, *ac, delta, orientation)
+                    for m in report.metric_names:
+                        got = report.values[m][k]
+                        if m in ("chord_tangent_angle", "parallelism_error"):
+                            err = oracle.angle_error(got, want[m])
+                        else:
+                            err = abs(Decimal(got) - want[m])
+                        if m == "chord_tangent_angle":
+                            err *= Decimal(delta)
+                        worst[m] = max(worst[m], float(err) / unit)
+        assert all(worst[m] <= self.BOUNDS[m] for m in METRICS), worst

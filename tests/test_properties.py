@@ -7,7 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conicsteps import (
+    DEFAULT,
     Conic,
+    ConicError,
     Direction,
     Ellipse,
     Hyperbola,
@@ -16,8 +18,11 @@ from conicsteps import (
     Point,
     Ray,
     Scene,
+    SweepConfig,
     Tolerances,
+    exact_return,
     parse_scene,
+    run_sweep,
     serialize_scene,
 )
 
@@ -81,3 +86,30 @@ def test_scene_file_round_trip(mirrors, ray_list, max_bounces, on_curve, confoca
     scene = Scene(mirrors=tuple(mirrors), rays=tuple(ray_list), max_bounces=max_bounces,
                   tolerances=Tolerances(on_curve=on_curve, confocal=confocal))
     assert parse_scene(serialize_scene(scene)) == scene
+
+
+def _sweep_and_return(conic, anchor, delta, orientation):
+    report = run_sweep(SweepConfig(conic=conic, anchor=anchor, delta0=delta, halvings=4,
+                                   orientation=orientation))
+    try:
+        res = exact_return(conic, anchor, delta, orientation)
+        ret = (res.t_star, res.gap)
+    except ConicError as exc:
+        ret = (type(exc).__name__, str(exc))
+    return (report.deltas, report.values, report.orders, report.constants,
+            report.failed_level, report.failure, ret)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(conic=posed_conics(), t=_floats(-3.0, 3.0),
+       orientation=st.sampled_from(("forward", "backward")),
+       mantissa=_floats(1.0, 10.0), exponent=st.integers(-4, -1))
+def test_sweep_and_exact_return_do_not_depend_on_pose(conic, t, orientation, mantissa,
+                                                      exponent):
+    # the walk is measured in the canonical frame, so a placed conic gives
+    # the values of the unplaced one at the anchor's canonical coordinates
+    anchor = conic.point_at(t)
+    ac = conic._require_on_curve(anchor.x, anchor.y, DEFAULT)
+    delta = mantissa * 10.0 ** exponent
+    assert (_sweep_and_return(conic, anchor, delta, orientation)
+            == _sweep_and_return(Conic(conic.shape), Point(*ac), delta, orientation))
