@@ -268,9 +268,12 @@ def _cmd_reflect(args, parser) -> int:
 
 def _cmd_trace(args, parser) -> int:
     scene = load_scene(args.scene)
+    # The listing and the SVG trace at the --max-bounces cap; the spot
+    # report keeps the file's cap.
+    capped = scene if args.max_bounces is None else replace(scene, max_bounces=args.max_bounces)
     paths = []
-    for i, ray in enumerate(scene.rays):
-        path = trace(scene, ray, max_bounces=args.max_bounces)
+    for i, ray in enumerate(capped.rays):
+        path = trace(capped, ray)
         paths.append(path)
         print(f"ray {i} bounces {len(path.hits)}")
         for hit in path.hits:
@@ -280,9 +283,7 @@ def _cmd_trace(args, parser) -> int:
             f"dir {_g(path.final.dir.x)} {_g(path.final.dir.y)}"
         )
     if scene.telescope_pair() is not None and scene.rays:
-        # The spot report traces at the scene's own cap; reuse the listing's
-        # paths when that is the cap they were traced at.
-        if args.max_bounces in (None, scene.max_bounces):
+        if capped.max_bounces == scene.max_bounces:
             rep = _spot_report(scene, paths)
         else:
             rep = spot_report(scene, scene.rays)
@@ -294,7 +295,7 @@ def _cmd_trace(args, parser) -> int:
         print(f"spot max {_g(rep.max_distance)}")
         print(f"spot rms {_g(rep.rms_distance)}")
     if args.svg:
-        _write_or_print(_trace_svg(scene, paths), args.svg)
+        _write_or_print(_trace_svg(capped, paths), args.svg)
     return 0
 
 

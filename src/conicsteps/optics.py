@@ -24,14 +24,15 @@ are built only at this public edge, for what is returned.  Every check the
 objects made (finite points, normalizable directions, the on-curve and
 branch checks) is still made on the floats, in the same order and with the
 same arithmetic, so results are bit-identical to tracing with objects.
-Tracing reads its bounds from ``Scene.tolerances``, the one policy of a
-scene; functions without a scene take a ``Tolerances`` argument.
+Tracing reads its bounce cap and its bounds from the scene
+(``Scene.max_bounces`` and ``Scene.tolerances``), the one trace policy;
+functions without a scene take a ``Tolerances`` argument.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ._backend import kernels
 from .config import DEFAULT, Tolerances
@@ -111,6 +112,7 @@ class TracePath:
 class Scene:
     """Immutable collection of conic mirrors, with optional bundled rays.
 
+    Bare shapes are taken as conics at the identity placement.
     ``roles`` tags each mirror as plain ``mirror`` or as the telescope
     ``primary`` (a parabola) / ``secondary`` (a hyperbola).  When both
     telescope roles are present the pair must be confocal: the secondary's
@@ -126,9 +128,12 @@ class Scene:
     tolerances: Tolerances = DEFAULT
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mirrors", tuple(self.mirrors))
+        object.__setattr__(self, "mirrors", tuple(as_conic(m) for m in self.mirrors))
         object.__setattr__(self, "rays", tuple(self.rays))
-        roles = tuple(self.roles) if self.roles else tuple("mirror" for _ in self.mirrors)
+        for ray in self.rays:
+            if not isinstance(ray, Ray):
+                raise TypeError(f"rays must be Rays, got {ray!r}")
+        roles = tuple(self.roles) or tuple("mirror" for _ in self.mirrors)
         object.__setattr__(self, "roles", roles)
         if len(self.roles) != len(self.mirrors):
             raise ValueError(
@@ -285,21 +290,20 @@ def focal_property_error(
     return angle_between(outgoing, expected)
 
 
-def trace(scene: Scene, ray: Ray, max_bounces: int | None = None) -> TracePath:
+def trace(scene: Scene, ray: Ray) -> TracePath:
     """Trace ``ray`` through the scene, always taking the nearest bounce.
 
-    Stops when no mirror lies ahead or the bounce cap is reached; ties on
-    hit distance go to the lower mirror index.  ``final`` is the free ray
-    leaving the last bounce (the input ray itself for a clean miss).  The
-    on-curve bound of each reflection comes from ``scene.tolerances``.
+    Stops when no mirror lies ahead or ``scene.max_bounces`` is reached;
+    ties on hit distance go to the lower mirror index.  ``final`` is the
+    free ray leaving the last bounce (the input ray itself for a clean
+    miss).  The on-curve bound of each reflection comes from
+    ``scene.tolerances``.  To trace at another cap, trace
+    ``dataclasses.replace(scene, max_bounces=k)``.
     """
-    if max_bounces is None:
-        max_bounces = scene.max_bounces
-    _require_count("max_bounces", max_bounces, 1)
     tolerances = scene.tolerances
     hits: list[Hit] = []
     ox, oy, dx, dy = ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y
-    for _ in range(max_bounces):
+    for _ in range(scene.max_bounces):
         best: tuple[float, float, float, int] | None = None
         for index, mirror in enumerate(scene.mirrors):
             found = _hits(mirror, ox, oy, dx, dy)
@@ -398,12 +402,13 @@ def cassegrain_spot(scene: Scene, n_rays: int, aperture: float) -> SpotReport:
     y_top = aperture * aperture / (4.0 * p) + 2.0 * p + 1.0
 
     axis_dir = primary.placement.dir_to_scene(Direction(0.0, -1.0))
+    first_bounce = replace(scene, max_bounces=1)
 
     def ray_at(x: float) -> Ray:
         return Ray(primary.placement.to_scene(Point(x, y_top)), axis_dir)
 
     def blocked(x: float) -> bool:
-        path = trace(scene, ray_at(x), max_bounces=1)
+        path = trace(first_bounce, ray_at(x))
         return bool(path.hits) and path.hits[0].mirror_index == secondary_index
 
     if n_rays == 1:

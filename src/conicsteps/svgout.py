@@ -25,15 +25,6 @@ if TYPE_CHECKING:
 
 __all__ = ["FIGURE_IDS", "REQUIRED_ELEMENTS", "figure_svg", "trace_svg"]
 
-FIGURE_IDS = (
-    "isosceles",
-    "ellipse-two-step",
-    "projection",
-    "parabola",
-    "hyperbola",
-    "cassegrain",
-)
-
 REQUIRED_ELEMENTS: dict[str, frozenset[str]] = {
     "isosceles": frozenset({"triangle", "reflector", "beam-in", "beam-out"}),
     "ellipse-two-step": frozenset(
@@ -153,6 +144,20 @@ def _figure_triangle(conic: Conic, delta: float, anchor_param: float) -> StepTri
     return two_step(conic, conic.point_at(anchor_param), delta)
 
 
+def _mark_foci(doc: _SvgDoc, f1: Point, f2: Point) -> None:
+    doc.marker("focus-1", f1)
+    doc.marker("focus-2", f2)
+    doc.label("F1", f1)
+    doc.label("F2", f2)
+
+
+def _draw_path(doc: _SvgDoc, i: int, path: TracePath) -> None:
+    """The traced ray as a polyline, run on 3 units past its last bounce."""
+    pts = [path.ray.origin] + [h.point for h in path.hits]
+    pts.append(translate(path.final.origin, path.final.dir, 3.0))
+    doc.polyline(f"ray-{i}", pts)
+
+
 def _draw_triangle(doc: _SvgDoc, tri: StepTriangle, with_reflector: bool = True) -> None:
     doc.polyline("triangle", [tri.A, tri.D, tri.B], closed=True)
     if with_reflector:
@@ -180,10 +185,7 @@ def _figure_ellipse(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
     conic = Conic(Ellipse(5.0, 3.0))
     _sample(conic, 0.0, 2.0 * math.pi, "curve", doc, closed=True)
     f1, f2 = conic.focus_points()
-    doc.marker("focus-1", f1)
-    doc.marker("focus-2", f2)
-    doc.label("F1", f1)
-    doc.label("F2", f2)
+    _mark_foci(doc, f1, f2)
     tri = _figure_triangle(conic, delta, anchor_param)
     doc.segment("beam-in", f1, tri.D)
     doc.segment("beam-out", tri.D, f2)
@@ -194,10 +196,7 @@ def _figure_projection(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
     conic = Conic(Ellipse(5.0, 3.0))
     _sample(conic, 0.0, 2.0 * math.pi, "curve", doc, closed=True)
     f1, f2 = conic.focus_points()
-    doc.marker("focus-1", f1)
-    doc.marker("focus-2", f2)
-    doc.label("F1", f1)
-    doc.label("F2", f2)
+    _mark_foci(doc, f1, f2)
     tri = _figure_triangle(conic, delta, anchor_param)
     u1, u2 = tri.leg1_dir, tri.leg2_dir
     s1 = (tri.A.x - tri.D.x) * u2.x + (tri.A.y - tri.D.y) * u2.y
@@ -229,10 +228,7 @@ def _figure_hyperbola(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
     other = Conic(Hyperbola(3.0, 4.0, -1))
     _sample(other, -1.6, 1.6, "curve-2", doc)
     near, far = conic.focus_points()
-    doc.marker("focus-1", near)
-    doc.marker("focus-2", far)
-    doc.label("F1", near)
-    doc.label("F2", far)
+    _mark_foci(doc, near, far)
     tri = _figure_triangle(conic, delta, anchor_param)
     doc.segment("beam-in", near, tri.D)
     doc.segment("beam-out", tri.D, translate(tri.B, tri.leg2_dir, 1.0))
@@ -254,17 +250,12 @@ def default_cassegrain_scene(n_rays: int = 0) -> Scene:
         Hyperbola(0.5, 0.6, -1),
         Placement(tx=0.0, ty=1.0 - c_h, rotate=-0.5 * math.pi),
     )
+    down = Direction(0.0, -1.0)
     rays: list[Ray] = []
-    if n_rays:
-        down = Direction(0.0, -1.0)
-        n_side = n_rays // 2
-        for i in range(n_side):
-            x = 3.7 if n_side == 1 else 3.7 + (5.0 - 3.7) * i / (n_side - 1)
-            rays.append(Ray(Point(x, 8.0), down))
-        n_other = n_rays - n_side
-        for i in range(n_other):
-            x = 3.7 if n_other == 1 else 3.7 + (5.0 - 3.7) * i / (n_other - 1)
-            rays.append(Ray(Point(-x, 8.0), down))
+    for sign, count in ((1.0, n_rays // 2), (-1.0, n_rays - n_rays // 2)):
+        for i in range(count):
+            x = 3.7 if count == 1 else 3.7 + (5.0 - 3.7) * i / (count - 1)
+            rays.append(Ray(Point(sign * x, 8.0), down))
     return Scene(
         mirrors=(primary, secondary),
         roles=("primary", "secondary"),
@@ -278,19 +269,24 @@ def _figure_cassegrain(doc: _SvgDoc) -> None:
     primary, secondary = scene.mirrors
     _sample(primary, -5.2, 5.2, "curve", doc)
     _sample(secondary, -2.6, 2.6, "curve-2", doc)
-    shared = primary.focus_points()[0]
-    target = secondary.focus_points()[1]
-    doc.marker("focus-1", shared)
-    doc.marker("focus-2", target)
-    doc.label("F1", shared)
-    doc.label("F2", target)
+    _mark_foci(doc, primary.focus_points()[0], secondary.focus_points()[1])
     down = Direction(0.0, -1.0)
     offsets = (3.8, 4.4, 5.0, -3.8, -4.4, -5.0)
     for i, x in enumerate(offsets):
-        path = trace(scene, Ray(Point(x, 8.0), down))
-        pts = [path.ray.origin] + [h.point for h in path.hits]
-        pts.append(translate(path.final.origin, path.final.dir, 3.0))
-        doc.polyline(f"ray-{i}", pts)
+        _draw_path(doc, i, trace(scene, Ray(Point(x, 8.0), down)))
+
+
+#: figure id -> (drawer, default (delta, anchor_param)), or None for a
+#: figure drawn at fixed values.
+_FIGURES = {
+    "isosceles": (_figure_isosceles, None),
+    "ellipse-two-step": (_figure_ellipse, (0.5, 1.0)),
+    "projection": (_figure_projection, (0.8, 1.0)),
+    "parabola": (_figure_parabola, (0.4, 1.2)),
+    "hyperbola": (_figure_hyperbola, (0.4, 0.5)),
+    "cassegrain": (_figure_cassegrain, None),
+}
+FIGURE_IDS = tuple(_FIGURES)
 
 
 def figure_svg(
@@ -305,47 +301,30 @@ def figure_svg(
         raise ValueError(
             f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}"
         )
-    if figure_id in ("isosceles", "cassegrain") and (delta, anchor_param) != (None, None):
+    draw, defaults = _FIGURES[figure_id]
+    if defaults is None and (delta, anchor_param) != (None, None):
         raise ValueError(f"figure {figure_id!r} is drawn at fixed values; "
                          "it takes no delta or anchor_param")
     _require_size(width, height)
     doc = _SvgDoc()
-    if figure_id == "isosceles":
-        _figure_isosceles(doc)
-    elif figure_id == "ellipse-two-step":
-        _figure_ellipse(doc, 0.5 if delta is None else delta,
-                        1.0 if anchor_param is None else anchor_param)
-    elif figure_id == "projection":
-        _figure_projection(doc, 0.8 if delta is None else delta,
-                           1.0 if anchor_param is None else anchor_param)
-    elif figure_id == "parabola":
-        _figure_parabola(doc, 0.4 if delta is None else delta,
-                         1.2 if anchor_param is None else anchor_param)
-    elif figure_id == "hyperbola":
-        _figure_hyperbola(doc, 0.4 if delta is None else delta,
-                          0.5 if anchor_param is None else anchor_param)
+    if defaults is None:
+        draw(doc)
     else:
-        _figure_cassegrain(doc)
+        draw(doc, defaults[0] if delta is None else delta,
+             defaults[1] if anchor_param is None else anchor_param)
     return doc.emit(width, height)
 
 
-def trace_svg(
-    scene: Scene,
-    width: int = 640,
-    height: int = 480,
-    max_bounces: int | None = None,
-) -> str:
-    """Draw a scene's mirrors and all its bundled rays."""
+def trace_svg(scene: Scene, width: int = 640, height: int = 480) -> str:
+    """Draw a scene's mirrors and all its bundled rays, traced at its own cap."""
     _require_size(width, height)
-    paths = [trace(scene, ray, max_bounces=max_bounces) for ray in scene.rays]
-    return _trace_svg(scene, paths, width, height)
+    return _trace_svg(scene, [trace(scene, ray) for ray in scene.rays], width, height)
 
 
 def _trace_svg(
     scene: Scene, paths: Sequence[TracePath], width: int = 640, height: int = 480
 ) -> str:
-    """``trace_svg`` of the scene's rays already traced as ``paths``."""
-    _require_size(width, height)
+    """``trace_svg`` of the scene's rays already traced as ``paths``, at a checked size."""
     doc = _SvgDoc()
     for i, mirror in enumerate(scene.mirrors):
         elem_id = "curve" if i == 0 else f"curve-{i + 1}"
@@ -362,7 +341,5 @@ def _trace_svg(
         doc.marker("focus-1", pair[0].focus_points()[0])
         doc.marker("focus-2", pair[1].focus_points()[1])
     for i, path in enumerate(paths):
-        pts = [path.ray.origin] + [h.point for h in path.hits]
-        pts.append(translate(path.final.origin, path.final.dir, 3.0))
-        doc.polyline(f"ray-{i}", pts)
+        _draw_path(doc, i, path)
     return doc.emit(width, height)

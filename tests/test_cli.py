@@ -1,6 +1,7 @@
 """Command-line interface: output formats, exit codes, error categories."""
 from __future__ import annotations
 
+import dataclasses
 import math
 from importlib import resources
 
@@ -258,6 +259,16 @@ class TestTrace:
         assert code == 0
         assert out == ""
 
+    def test_max_bounces_checked_without_rays(self, capsys, tmp_path):
+        # the flag was checked only when a ray was traced, so a scene
+        # without rays accepted any value
+        quiet = tmp_path / "empty.json"
+        quiet.write_text('{"conics": [{"kind": "ellipse", "a": 5, "b": 3}]}')
+        code, out, err = run(capsys, "trace", str(quiet), "--max-bounces", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: value:")
+        assert "max_bounces" in err
+
     def test_svg_output(self, capsys, tmp_path):
         target = tmp_path / "trace.svg"
         code, _, _ = run(
@@ -292,6 +303,15 @@ class TestTrace:
         rep = spot_report(scene, scene.rays)
         assert f"spot max {rep.max_distance:.15g}" in out.splitlines()
 
+    def test_file_cap_given_as_flag_traced_once(self, capsys, monkeypatch):
+        path = bundled_scene("cassegrain.json")
+        calls = self._count_traces(monkeypatch)
+        code, out, _ = run(capsys, "trace", path, "--max-bounces", "2")
+        assert code == 0
+        assert calls[0] == 100
+        monkeypatch.undo()
+        assert run(capsys, "trace", path)[1] == out
+
     def test_spot_traced_again_at_another_cap(self, capsys, tmp_path, monkeypatch):
         path = bundled_scene("cassegrain.json")
         target = tmp_path / "trace.svg"
@@ -301,7 +321,8 @@ class TestTrace:
         assert calls[0] == 200
         monkeypatch.undo()
         scene = load_scene(path)
-        assert target.read_text(encoding="utf-8") == trace_svg(scene, max_bounces=1)
+        capped = dataclasses.replace(scene, max_bounces=1)
+        assert target.read_text(encoding="utf-8") == trace_svg(capped)
         lines = out.splitlines()
         assert all(l.endswith(" bounces 1") for l in lines if l.startswith("ray "))
         assert "spot rays 100 focused 100 blocked 0 missed 0" in lines

@@ -22,6 +22,7 @@ from conicsteps import (
     Tolerances,
     exact_return,
     parse_scene,
+    reflect_at,
     run_sweep,
     serialize_scene,
 )
@@ -66,6 +67,17 @@ def test_projection_is_no_farther_than_any_sample(conic, t, angle, mantissa, exp
         params = [span * (2.0 * k / (SAMPLES - 1) - 1.0) for k in range(SAMPLES)]
     best = min(q.distance_to(conic.point_at(s)) for s in params)
     assert proj.distance <= best + 4.0 * EPS * (1.0 + conic.scale)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(conic=posed_conics(), t=_floats(-3.0, 3.0), angle=_floats(0.0, 2.0 * math.pi))
+def test_reflection_is_an_involution(conic, t, angle):
+    # reflecting twice across the same tangent gives the direction back
+    q = conic.point_at(t)
+    d = Direction(math.cos(angle), math.sin(angle))
+    back = reflect_at(conic, q, reflect_at(conic, q, d))
+    assert abs(back.x - d.x) <= 8.0 * EPS
+    assert abs(back.y - d.y) <= 8.0 * EPS
 
 
 @st.composite
