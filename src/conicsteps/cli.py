@@ -13,15 +13,16 @@ Subcommands::
 Conics are selected with ``--ellipse a,b``, ``--parabola p`` or
 ``--hyperbola a,b [--branch 1|-1]``, optionally posed with
 ``--translate x,y --rotate r``.  Human-facing numbers use 15 significant
-digits; CSV and scene files keep full precision.  Every failure exits
-nonzero with a one-line ``error: <category>: <reason>`` on stderr.
+digits; CSV and scene files keep full precision.  Every failure exits 2
+with one line ``error: <category>: <reason>`` on stderr: ``usage`` when
+argparse finds input missing, conflicting or unparsable, else the category
+of the one library check that rejected the parsed value.
 ``walk`` and ``converge`` import the construction and the sweep when they
 run, so the other commands start without loading either.
 """
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import replace
 
@@ -74,16 +75,13 @@ def _pair(text: str) -> tuple[float, float]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 'x,y', got {text!r}")
     try:
-        x, y = float(parts[0]), float(parts[1])
+        return (float(parts[0]), float(parts[1]))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected numbers in {text!r}") from exc
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise argparse.ArgumentTypeError(f"values must be finite in {text!r}")
-    return (x, y)
 
 
 def _add_conic_args(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group()
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ellipse", type=_pair, metavar="A,B")
     group.add_argument("--parabola", type=float, metavar="P")
     group.add_argument("--hyperbola", type=_pair, metavar="A,B")
@@ -92,34 +90,29 @@ def _add_conic_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rotate", type=float, metavar="RAD", default=0.0)
 
 
-def _conic_from(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Conic:
+def _add_location_args(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--point", type=_pair, metavar="X,Y")
+    group.add_argument("--param", type=float, metavar="T")
+
+
+def _conic_from(args: argparse.Namespace) -> Conic:
     placement = Placement(tx=args.translate[0], ty=args.translate[1], rotate=args.rotate)
     if args.ellipse is not None:
         return Conic(Ellipse(*args.ellipse), placement)
     if args.parabola is not None:
         return Conic(Parabola(args.parabola), placement)
-    if args.hyperbola is not None:
-        return Conic(Hyperbola(args.hyperbola[0], args.hyperbola[1], args.branch), placement)
-    parser.error("a conic is required: --ellipse A,B | --parabola P | --hyperbola A,B")
-    raise AssertionError("unreachable")
+    return Conic(Hyperbola(args.hyperbola[0], args.hyperbola[1], args.branch), placement)
 
 
-def _point_from(args: argparse.Namespace, conic: Conic,
-                parser: argparse.ArgumentParser) -> Point:
-    if getattr(args, "point", None) is not None and getattr(args, "param", None) is not None:
-        parser.error("give either --point or --param, not both")
-    if getattr(args, "point", None) is not None:
+def _point_from(args: argparse.Namespace, conic: Conic) -> Point:
+    if args.point is not None:
         return Point(*args.point)
-    if getattr(args, "param", None) is not None:
-        return conic.point_at(args.param)
-    parser.error("a location is required: --point X,Y or --param T")
-    raise AssertionError("unreachable")
+    return conic.point_at(args.param)
 
 
 def _tolerances(args: argparse.Namespace) -> Tolerances:
-    if args.tol is not None:
-        return replace(DEFAULT, on_curve=args.tol)
-    return DEFAULT
+    return DEFAULT if args.tol is None else replace(DEFAULT, on_curve=args.tol)
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -145,8 +138,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("tangent", parents=[common],
                        help="analytic tangent and normal at a curve point")
     _add_conic_args(p)
-    p.add_argument("--point", type=_pair, metavar="X,Y")
-    p.add_argument("--param", type=float, metavar="T")
+    _add_location_args(p)
 
     p = sub.add_parser("walk", parents=[common],
                        help="two-equal-steps construction from an anchor")
@@ -170,8 +162,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reflect", parents=[common],
                        help="reflect a direction at a curve point")
     _add_conic_args(p)
-    p.add_argument("--point", type=_pair, metavar="X,Y")
-    p.add_argument("--param", type=float, metavar="T")
+    _add_location_args(p)
     p.add_argument("--incoming", type=_pair, required=True, metavar="DX,DY")
 
     p = sub.add_parser("trace", help="trace all rays of a scene file")
@@ -190,27 +181,25 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_residual(args, parser) -> int:
-    conic = _conic_from(args, parser)
+def _cmd_residual(args) -> int:
+    conic = _conic_from(args)
     print(_g(conic.residual(Point(*args.point))))
     return 0
 
 
-def _cmd_tangent(args, parser) -> int:
-    conic = _conic_from(args, parser)
-    q = _point_from(args, conic, parser)
+def _cmd_tangent(args) -> int:
+    conic = _conic_from(args)
+    q = _point_from(args, conic)
     tangent, normal = conic.tangent_normal(q, _tolerances(args))
     print(f"tangent {_g(tangent.x)} {_g(tangent.y)}")
     print(f"normal {_g(normal.x)} {_g(normal.y)}")
     return 0
 
 
-def _cmd_walk(args, parser) -> int:
+def _cmd_walk(args) -> int:
     from .construction import exact_return, two_step
 
-    if not (math.isfinite(args.delta) and args.delta > 0.0):
-        parser.error(f"--delta must be positive, got {args.delta}")
-    conic = _conic_from(args, parser)
+    conic = _conic_from(args)
     anchor = conic.point_at(args.anchor_param)
     tols = _tolerances(args)
     if args.exact_return:
@@ -231,14 +220,10 @@ def _cmd_walk(args, parser) -> int:
     return 0
 
 
-def _cmd_converge(args, parser) -> int:
+def _cmd_converge(args) -> int:
     from .convergence import SweepConfig, run_sweep
 
-    if args.halvings < 2:
-        parser.error(f"need >= 2 halving levels, got {args.halvings}")
-    if not (math.isfinite(args.delta0) and args.delta0 > 0.0):
-        parser.error(f"--delta0 must be positive, got {args.delta0}")
-    conic = _conic_from(args, parser)
+    conic = _conic_from(args)
     metrics = tuple(args.metrics.split(",")) if args.metrics else None
     cfg = SweepConfig(
         conic=conic,
@@ -258,15 +243,15 @@ def _cmd_converge(args, parser) -> int:
     return 0
 
 
-def _cmd_reflect(args, parser) -> int:
-    conic = _conic_from(args, parser)
-    q = _point_from(args, conic, parser)
+def _cmd_reflect(args) -> int:
+    conic = _conic_from(args)
+    q = _point_from(args, conic)
     out = reflect_at(conic, q, Direction(*args.incoming), _tolerances(args))
     print(f"outgoing {_g(out.x)} {_g(out.y)}")
     return 0
 
 
-def _cmd_trace(args, parser) -> int:
+def _cmd_trace(args) -> int:
     scene = load_scene(args.scene)
     # The listing and the SVG trace at the --max-bounces cap; the spot
     # report keeps the file's cap.
@@ -299,7 +284,7 @@ def _cmd_trace(args, parser) -> int:
     return 0
 
 
-def _cmd_figure(args, parser) -> int:
+def _cmd_figure(args) -> int:
     svg = figure_svg(
         args.figure_id,
         delta=args.delta,
@@ -323,10 +308,9 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args, parser)
+        return _DISPATCH[args.command](args)
     except tuple(cls for cls, _ in _CATEGORIES) as exc:
         for cls, category in _CATEGORIES:
             if isinstance(exc, cls):

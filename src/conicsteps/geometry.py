@@ -136,8 +136,14 @@ def reflect_direction(d: Direction, mirror: Line) -> Direction:
     direction.  The result is unit length by construction.
     """
     m = mirror.direction
-    s = d.x * m.x + d.y * m.y
-    return Direction(2.0 * s * m.x - d.x, 2.0 * s * m.y - d.y)
+    return _unit_unchecked(*_reflect_xy(d.x, d.y, m.x, m.y))
+
+
+def _reflect_xy(dx: float, dy: float, mx: float, my: float) -> tuple[float, float]:
+    """``reflect_direction`` on floats: ``(dx, dy)`` reflected across the unit
+    mirror direction ``(mx, my)``, normalized as every Direction is."""
+    s = dx * mx + dy * my
+    return _normalized(2.0 * s * mx - dx, 2.0 * s * my - dy)
 
 
 def angle_between(u: Direction, v: Direction) -> float:

@@ -43,6 +43,7 @@ from .geometry import (
     Line,
     Point,
     _normalized,
+    _reflect_xy,
     _require_count,
     _require_finite,
     _unit_unchecked,
@@ -82,6 +83,10 @@ class Ray:
 
     origin: Point
     dir: Direction
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.origin, Point) and isinstance(self.dir, Direction)):
+            raise TypeError(f"a Ray needs a Point origin and a Direction dir, got {self!r}")
 
 
 @dataclass(frozen=True)
@@ -248,9 +253,7 @@ def _reflect(
     """``reflect_at`` on floats: the unit direction leaving the scene point
     ``(x, y)`` for the incoming direction ``(dx, dy)``."""
     nx, ny = conic._unit_normal(x, y, tolerances)
-    tx, ty = ny, -nx  # the tangent: the normal turned by -pi/2
-    s = dx * tx + dy * ty
-    return _normalized(2.0 * s * tx - dx, 2.0 * s * ty - dy)
+    return _reflect_xy(dx, dy, ny, -nx)  # across the tangent: the normal turned by -pi/2
 
 
 def reflect_at(

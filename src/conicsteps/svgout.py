@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Placement
-from .geometry import Direction, Point, _require_count, direction, translate
+from .geometry import Direction, Point, _require_count, scalar_projection, translate
 from .optics import Ray, Scene, TracePath, trace
 
 if TYPE_CHECKING:
@@ -161,7 +161,10 @@ def _draw_path(doc: _SvgDoc, i: int, path: TracePath) -> None:
 def _draw_triangle(doc: _SvgDoc, tri: StepTriangle, with_reflector: bool = True) -> None:
     doc.polyline("triangle", [tri.A, tri.D, tri.B], closed=True)
     if with_reflector:
-        m = direction(tri.A, tri.B)
+        # Imported here so that tracing a scene does not load the construction.
+        from .construction import apex_reflector
+
+        m = apex_reflector(tri).direction
         half = 1.6 * tri.delta
         doc.segment("reflector", translate(tri.D, m, -half), translate(tri.D, m, half),
                     dashed=True)
@@ -199,10 +202,8 @@ def _figure_projection(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
     _mark_foci(doc, f1, f2)
     tri = _figure_triangle(conic, delta, anchor_param)
     u1, u2 = tri.leg1_dir, tri.leg2_dir
-    s1 = (tri.A.x - tri.D.x) * u2.x + (tri.A.y - tri.D.y) * u2.y
-    foot1 = Point(tri.D.x + s1 * u2.x, tri.D.y + s1 * u2.y)
-    s2 = (tri.B.x - tri.D.x) * u1.x + (tri.B.y - tri.D.y) * u1.y
-    foot2 = Point(tri.D.x + s2 * u1.x, tri.D.y + s2 * u1.y)
+    foot1 = translate(tri.D, u2, scalar_projection(tri.A - tri.D, u2))
+    foot2 = translate(tri.D, u1, scalar_projection(tri.B - tri.D, u1))
     doc.segment("proj-1", tri.A, foot1, dashed=True)
     doc.segment("proj-2", tri.B, foot2, dashed=True)
     _draw_triangle(doc, tri, with_reflector=False)

@@ -114,13 +114,13 @@ class TestWalk:
         assert code == 0
         assert out.splitlines()[-1] == "degenerate retraced walk: B == A"
 
-    def test_invalid_delta_is_usage_error(self, capsys):
+    def test_invalid_delta_is_value_error(self, capsys):
         code, _, err = run(
             capsys, "walk", "--ellipse", "5,3", "--anchor-param", "1",
             "--delta", "-0.1",
         )
         assert code == 2
-        assert err.startswith("error: usage:")
+        assert err.startswith("error: value:")
 
     def test_missing_conic_is_usage_error(self, capsys):
         code, _, err = run(capsys, "walk", "--anchor-param", "1", "--delta", "0.1")
@@ -171,13 +171,13 @@ class TestConverge:
         assert target.read_bytes() == first
         assert b"\r" not in first
 
-    def test_too_few_halvings_is_usage_error(self, capsys):
+    def test_too_few_halvings_is_value_error(self, capsys):
         code, _, err = run(
             capsys, "converge", "--ellipse", "5,3", "--anchor-param", "1.1",
             "--delta0", "0.1", "--halvings", "1",
         )
         assert code == 2
-        assert err.startswith("error: usage:")
+        assert err.startswith("error: value:")
         assert "halving" in err
 
     def test_overflowing_halvings_is_value_error(self, capsys):
@@ -343,6 +343,16 @@ class TestFigure:
         assert run(capsys, *args)[0] == 0
         assert target.read_bytes() == first
 
+    @pytest.mark.parametrize("figure_id", ["parabola", "hyperbola"])
+    def test_vertex_anchor_is_degenerate_triangle(self, capsys, figure_id):
+        # the walk from a vertex retraces (B == A); the reflector used to be
+        # drawn along direction(A, B) and failed as a zero-length direction
+        code, out, err = run(capsys, "figure", figure_id, "--anchor-param", "0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: degenerate-triangle: a retraced walk (B == A)")
+        assert err.count("\n") == 1
+
     def test_unknown_figure_is_value_error(self, capsys):
         code, _, err = run(capsys, "figure", "torus")
         assert code == 2
@@ -364,6 +374,38 @@ class TestFigure:
         assert code == 2
         assert out == ""
         assert err == f"error: value: {option[2:]} must be an integer >= 1, got 0\n"
+
+
+class TestOneCheckEach:
+    """argparse reports input that is missing, conflicting or unparsable as a
+    usage error; the library reports a parsed value out of range under its
+    own category, whichever flag carried it."""
+
+    WALK = ("walk", "--ellipse", "5,3", "--anchor-param", "1")
+    CONVERGE = ("converge", "--ellipse", "5,3", "--anchor-param", "1.1")
+
+    @pytest.mark.parametrize("argv, category", [
+        ((*WALK, "--delta", "-0.1"), "value"),
+        ((*WALK, "--delta", "nan"), "value"),
+        ((*CONVERGE, "--delta0", "0", "--halvings", "3"), "value"),
+        ((*CONVERGE, "--delta0", "inf", "--halvings", "3"), "value"),
+        ((*CONVERGE, "--delta0", "0.1", "--halvings", "1"), "value"),
+        (("residual", "--ellipse", "5,3", "--point", "nan,3"), "value"),
+        (("tangent", "--ellipse", "nan,3", "--param", "1"), "value"),
+        (("tangent", "--ellipse", "5,3", "--param", "1", "--translate", "inf,0"), "value"),
+        (("reflect", "--ellipse", "5,3", "--param", "1", "--incoming", "inf,0"),
+         "degenerate-direction"),
+        (("tangent", "--param", "1"), "usage"),
+        (("reflect", "--ellipse", "5,3", "--incoming", "0,-1"), "usage"),
+        (("tangent", "--ellipse", "5,3", "--point", "0,3", "--param", "1"), "usage"),
+        (("residual", "--ellipse", "5,3", "--point", "1"), "usage"),
+    ])
+    def test_category(self, capsys, argv, category):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {category}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestTolScope:

@@ -246,6 +246,17 @@ class TestScene:
             Scene(mirrors=(ELL,), max_bounces=value)
 
 
+class TestRay:
+    def test_tuple_direction_is_type_error(self):
+        # a tuple direction was accepted, then trace raised AttributeError
+        with pytest.raises(TypeError, match="Direction"):
+            Scene(mirrors=(Ellipse(5, 3),), rays=(Ray(Point(0, 0), (1.0, 0.0)),))
+
+    def test_tuple_origin_is_type_error(self):
+        with pytest.raises(TypeError, match="Point"):
+            Ray((0.0, 0.0), Direction(1.0, 0.0))
+
+
 class TestSceneTolerances:
     """Every field of ``Scene.tolerances``, and the far-hit window, reaches ``trace``."""
 

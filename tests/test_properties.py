@@ -70,6 +70,26 @@ def test_projection_is_no_farther_than_any_sample(conic, t, angle, mantissa, exp
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(conic=posed_conics(), t=_floats(-3.0, 3.0), angle=_floats(0.0, 2.0 * math.pi),
+       mantissa=_floats(0.0, 1.0), exponent=st.integers(-9, 2))
+def test_curve_operations_do_not_depend_on_pose(conic, t, angle, mantissa, exponent):
+    # a posed conic at the scene point q gives the unposed conic's residual
+    # and nearest distance at the canonical point p, up to the rounding of
+    # the placement, which works at the size of the coordinates in both
+    # frames.  The normal is left out: its error grows with the curvature.
+    canonical = Conic(conic.shape)
+    r = mantissa * 10.0 ** exponent
+    c = canonical.point_at(t)
+    p = Point(c.x + r * math.cos(angle), c.y + r * math.sin(angle))
+    assume(not (conic.kind == "hyperbola" and p.x == 0.0))  # between the branches
+    q = conic.placement.to_scene(p)
+    bound = 4.0 * EPS * (1.0 + conic.scale + abs(p.x) + abs(p.y) + abs(q.x) + abs(q.y))
+    assert abs(conic.residual(q) - canonical.residual(p)) <= bound
+    distance = conic.project_to_curve(q).distance
+    assert abs(distance - canonical.project_to_curve(p).distance) <= bound + 4.0 * EPS * r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(conic=posed_conics(), t=_floats(-3.0, 3.0), angle=_floats(0.0, 2.0 * math.pi))
 def test_reflection_is_an_involution(conic, t, angle):
     # reflecting twice across the same tangent gives the direction back
