@@ -117,10 +117,6 @@ class Parabola:
         return Point(0.0, self.p)
 
     @property
-    def directrix_y(self) -> float:
-        return -self.p
-
-    @property
     def scale(self) -> float:
         return 2.0 * self.p
 
@@ -359,7 +355,10 @@ class Conic:
     def _xy_at(self, t: float) -> tuple[float, float]:
         """``point_at`` as a scene-frame float pair, with the same finiteness
         checks: the one parametric path, shared with figure sampling."""
-        x, y = self.shape._point(t)
+        try:
+            x, y = self.shape._point(t)
+        except OverflowError as exc:  # cosh and sinh past |t| ~ 710
+            raise ValueError(f"parameter t={t!r} is past the float range") from exc
         sx, sy = self.placement._xy_to_scene(x, y)
         if not (math.isfinite(sx) and math.isfinite(sy)):
             # A non-finite canonical pair always maps to a non-finite scene
@@ -422,6 +421,6 @@ def as_conic(obj: Conic | Shape) -> Conic:
     """Coerce a bare shape to a Conic with the identity placement."""
     if isinstance(obj, Conic):
         return obj
-    if isinstance(obj, (Ellipse, Parabola, Hyperbola)):
+    if isinstance(obj, Shape):
         return Conic(obj)
     raise TypeError(f"expected a conic or shape, got {type(obj).__name__}")

@@ -22,11 +22,9 @@ the scene is only the public edge, where the anchor comes in.
 """
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
-from importlib import resources
 
 from .config import DEFAULT, METRICS, Tolerances
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Shape, _foot_xy, as_conic
@@ -247,13 +245,12 @@ def run_sweep(cfg: SweepConfig, tolerances: Tolerances = DEFAULT) -> Convergence
 
 def standard_anchors() -> tuple[tuple[Conic, Point], ...]:
     """The fixture anchors: 8 vertex-avoiding points per conic family."""
-    text = resources.files("conicsteps").joinpath("fixtures/anchors.json").read_text()
-    data = json.loads(text)
     out: list[tuple[Conic, Point]] = []
-    for shape_type in (Ellipse, Parabola, Hyperbola):
-        entry = dict(data[shape_type.kind])
-        params = entry.pop("params")
-        conic = Conic(shape_type(**entry))
-        for t in params:
-            out.append((conic, conic.point_at(t)))
+    for shape, params in (
+        (Ellipse(5.0, 3.0), (0.35, 1.1, 1.9, 2.6, 3.5, 4.2, 5.0, 5.8)),
+        (Parabola(1.0), (-2.2, -1.5, -0.9, -0.4, 0.4, 0.9, 1.5, 2.2)),
+        (Hyperbola(3.0, 4.0), (-1.2, -0.9, -0.6, -0.3, 0.2, 0.5, 0.8, 1.1)),
+    ):
+        conic = Conic(shape)
+        out.extend((conic, conic.point_at(t)) for t in params)
     return tuple(out)

@@ -14,11 +14,11 @@ Layout::
       "options": {"max_bounces": 8, "on_curve_tol": 1e-9, "confocal_tol": 1e-9}
     }
 
-Every key is validated; unknown keys anywhere are rejected with the path
-to the offender, malformed JSON is reported with line and column, and all
-numbers must be finite.  ``placement``, ``role``, ``branch``, ``rays`` and
-``options`` are optional with the defaults shown (the tolerances are
-``DEFAULT``'s).  ``on_curve_tol`` and ``confocal_tol`` are the two fields of
+A conic's keys are ``kind``, ``placement``, ``role`` and its shape class's
+fields.  This module checks only the syntax: unknown keys anywhere are
+rejected with their path, malformed JSON with line and column, and numbers
+must be finite.  Every value check and default is the library's.
+``on_curve_tol`` and ``confocal_tol`` are the two fields of
 ``Scene.tolerances``, so a scene file holds the whole tolerance policy.
 Serialization writes every field explicitly with full-precision floats,
 and parsing keeps the bits of a direction already of unit length, so every
@@ -30,22 +30,18 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
-from typing import Any
+from dataclasses import MISSING, asdict, fields
+from typing import Any, get_args
 
 from .config import DEFAULT, Tolerances
-from .conics import Conic, Ellipse, Hyperbola, Parabola, Placement
+from .conics import Conic, Placement, Shape
 from .errors import SceneFormatError
 from .geometry import Direction, Point, _unit_unchecked
 from .optics import Ray, Scene
 
 __all__ = ["parse_scene", "load_scene", "serialize_scene", "save_scene"]
 
-_CONIC_KEYS = {
-    "ellipse": {"kind", "a", "b", "placement", "role"},
-    "parabola": {"kind", "p", "placement", "role"},
-    "hyperbola": {"kind", "a", "b", "branch", "placement", "role"},
-}
+_SHAPES = {shape_type.kind: shape_type for shape_type in get_args(Shape)}
 
 
 def _reject_unknown(obj: dict, allowed: set[str], path: str) -> None:
@@ -70,7 +66,7 @@ def _number(value: Any, where: str) -> float:
     """``value`` as a float; ``where`` names it in the error."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SceneFormatError(f"{where}: expected a number, got {type(value).__name__}")
-    if not math.isfinite(value):
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN, inf, or a huge int
         raise SceneFormatError(f"{where}: numbers must be finite, got {value}")
     return float(value)
 
@@ -101,23 +97,20 @@ def _parse_placement(value: Any, path: str) -> Placement:
 def _parse_conic(value: Any, path: str) -> tuple[Conic, str]:
     obj = _obj(value, path)
     kind = obj.get("kind")
-    if kind not in _CONIC_KEYS:
-        raise SceneFormatError(
-            f"{path}.kind: expected one of {sorted(_CONIC_KEYS)}, got {kind!r}"
-        )
-    _reject_unknown(obj, _CONIC_KEYS[kind], path)
+    shape_type = _SHAPES.get(kind) if isinstance(kind, str) else None
+    if shape_type is None:
+        raise SceneFormatError(f"{path}.kind: expected one of {sorted(_SHAPES)}, got {kind!r}")
+    shape_fields = fields(shape_type)
+    _reject_unknown(obj, {"kind", "placement", "role", *(f.name for f in shape_fields)}, path)
+    # Lengths are numbers; the int branch goes to the shape as given.  An
+    # absent key with a default keeps the dataclass default.
+    args = {
+        f.name: obj[f.name] if f.type == "int" else _num(obj, f.name, path)
+        for f in shape_fields
+        if f.name in obj or f.default is MISSING
+    }
     try:
-        if kind == "ellipse":
-            shape = Ellipse(_num(obj, "a", path), _num(obj, "b", path))
-        elif kind == "parabola":
-            shape = Parabola(_num(obj, "p", path))
-        else:
-            branch = obj.get("branch", 1)
-            if type(branch) is not int or branch not in (1, -1):
-                raise SceneFormatError(f"{path}.branch: expected 1 or -1, got {branch!r}")
-            shape = Hyperbola(_num(obj, "a", path), _num(obj, "b", path), branch)
-    except SceneFormatError:
-        raise  # already names its key
+        shape = shape_type(**args)
     except ValueError as exc:
         raise SceneFormatError(f"{path}: {exc}") from exc
     placement = (
@@ -125,10 +118,7 @@ def _parse_conic(value: Any, path: str) -> tuple[Conic, str]:
         if "placement" in obj
         else Placement()
     )
-    role = obj.get("role", "mirror")
-    if not isinstance(role, str):
-        raise SceneFormatError(f"{path}.role: expected a string")
-    return Conic(shape, placement), role
+    return Conic(shape, placement), obj.get("role", "mirror")
 
 
 def _parse_ray(value: Any, path: str) -> Ray:
@@ -156,6 +146,8 @@ def parse_scene(text: str, source: str = "<scene>") -> Scene:
         raise SceneFormatError(
             f"{source}: invalid JSON: {exc.msg} (line {exc.lineno}, column {exc.colno})"
         ) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise SceneFormatError(f"{source}: invalid JSON: {exc}") from exc
     root = _obj(data, source)
     _reject_unknown(root, {"conics", "rays", "options"}, source)
     mirrors: list[Conic] = []
@@ -172,9 +164,7 @@ def parse_scene(text: str, source: str = "<scene>") -> Scene:
     _reject_unknown(
         options, {"max_bounces", "on_curve_tol", "confocal_tol"}, f"{source}:options"
     )
-    max_bounces = options.get("max_bounces", 8)
-    if isinstance(max_bounces, bool) or not isinstance(max_bounces, int):
-        raise SceneFormatError(f"{source}:options.max_bounces: expected an integer")
+    max_bounces = options.get("max_bounces", Scene.max_bounces)
     on_curve = _num(options, "on_curve_tol", f"{source}:options", DEFAULT.on_curve)
     confocal = _num(options, "confocal_tol", f"{source}:options", DEFAULT.confocal)
     try:

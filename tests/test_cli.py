@@ -252,6 +252,14 @@ class TestTrace:
         assert err.startswith("error: scene-format:")
         assert "line 1" in err
 
+    def test_non_string_kind_is_scene_format_error(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"conics": [{"kind": [], "a": 5, "b": 3}]}', encoding="utf-8")
+        code, out, err = run(capsys, "trace", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: scene-format: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_scene_without_rays(self, capsys, tmp_path):
         quiet = tmp_path / "empty.json"
         quiet.write_text('{"conics": [{"kind": "ellipse", "a": 5, "b": 3}]}')
@@ -405,6 +413,19 @@ class TestOneCheckEach:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {category}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("tangent", "--hyperbola", "3,4", "--param", "1e300"),
+        ("walk", "--hyperbola", "3,4", "--anchor-param", "800", "--delta", "0.1"),
+        ("figure", "hyperbola", "--anchor-param", "800"),
+        ("converge", "--hyperbola", "3,4", "--anchor-param", "-800", "--delta0", "0.1",
+         "--halvings", "4"),
+    ])
+    def test_hyperbola_param_past_the_float_range(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: value: ")
         assert err.count("\n") == 1 and err.endswith("\n")
 
 

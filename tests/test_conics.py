@@ -148,6 +148,13 @@ class TestPointAtAndScale:
         q = Conic(Hyperbola(3, 4, branch=-1)).point_at(0.0)
         assert (q.x, q.y) == (-3.0, 0.0)
 
+    @pytest.mark.parametrize("t", [800.0, -800.0, 1e300])
+    def test_hyperbola_param_past_the_float_range_is_value_error(self, t):
+        # cosh and sinh overflow for |t| above about 710
+        with pytest.raises(ValueError) as info:
+            Conic(Hyperbola(3, 4)).point_at(t)
+        assert repr(t) in str(info.value)
+
     def test_random_points_lie_on_curve(self):
         rng = random.Random(5)
         for _ in range(300):

@@ -1,6 +1,7 @@
 """Scene-file parsing, validation diagnostics, and round-trips."""
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
@@ -18,6 +19,7 @@ from conicsteps import (
     save_scene,
     serialize_scene,
 )
+from conicsteps.svgout import default_cassegrain_scene
 
 
 def bundled(name: str) -> str:
@@ -107,7 +109,7 @@ class TestRejection:
                 % branch)
         with pytest.raises(SceneFormatError) as info:
             parse_scene(text, source="s.json")
-        assert str(info.value).startswith("s.json:conics[0].branch: expected 1 or -1")
+        assert str(info.value).startswith("s.json:conics[0]: branch must be +1 or -1")
 
     def test_unknown_kind(self):
         with pytest.raises(SceneFormatError, match="circle"):
@@ -152,6 +154,19 @@ class TestRejection:
         with pytest.raises(SceneFormatError):
             parse_scene("[1, 2, 3]")
 
+    def test_integer_past_the_digit_limit(self):
+        # json.loads raises a plain ValueError for an integer literal of more
+        # than 4300 digits, the interpreter's default limit
+        text = '{"conics": [{"kind": "parabola", "p": 1%s}]}' % ("0" * 5000)
+        with pytest.raises(SceneFormatError) as info:
+            parse_scene(text, source="s.json")
+        assert str(info.value).startswith("s.json: invalid JSON: ")
+
+    def test_non_string_kind(self):
+        with pytest.raises(SceneFormatError) as info:
+            parse_scene('{"conics": [{"kind": [], "a": 1}]}', source="s.json")
+        assert str(info.value).startswith("s.json:conics[0].kind: expected one of ")
+
     def test_source_name_in_message(self):
         with pytest.raises(SceneFormatError, match="myscene.json"):
             parse_scene('{"bogus": 1}', source="myscene.json")
@@ -169,6 +184,17 @@ class TestRoundTrip:
         scene = load_scene(bundled("ellipse.json"))
         assert scene.mirrors[0].kind == "ellipse"
         assert parse_scene(serialize_scene(scene)) == scene
+
+    def test_bundled_cassegrain_is_its_source(self):
+        data = resources.files("conicsteps").joinpath("scenes", "cassegrain.json").read_bytes()
+        assert data == serialize_scene(default_cassegrain_scene(100)).encode("utf-8")
+
+    @pytest.mark.parametrize("name", ["cassegrain.json", "ellipse.json"])
+    def test_bundled_file_resaves_byte_identically(self, name, tmp_path):
+        path = tmp_path / name
+        save_scene(load_scene(bundled(name)), path)
+        assert path.read_bytes() == resources.files("conicsteps").joinpath(
+            "scenes", name).read_bytes()
 
     def test_serialize_deterministic(self):
         scene = load_scene(bundled("cassegrain.json"))
@@ -203,3 +229,64 @@ class TestRoundTrip:
         options = json.loads(serialize_scene(Scene(mirrors=())))["options"]
         keys = {key.removesuffix("_tol") for key in options}
         assert {f.name for f in dataclasses.fields(Tolerances)} <= keys
+
+
+# A valid scene that uses every optional key, for the substitution sweep.
+FULL_SCENE = {
+    "conics": [
+        {"kind": "ellipse", "a": 5.0, "b": 3.0,
+         "placement": {"translate": [0.5, -0.25], "rotate": 0.3}, "role": "mirror"},
+        {"kind": "parabola", "p": 1.0,
+         "placement": {"translate": [0.0, 0.0], "rotate": 0.0}, "role": "primary"},
+        {"kind": "hyperbola", "a": 0.5, "b": 0.6, "branch": -1,
+         "placement": {"translate": [0.0, 0.21897503240933458],
+                       "rotate": -1.5707963267948966},
+         "role": "secondary"},
+    ],
+    "rays": [{"origin": [0.3, 3.0], "dir": [0.0, -1.0]}],
+    "options": {"max_bounces": 4, "on_curve_tol": 1e-9, "confocal_tol": 1e-9},
+}
+
+SUBSTITUTES = (None, True, 0, -1, 2.5, "x", [], [1, 2], {}, 10**400)
+
+
+def node_paths(node, path=()):
+    """Every path into ``node``, the root included, in document order."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from node_paths(child, (*path, key))
+
+
+def substituted(path, value):
+    """A copy of FULL_SCENE with the node at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    doc = copy.deepcopy(FULL_SCENE)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+class TestMalformedScenes:
+    def test_full_scene_is_valid(self):
+        scene = parse_scene(json.dumps(FULL_SCENE))
+        assert scene.roles == ("mirror", "primary", "secondary")
+
+    def test_every_substitution_is_a_scene_or_a_format_error(self):
+        # Exhaustive and deterministic: each node of FULL_SCENE, in turn,
+        # replaced by each of SUBSTITUTES.
+        paths = list(node_paths(FULL_SCENE))
+        assert len(paths) == 44
+        for path in paths:
+            for value in SUBSTITUTES:
+                text = json.dumps(substituted(path, value))
+                try:
+                    result = parse_scene(text, source="s.json")
+                except SceneFormatError as exc:
+                    assert str(exc).startswith("s.json"), (path, value, exc)
+                else:
+                    assert isinstance(result, Scene), (path, value)
