@@ -1,7 +1,8 @@
 """Pure-Python scalar kernels.
 
 These are the hot inner loops of the library: canonical-frame residuals,
-implicit-form gradients, parametric points, stable quadratic roots for
+implicit-form gradients, parametric points (one at a time, or a whole
+curve's samples in one call), stable quadratic roots for
 ray-conic intersection, and the direct foot-of-normal solves, all reached
 through ``conicsteps._backend.kernels``: the per-shape kernels only from the
 shape methods in ``conics``, ``quadratic_roots`` from ``optics`` and
@@ -13,6 +14,7 @@ placements, tolerable residuals, or error types — callers own validation.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 TWO_PI = 6.283185307179586476925287
 
@@ -73,6 +75,27 @@ def parabola_point(p: float, t: float) -> tuple[float, float]:
 
 def hyperbola_point(a: float, b: float, sigma: int, t: float) -> tuple[float, float]:
     return sigma * a * math.cosh(t), b * math.sinh(t)
+
+
+# Whole-curve samples: each ``*_points`` is its ``*_point`` over ``ts``, bit
+# for bit; the hoisted ``4.0 * p`` and ``sigma * a`` are the same products.
+
+def ellipse_points(a: float, b: float, ts: Sequence[float]) -> list[tuple[float, float]]:
+    cos, sin = math.cos, math.sin
+    return [(a * cos(t), b * sin(t)) for t in ts]
+
+
+def parabola_points(p: float, ts: Sequence[float]) -> list[tuple[float, float]]:
+    p4 = 4.0 * p
+    return [(t, t * t / p4) for t in ts]
+
+
+def hyperbola_points(
+    a: float, b: float, sigma: int, ts: Sequence[float]
+) -> list[tuple[float, float]]:
+    sa = sigma * a
+    cosh, sinh = math.cosh, math.sinh
+    return [(sa * cosh(t), b * sinh(t)) for t in ts]
 
 
 # ----------------------------------------------------------- quadratic roots

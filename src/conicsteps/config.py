@@ -33,8 +33,9 @@ class Tolerances:
     """The tolerances a caller may set; each must be finite and positive.
 
     ``on_curve`` is the |residual| allowed for "this point lies on the
-    curve", scaled by (1 + conic scale).  ``confocal`` is the scene-frame
-    distance allowed between coincident focal points of a two-mirror scene.
+    curve", scaled by (1 + conic scale).  ``confocal`` is the distance
+    allowed between coincident focal points of a two-mirror scene, scaled
+    by (1 + the larger scale of the two mirrors).
     """
 
     on_curve: float = 1e-9

@@ -15,8 +15,8 @@ shape with a placement and exposes every curve operation in scene
 coordinates: the signed residual, tangent/normal frames, parametric points,
 nearest-point projection, and focus locations.  Each shape owns its
 canonical-frame math: its ``_residual``, ``_gradient``, ``_point``,
-``_ray_coeffs``, ``_nearest`` and ``_on_branch`` are the only callers of
-its kernels, so no other code picks a kernel by shape.
+``_points``, ``_ray_coeffs``, ``_nearest`` and ``_on_branch`` are the only
+callers of its kernels, so no other code picks a kernel by shape.
 
 Residual conventions (distances measured in the canonical frame):
 
@@ -31,6 +31,7 @@ Residual conventions (distances measured in the canonical frame):
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -89,6 +90,9 @@ class Ellipse:
     def _point(self, t: float) -> tuple[float, float]:
         return kernels.ellipse_point(self.a, self.b, t)
 
+    def _points(self, ts: Sequence[float]) -> list[tuple[float, float]]:
+        return kernels.ellipse_points(self.a, self.b, ts)
+
     def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
         return kernels.ellipse_ray_coeffs(self.a, self.b, ox, oy, dx, dy)
 
@@ -128,6 +132,9 @@ class Parabola:
 
     def _point(self, t: float) -> tuple[float, float]:
         return kernels.parabola_point(self.p, t)
+
+    def _points(self, ts: Sequence[float]) -> list[tuple[float, float]]:
+        return kernels.parabola_points(self.p, ts)
 
     def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
         return kernels.parabola_ray_coeffs(self.p, ox, oy, dx, dy)
@@ -190,6 +197,9 @@ class Hyperbola:
 
     def _point(self, t: float) -> tuple[float, float]:
         return kernels.hyperbola_point(self.a, self.b, self.branch, t)
+
+    def _points(self, ts: Sequence[float]) -> list[tuple[float, float]]:
+        return kernels.hyperbola_points(self.a, self.b, self.branch, ts)
 
     def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
         return kernels.hyperbola_ray_coeffs(self.a, self.b, ox, oy, dx, dy)
@@ -345,27 +355,41 @@ class Conic:
     # ----------------------------------------------------- parametrization
 
     def point_at(self, t: float) -> Point:
-        """Scene-frame point at parameter ``t``.
+        """Scene-frame point at parameter ``t``: ``_xys_at`` of the one
+        parameter.
 
         Ellipse: ``(a cos t, b sin t)``; parabola: ``(t, t^2/(4p))``;
         hyperbola: ``(sigma a cosh t, b sinh t)`` on the selected branch.
         """
-        return Point(*self._xy_at(t))
+        return Point(*self._xys_at((t,))[0])
 
-    def _xy_at(self, t: float) -> tuple[float, float]:
-        """``point_at`` as a scene-frame float pair, with the same finiteness
-        checks: the one parametric path, shared with figure sampling."""
+    def _xys_at(self, ts: Sequence[float]) -> list[tuple[float, float]]:
+        """Scene-frame float pairs at the parameters ``ts``: the one
+        parametric path, shared by ``point_at`` and figure sampling.
+
+        The canonical samples come from one kernel call and are placed in
+        one pass.  If a parameter is past the float range or a sample is not
+        finite, the first such sample in ``ts`` is named, and a non-finite
+        canonical pair before the scene pair it maps to.
+        """
+        pl = self.placement
+        c, s, tx, ty = pl._cos, pl._sin, pl.tx, pl.ty
+        isfinite = math.isfinite
         try:
-            x, y = self.shape._point(t)
-        except OverflowError as exc:  # cosh and sinh past |t| ~ 710
-            raise ValueError(f"parameter t={t!r} is past the float range") from exc
-        sx, sy = self.placement._xy_to_scene(x, y)
-        if not (math.isfinite(sx) and math.isfinite(sy)):
-            # A non-finite canonical pair always maps to a non-finite scene
-            # pair, so checking it only here still reports it first.
+            xys = [(x * c - y * s + tx, x * s + y * c + ty)
+                   for x, y in self.shape._points(ts)]
+            if all(isfinite(x) and isfinite(y) for x, y in xys):
+                return xys
+        except OverflowError:  # cosh and sinh past |t| ~ 710
+            pass
+        for t in ts:  # the batch failed: find its first bad sample
+            try:
+                ((x, y),) = self.shape._points((t,))
+            except OverflowError as exc:
+                raise ValueError(f"parameter t={t!r} is past the float range") from exc
             _require_finite(x, y)
-            _require_finite(sx, sy)
-        return sx, sy
+            _require_finite(*pl._xy_to_scene(x, y))
+        raise AssertionError("a failed batch repeats its failure sample by sample")
 
     # ------------------------------------------------------------ nearest
 

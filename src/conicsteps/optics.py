@@ -122,8 +122,10 @@ class Scene:
     ``primary`` (a parabola) / ``secondary`` (a hyperbola).  When both
     telescope roles are present the pair must be confocal: the secondary's
     near focus must coincide with the primary's focus within
-    ``tolerances.confocal``.  The default is tight (1e-9); misalignment
-    studies may widen it deliberately to trace an imperfect pair.
+    ``tolerances.confocal * (1 + scale)``, the larger scale of the two
+    mirrors, so the check does not depend on the units of the scene.  The
+    default is tight (1e-9); misalignment studies may widen it deliberately
+    to trace an imperfect pair.
     """
 
     mirrors: tuple[Conic, ...]
@@ -163,10 +165,12 @@ class Scene:
             pf = primary.focus_points()[0]
             hf_near = secondary.focus_points()[0]
             gap = pf.distance_to(hf_near)
-            if gap > self.tolerances.confocal:
+            limit = self.tolerances.confocal * (
+                1.0 + max(primary.shape.scale, secondary.shape.scale))
+            if gap > limit:
                 raise ValueError(
                     f"primary/secondary pair is not confocal: focus gap {gap!r} "
-                    f"exceeds {self.tolerances.confocal!r}"
+                    f"exceeds {limit!r}"
                 )
 
     def telescope_pair(self) -> tuple[Conic, Conic] | None:

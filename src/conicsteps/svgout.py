@@ -131,9 +131,11 @@ class _SvgDoc:
 
 def _sample(conic: Conic, t0: float, t1: float, elem_id: str, doc: _SvgDoc,
             closed: bool = False) -> None:
+    """Draw ``conic`` over ``[t0, t1]`` as ``_CURVE_SAMPLES`` chords, from one
+    ``Conic._xys_at`` call, so its finiteness checks and messages apply."""
     n = _CURVE_SAMPLES
-    xy_at = conic._xy_at
-    doc.polyline_xy(elem_id, [xy_at(t0 + (t1 - t0) * i / n) for i in range(n + 1)], closed)
+    ts = [t0 + (t1 - t0) * i / n for i in range(n + 1)]
+    doc.polyline_xy(elem_id, conic._xys_at(ts), closed)
 
 
 def _figure_triangle(conic: Conic, delta: float, anchor_param: float) -> StepTriangle:

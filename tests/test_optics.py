@@ -234,6 +234,21 @@ class TestScene:
         )
         assert loose.tolerances.confocal == 1e-2
 
+    @pytest.mark.parametrize("k", [-40, 25, 30, 60])
+    def test_stock_telescope_is_confocal_at_any_scale(self, k):
+        # Scaling by 2^k is exact, so the pair stays as confocal as it was;
+        # only the rounding of its focus gap grows with the size.
+        base = default_cassegrain_scene()
+        f = math.ldexp(1.0, k)
+        primary, secondary = base.mirrors
+        h, pl = secondary.shape, secondary.placement
+        scene = dataclasses.replace(base, mirrors=(
+            Conic(Parabola(primary.shape.p * f)),
+            Conic(Hyperbola(h.a * f, h.b * f, h.branch),
+                  Placement(pl.tx * f, pl.ty * f, pl.rotate)),
+        ))
+        assert scene.telescope_pair() == scene.mirrors
+
     def test_max_bounces_positive(self):
         with pytest.raises(ValueError):
             Scene(mirrors=(ELL,), max_bounces=0)

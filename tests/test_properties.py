@@ -26,6 +26,7 @@ from conicsteps import (
     run_sweep,
     serialize_scene,
 )
+from conicsteps.svgout import _CURVE_SAMPLES, _sample, _SvgDoc
 
 EPS = 2.220446049250313e-16
 SAMPLES = 256
@@ -98,6 +99,21 @@ def test_reflection_is_an_involution(conic, t, angle):
     back = reflect_at(conic, q, reflect_at(conic, q, d))
     assert abs(back.x - d.x) <= 8.0 * EPS
     assert abs(back.y - d.y) <= 8.0 * EPS
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(conic=posed_conics(), t0=_floats(-700.0, 700.0), t1=_floats(-700.0, 700.0))
+def test_batch_samples_are_the_pointwise_samples(conic, t0, t1):
+    # a curve sampled in one batch, as the figures draw it, gives every
+    # sample bit for bit as point_at and the scalar kernel do one at a time
+    n = _CURVE_SAMPLES
+    ts = [t0 + (t1 - t0) * i / n for i in range(n + 1)]
+    pointwise = [(p.x, p.y) for p in map(conic.point_at, ts)]
+    assert [conic.placement._xy_to_scene(*conic.shape._point(t)) for t in ts] == pointwise
+    assert conic._xys_at(ts) == pointwise
+    doc = _SvgDoc()
+    _sample(conic, t0, t1, "curve", doc)
+    assert doc._xy == pointwise
 
 
 @st.composite

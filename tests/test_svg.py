@@ -13,6 +13,7 @@ from conicsteps import (
     REQUIRED_ELEMENTS,
     Conic,
     Ellipse,
+    Hyperbola,
     Parabola,
     Placement,
     Scene,
@@ -159,6 +160,24 @@ class TestSampleFiniteness:
             conic.point_at(1e200)
         with pytest.raises(ValueError, match=message):
             _sample(conic, 1e200, 1e200, "curve", _SvgDoc())
+
+
+class TestSampleErrorOrder:
+    # A curve is sampled in one batch; an error names the first bad sample
+    # in parameter order, as sampling one point at a time did.
+    def test_first_non_finite_sample_is_named(self):
+        # The canonical y = b sinh(t) overflows to inf at a sample before
+        # cosh(t) raises, so that finite-x, infinite-y pair is the error.
+        conic = Conic(Hyperbola(3, 4, -1), Placement(1, 2, 0.3))
+        message = re.escape("point coordinates must be finite, got (-1.7936568447594977e+308, inf)")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _sample(conic, 0.0, 800.0, "curve", _SvgDoc())
+
+    def test_first_sample_past_the_float_range_is_named(self):
+        conic = Conic(Hyperbola(3, 4, -1), Placement(1, 2, 0.3))
+        message = re.escape("parameter t=711.0 is past the float range")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _sample(conic, 711.0, 800.0, "curve", _SvgDoc())
 
 
 class TestSize:
