@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedVariantError,
 )
 from .geometry import Direction, Point
-from .optics import _spot_report, reflect_at, spot_report, trace
+from .optics import _path, _spot_report, _trace_xy, reflect_at, spot_report
 from .sceneio import load_scene
 from .svgout import FIGURE_IDS, _trace_svg, figure_svg
 
@@ -256,9 +256,12 @@ def _cmd_trace(args) -> int:
     # The listing and the SVG trace at the --max-bounces cap; the spot
     # report keeps the file's cap.
     capped = scene if args.max_bounces is None else replace(scene, max_bounces=args.max_bounces)
+    bounces = []
     paths = []
     for i, ray in enumerate(capped.rays):
-        path = trace(capped, ray)
+        ray_bounces = _trace_xy(capped, ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y)
+        path = _path(ray, ray_bounces)
+        bounces.append(ray_bounces)
         paths.append(path)
         print(f"ray {i} bounces {len(path.hits)}")
         for hit in path.hits:
@@ -269,7 +272,7 @@ def _cmd_trace(args) -> int:
         )
     if scene.telescope_pair() is not None and scene.rays:
         if capped.max_bounces == scene.max_bounces:
-            rep = _spot_report(scene, paths)
+            rep = _spot_report(scene, bounces)
         else:
             rep = spot_report(scene, scene.rays)
         print(f"spot target {_g(rep.target.x)} {_g(rep.target.y)}")

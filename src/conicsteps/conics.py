@@ -403,8 +403,9 @@ class Conic:
         symmetry go to the upper ellipse foot and to the negative parameter
         on the parabola and hyperbola.  Raises ValueError for the one
         genuinely ambiguous input (the exact center of an ellipse, where
-        antipodal feet tie) and IterationError if the root search hits its
-        step cap.
+        antipodal feet tie) and for a point so far out that its foot is not
+        representable in floats, and IterationError if the root search hits
+        its step cap.
         """
         qc = self.placement.to_canonical(q)
         t, fx, fy = _foot_xy(self.shape, qc.x, qc.y)
@@ -430,14 +431,24 @@ def _foot_xy(shape: Shape, x: float, y: float) -> tuple[float, float, float]:
     """The foot of the normal from the canonical point ``(x, y)``, as its
     parameter and canonical coordinates ``(t, fx, fy)``: the one nearest-point
     path, shared by ``project_to_curve`` and the halving sweep.  Raises
-    IterationError if the root search hits its step cap."""
-    t, ok = shape._nearest(x, y)
-    if not ok:
-        raise IterationError(
-            f"nearest-point search did not converge for the canonical point ({x!r}, {y!r})"
+    IterationError if the root search hits its step cap, and ValueError if
+    the kernels cannot represent the foot of a finite point (its squares
+    overflow near the float maximum)."""
+    try:
+        t, ok = shape._nearest(x, y)
+    except ZeroDivisionError:  # the kernel's squares left the float range
+        fx = fy = math.nan
+    else:
+        if not ok:
+            raise IterationError(
+                f"nearest-point search did not converge for the canonical point ({x!r}, {y!r})"
+            )
+        fx, fy = shape._point(t)
+    if not (math.isfinite(fx) and math.isfinite(fy)):
+        raise ValueError(
+            f"the foot of the normal from the canonical point ({x!r}, {y!r}) "
+            "is not representable in floats"
         )
-    fx, fy = shape._point(t)
-    _require_finite(fx, fy)
     return t, fx, fy
 
 

@@ -16,14 +16,16 @@ acts as a virtual image: the outgoing ray's supporting line passes through
 it exactly, on the far side of the bounce.  Spot statistics therefore
 measure the distance from the second focus to that outgoing line.
 
-The work is done in floats: ``trace`` runs its bounce loop on plain
+The work is done in floats: one bounce loop, ``_trace_xy``, runs on plain
 coordinates in each mirror's canonical frame, through one private hit
-finder and one private reflector.  ``intersect_ray`` and ``reflect_at``
-wrap the same two functions, and validated ``Point``/``Direction`` objects
-are built only at this public edge, for what is returned.  Every check the
-objects made (finite points, normalizable directions, the on-curve and
-branch checks) is still made on the floats, in the same order and with the
-same arithmetic, so results are bit-identical to tracing with objects.
+finder and one private reflector, and returns each bounce as a tuple.
+``intersect_ray`` and ``reflect_at`` wrap the same two functions.
+``trace`` is that loop plus the building of ``Hit``/``TracePath``/``Ray``
+at this public edge; ``spot_report`` reads the float bounces directly and
+builds no per-ray objects.  Every check the objects made (finite points,
+normalizable directions, the on-curve and branch checks) is still made on
+the floats, in the same order and with the same arithmetic, so results are
+bit-identical to tracing with objects.
 Tracing reads its bounce cap and its bounds from the scene
 (``Scene.max_bounces`` and ``Scene.tolerances``), the one trace policy;
 functions without a scene take a ``Tolerances`` argument.
@@ -75,6 +77,10 @@ _ROOT_MERGE = 1e-7
 #: intersection parameters beyond this are cancellation noise from
 #: near-degenerate (almost linear) quadratics and are discarded.
 _MAX_RAY_T = 1e12
+
+#: one bounce of the float tracer: (mirror_index, t, x, y, dx, dy), the hit
+#: point and the unit outgoing direction.
+_Bounce = tuple[int, float, float, float, float, float]
 
 
 @dataclass(frozen=True)
@@ -217,9 +223,17 @@ def _hits(
     here and nowhere else.
     """
     placement = conic.placement
-    ocx, ocy = placement._xy_to_canonical(ox, oy)
-    _require_finite(ocx, ocy)
-    dcx, dcy = _normalized(*placement._rotate_to_canonical(dx, dy))
+    c, s, tx, ty = placement._cos, placement._sin, placement.tx, placement.ty
+    isfinite = math.isfinite
+    # The Placement transforms inline, and _require_finite only to raise:
+    # this is the tracer's innermost call.
+    x = ox - tx
+    y = oy - ty
+    ocx = x * c + y * s
+    ocy = -x * s + y * c
+    if not (isfinite(ocx) and isfinite(ocy)):
+        _require_finite(ocx, ocy)
+    dcx, dcy = _normalized(dx * c + dy * s, -dx * s + dy * c)
     shape = conic.shape
     n, r0, r1 = kernels.quadratic_roots(*shape._ray_coeffs(ocx, ocy, dcx, dcy),
                                         _ROOT_MERGE)
@@ -229,11 +243,14 @@ def _hits(
             continue
         xc = ocx + t * dcx
         yc = ocy + t * dcy
-        _require_finite(xc, yc)
+        if not (isfinite(xc) and isfinite(yc)):
+            _require_finite(xc, yc)
         if not shape._on_branch(xc):
             continue
-        x, y = placement._xy_to_scene(xc, yc)
-        _require_finite(x, y)
+        x = xc * c - yc * s + tx
+        y = xc * s + yc * c + ty
+        if not (isfinite(x) and isfinite(y)):
+            _require_finite(x, y)
         hits.append((t, x, y))
     return hits
 
@@ -297,6 +314,36 @@ def focal_property_error(
     return angle_between(outgoing, expected)
 
 
+def _trace_xy(scene: Scene, ox: float, oy: float, dx: float, dy: float) -> list[_Bounce]:
+    """``trace`` on floats: the bounces of the ray from ``(ox, oy)`` along the
+    unit ``(dx, dy)``; the one bounce loop."""
+    tolerances = scene.tolerances
+    mirrors = scene.mirrors
+    bounces: list[_Bounce] = []
+    for _ in range(scene.max_bounces):
+        best: tuple[float, float, float, int] | None = None
+        for index, mirror in enumerate(mirrors):
+            found = _hits(mirror, ox, oy, dx, dy)
+            if found and (best is None or found[0][0] < best[0]):
+                best = (*found[0], index)
+        if best is None:
+            break
+        t, ox, oy, index = best
+        dx, dy = _reflect(mirrors[index], ox, oy, dx, dy, tolerances)
+        bounces.append((index, t, ox, oy, dx, dy))
+    return bounces
+
+
+def _path(ray: Ray, bounces: Sequence[_Bounce]) -> TracePath:
+    """The ``TracePath`` of ``ray`` from its ``_trace_xy`` bounces: the objects
+    are built here, at the edge, and nowhere in the bounce loop."""
+    hits = tuple(Hit(mirror_index=index, point=Point(x, y), t=t,
+                     outgoing=_unit_unchecked(dx, dy))
+                 for index, t, x, y, dx, dy in bounces)
+    final = Ray(hits[-1].point, hits[-1].outgoing) if hits else ray
+    return TracePath(ray=ray, hits=hits, final=final)
+
+
 def trace(scene: Scene, ray: Ray) -> TracePath:
     """Trace ``ray`` through the scene, always taking the nearest bounce.
 
@@ -307,23 +354,7 @@ def trace(scene: Scene, ray: Ray) -> TracePath:
     ``scene.tolerances``.  To trace at another cap, trace
     ``dataclasses.replace(scene, max_bounces=k)``.
     """
-    tolerances = scene.tolerances
-    hits: list[Hit] = []
-    ox, oy, dx, dy = ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y
-    for _ in range(scene.max_bounces):
-        best: tuple[float, float, float, int] | None = None
-        for index, mirror in enumerate(scene.mirrors):
-            found = _hits(mirror, ox, oy, dx, dy)
-            if found and (best is None or found[0][0] < best[0]):
-                best = (*found[0], index)
-        if best is None:
-            break
-        t, ox, oy, index = best
-        dx, dy = _reflect(scene.mirrors[index], ox, oy, dx, dy, tolerances)
-        hits.append(Hit(mirror_index=index, point=Point(ox, oy), t=t,
-                        outgoing=_unit_unchecked(dx, dy)))
-    final = Ray(hits[-1].point, hits[-1].outgoing) if hits else ray
-    return TracePath(ray=ray, hits=tuple(hits), final=final)
+    return _path(ray, _trace_xy(scene, ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y))
 
 
 def ray_line_distance(ray: Ray, q: Point) -> float:
@@ -349,31 +380,36 @@ def spot_report(scene: Scene, rays: Iterable[Ray]) -> SpotReport:
     passes through it).  Missed rays are counted, never dropped.
     """
     _require_pair(scene)
-    return _spot_report(scene, [trace(scene, ray) for ray in rays])
+    return _spot_report(scene, [_trace_xy(scene, r.origin.x, r.origin.y, r.dir.x, r.dir.y)
+                                for r in rays])
 
 
-def _spot_report(scene: Scene, paths: Sequence[TracePath]) -> SpotReport:
-    """``spot_report`` of rays already traced at the scene's bounce cap."""
+def _spot_report(scene: Scene, bounces: Sequence[Sequence[_Bounce]]) -> SpotReport:
+    """``spot_report`` of rays already traced by ``_trace_xy`` at the scene's
+    bounce cap, one list of bounces per ray."""
     _, secondary = _require_pair(scene)
     target = secondary.focus_points()[1]
+    qx, qy = target.x, target.y
     secondary_index = scene.roles.index("secondary")
     primary_index = scene.roles.index("primary")
     distances: list[float] = []
     n_focused = n_blocked = n_missed = 0
-    for path in paths:
-        if not path.hits:
+    for ray_bounces in bounces:
+        if not ray_bounces:
             n_missed += 1
             continue
-        first = path.hits[0].mirror_index
+        first = ray_bounces[0][0]
         if first == secondary_index:
             n_blocked += 1
         elif (
             first == primary_index
-            and len(path.hits) >= 2
-            and path.hits[1].mirror_index == secondary_index
+            and len(ray_bounces) >= 2
+            and ray_bounces[1][0] == secondary_index
         ):
             n_focused += 1
-        distances.append(ray_line_distance(path.final, target))
+        # Line.distance_to of the final outgoing line, on floats.
+        _, _, x, y, dx, dy = ray_bounces[-1]
+        distances.append(abs((qx - x) * dy - (qy - y) * dx))
     if distances:
         max_d = max(distances)
         rms = math.sqrt(math.fsum(d * d for d in distances) / len(distances))
@@ -381,7 +417,7 @@ def _spot_report(scene: Scene, paths: Sequence[TracePath]) -> SpotReport:
         max_d = rms = 0.0
     return SpotReport(
         target=target,
-        n_rays=len(paths),
+        n_rays=len(bounces),
         n_focused=n_focused,
         n_blocked=n_blocked,
         n_missed=n_missed,

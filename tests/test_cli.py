@@ -287,15 +287,17 @@ class TestTrace:
         assert "<svg" in target.read_text()
 
     def _count_traces(self, monkeypatch) -> list[int]:
+        # Counts runs of the one bounce loop: trace, spot_report and the
+        # CLI's own per-ray trace all go through optics._trace_xy.
         calls = [0]
-        real = conicsteps.optics.trace
+        real = conicsteps.optics._trace_xy
 
         def counting(*args, **kwargs):
             calls[0] += 1
             return real(*args, **kwargs)
 
-        for module in (conicsteps.optics, conicsteps.cli, conicsteps.svgout):
-            monkeypatch.setattr(module, "trace", counting)
+        for module in (conicsteps.optics, conicsteps.cli):
+            monkeypatch.setattr(module, "_trace_xy", counting)
         return calls
 
     def test_each_ray_traced_once(self, capsys, tmp_path, monkeypatch):

@@ -268,6 +268,22 @@ class TestProjection:
         with pytest.raises(ValueError):
             Conic(Ellipse(5, 5)).project_to_curve(Point(0, 0))
 
+    @pytest.mark.parametrize("shape", [Ellipse(5, 3), Parabola(1), Hyperbola(3, 4, 1),
+                                       Hyperbola(3, 4, -1)], ids=repr)
+    @pytest.mark.parametrize("q", [1e150, 1e200, 1e300, 1e308])
+    def test_far_finite_point_gives_a_foot_or_a_value_error(self, shape, q):
+        # A finite query point near the float maximum either projects to a
+        # finite foot or is refused as a ValueError that says the foot is
+        # not representable; it never leaks another type (the hyperbola's
+        # kernel divided by zero) or blames its finite input.
+        for x, y in ((q, 0.5), (-q, 0.5), (0.5, q), (0.5, -q), (q, q), (-q, -q)):
+            try:
+                foot = Conic(shape).project_to_curve(Point(x, y)).foot
+            except ValueError as exc:
+                assert "not representable" in str(exc), (x, y, exc)
+            else:
+                assert math.isfinite(foot.x) and math.isfinite(foot.y), (x, y, foot)
+
 
 class TestProjectionOracle:
     """``project_to_curve`` against the 50-digit foot of the normal, in

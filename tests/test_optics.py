@@ -488,3 +488,15 @@ class TestFloatCore:
             reflect_at(ELL, Point(0.0, 3.1), Direction(1, 0))
         with pytest.raises(NoBranchError):
             reflect_at(Conic(Hyperbola(3, 4)), Point(0.0, 1.0), Direction(1, 0))
+
+    def test_spot_report_raises_as_trace_does(self):
+        # spot_report runs the bounce loop without trace's objects, so a
+        # failed check must surface as the same error with the same message
+        scene = dataclasses.replace(posed_cassegrain(MOTIONS[0]),
+                                    tolerances=Tolerances(on_curve=1e-300))
+        with pytest.raises(OffCurveError) as from_trace:
+            trace(scene, scene.rays[0])
+        with pytest.raises(OffCurveError) as from_spot:
+            spot_report(scene, scene.rays)
+        assert str(from_spot.value) == str(from_trace.value)
+        assert "is off the curve" in str(from_trace.value)

@@ -1,6 +1,7 @@
 """Properties checked on generated inputs, shrunk to a minimal case on failure."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 from hypothesis import assume, given, settings
@@ -18,15 +19,20 @@ from conicsteps import (
     Point,
     Ray,
     Scene,
+    SpotReport,
     SweepConfig,
     Tolerances,
     exact_return,
     parse_scene,
+    ray_line_distance,
     reflect_at,
     run_sweep,
     serialize_scene,
+    spot_report,
+    trace,
 )
-from conicsteps.svgout import _CURVE_SAMPLES, _sample, _SvgDoc
+from conicsteps.svgout import _CURVE_SAMPLES, _sample, _SvgDoc, default_cassegrain_scene
+from conftest import pose_scene
 
 EPS = 2.220446049250313e-16
 SAMPLES = 256
@@ -161,3 +167,65 @@ def test_sweep_and_exact_return_do_not_depend_on_pose(conic, t, orientation, man
     delta = mantissa * 10.0 ** exponent
     assert (_sweep_and_return(conic, anchor, delta, orientation)
             == _sweep_and_return(Conic(conic.shape), Point(*ac), delta, orientation))
+
+
+def _offsets(lo: float, hi: float, min_size: int):
+    """Signed offsets with magnitudes in ``[lo, hi]``."""
+    signed = st.tuples(st.sampled_from((1.0, -1.0)), _floats(lo, hi)).map(lambda p: p[0] * p[1])
+    return st.lists(signed, min_size=min_size, max_size=3)
+
+
+@st.composite
+def posed_telescopes(draw) -> Scene:
+    """The stock telescope moved as a whole by a drawn rigid motion, with
+    rays aimed down at the aperture (focused), down into the secondary's
+    shadow (blocked) and up, away from both mirrors (missed), in a drawn
+    order and at a drawn bounce cap."""
+    down, up = Direction(0.0, -1.0), Direction(0.0, 1.0)
+    rays = ([Ray(Point(x, 8.0), down) for x in draw(_offsets(3.7, 5.0, 0))]
+            + [Ray(Point(x, 8.0), down) for x in draw(_offsets(0.0, 3.5, 1))]
+            + [Ray(Point(x, 8.0), up) for x in draw(_offsets(3.7, 5.0, 1))])
+    scene = dataclasses.replace(default_cassegrain_scene(), rays=tuple(draw(st.permutations(rays))),
+                                max_bounces=draw(st.integers(1, 3)))
+    motion = Placement(draw(_floats(-10.0, 10.0)), draw(_floats(-10.0, 10.0)),
+                       draw(_floats(-math.pi, math.pi)))
+    return pose_scene(scene, motion)
+
+
+def _spot_from_paths(scene: Scene) -> SpotReport:
+    """``spot_report``'s statistics built by hand from public ``trace`` paths."""
+    primary = scene.roles.index("primary")
+    secondary = scene.roles.index("secondary")
+    target = scene.mirrors[secondary].focus_points()[1]
+    paths = [trace(scene, ray) for ray in scene.rays]
+    hit = [p for p in paths if p.hits]
+    distances = tuple(ray_line_distance(p.final, target) for p in hit)
+    return SpotReport(
+        target=target,
+        n_rays=len(paths),
+        n_focused=sum(1 for p in hit if p.hits[0].mirror_index == primary
+                      and len(p.hits) >= 2 and p.hits[1].mirror_index == secondary),
+        n_blocked=sum(1 for p in hit if p.hits[0].mirror_index == secondary),
+        n_missed=len(paths) - len(hit),
+        max_distance=max(distances, default=0.0),
+        rms_distance=(math.sqrt(math.fsum(d * d for d in distances) / len(distances))
+                      if distances else 0.0),
+        distances=distances,
+    )
+
+
+def _bits(report: SpotReport) -> str:
+    """Every field of ``report``; float reprs round-trip, so equal strings
+    are equal bits."""
+    return repr([getattr(report, f.name) for f in dataclasses.fields(report)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scene=posed_telescopes())
+def test_spot_report_is_the_statistics_of_the_traced_paths(scene):
+    # spot_report reads the float bounce loop without building per-ray
+    # objects; it must agree, field for field and bit for bit, with the
+    # statistics of the public TracePaths of the same rays
+    report = spot_report(scene, scene.rays)
+    assert _bits(report) == _bits(_spot_from_paths(scene))
+    assert report.n_blocked >= 1 and report.n_missed >= 1
