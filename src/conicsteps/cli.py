@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedVariantError,
 )
 from .geometry import Direction, Point
-from .optics import _path, _spot_report, _trace_xy, reflect_at, spot_report
+from .optics import _path, _spot_report, _trace_xy, reflect_at
 from .sceneio import load_scene
 from .svgout import FIGURE_IDS, _trace_svg, figure_svg
 
@@ -253,16 +253,14 @@ def _cmd_reflect(args) -> int:
 
 def _cmd_trace(args) -> int:
     scene = load_scene(args.scene)
-    # The listing and the SVG trace at the --max-bounces cap; the spot
-    # report keeps the file's cap.
+    # Each ray is traced once, at the larger cap: the listing and the SVG read
+    # its first --max-bounces bounces, the spot report its first file-cap ones
+    # (a trace at cap k is the first k bounces of one at any larger cap).
     capped = scene if args.max_bounces is None else replace(scene, max_bounces=args.max_bounces)
-    bounces = []
-    paths = []
-    for i, ray in enumerate(capped.rays):
-        ray_bounces = _trace_xy(capped, ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y)
-        path = _path(ray, ray_bounces)
-        bounces.append(ray_bounces)
-        paths.append(path)
+    deepest = max(scene, capped, key=lambda s: s.max_bounces)
+    bounces = [_trace_xy(deepest, r.origin.x, r.origin.y, r.dir.x, r.dir.y) for r in scene.rays]
+    paths = [_path(ray, b[:capped.max_bounces]) for ray, b in zip(scene.rays, bounces)]
+    for i, path in enumerate(paths):
         print(f"ray {i} bounces {len(path.hits)}")
         for hit in path.hits:
             print(f"  hit {hit.mirror_index} {_g(hit.point.x)} {_g(hit.point.y)}")
@@ -271,10 +269,7 @@ def _cmd_trace(args) -> int:
             f"dir {_g(path.final.dir.x)} {_g(path.final.dir.y)}"
         )
     if scene.telescope_pair() is not None and scene.rays:
-        if capped.max_bounces == scene.max_bounces:
-            rep = _spot_report(scene, bounces)
-        else:
-            rep = spot_report(scene, scene.rays)
+        rep = _spot_report(scene, [b[:scene.max_bounces] for b in bounces])
         print(f"spot target {_g(rep.target.x)} {_g(rep.target.y)}")
         print(
             f"spot rays {rep.n_rays} focused {rep.n_focused} "

@@ -16,7 +16,9 @@ coordinates: the signed residual, tangent/normal frames, parametric points,
 nearest-point projection, and focus locations.  Each shape owns its
 canonical-frame math: its ``_residual``, ``_gradient``, ``_point``,
 ``_points``, ``_ray_coeffs``, ``_nearest`` and ``_on_branch`` are the only
-callers of its kernels, so no other code picks a kernel by shape.
+callers of its kernels, so no other code picks a kernel by shape.  Its
+``_step`` is the focal step rule: the unit direction of the two-step walk's
+first or second step, read by the walk and the focal reflection property.
 
 Residual conventions (distances measured in the canonical frame):
 
@@ -104,6 +106,10 @@ class Ellipse:
     def _on_branch(self, x: float) -> bool:
         return True
 
+    def _step(self, x: float, y: float, second: bool, forward: bool) -> tuple[float, float]:
+        f = self.c if second == forward else -self.c
+        return _normalized(f - x, 0.0 - y) if second else _normalized(x - f, y - 0.0)
+
 
 @dataclass(frozen=True)
 class Parabola:
@@ -144,6 +150,11 @@ class Parabola:
 
     def _on_branch(self, x: float) -> bool:
         return True
+
+    def _step(self, x: float, y: float, second: bool, forward: bool) -> tuple[float, float]:
+        if not second:
+            return 0.0, (-1.0 if forward else 1.0)
+        return _normalized(0.0 - x, self.p - y) if forward else _normalized(x - 0.0, y - self.p)
 
 
 @dataclass(frozen=True)
@@ -209,6 +220,10 @@ class Hyperbola:
 
     def _on_branch(self, x: float) -> bool:
         return x != 0.0 and (x > 0.0) == (self.branch > 0)
+
+    def _step(self, x: float, y: float, second: bool, forward: bool) -> tuple[float, float]:
+        f = -self.branch * self.c if second == forward else self.branch * self.c
+        return _normalized(x - f, y - 0.0)
 
 
 Shape = Ellipse | Parabola | Hyperbola

@@ -23,7 +23,8 @@ reversed).  Walks started exactly on an axis vertex retrace themselves
 (B == A); such triangles are returned flagged ``degenerate`` and have no
 apex reflector.
 
-The float core is ``_walk_xy``, the one walk, on canonical-frame floats.
+The float core is ``_walk_xy``, the one walk, on canonical-frame floats,
+which reads both steps from the shape's ``_step``, the one copy of the rule.
 The canonical frame is the frame of measurement: ``two_step``,
 ``exact_return`` and the halving sweep each take one walk and measure it
 there, and only what a public function returns is mapped to the scene.
@@ -36,10 +37,10 @@ from typing import Literal
 
 from ._backend import kernels
 from .config import DEFAULT, Tolerances
-from .conics import Conic, Ellipse, Parabola, Shape, as_conic
+from .conics import Conic, Parabola, Shape, as_conic
 from .errors import BracketError, ConicError, DegenerateTriangleError, UnsupportedVariantError
-from .geometry import (Direction, Line, Point, _angle_xy, _normalized, _require_finite,
-                       reflect_direction, scalar_projection)
+from .geometry import (Direction, Line, Point, _angle_xy, _require_finite, reflect_direction,
+                       scalar_projection)
 
 __all__ = [
     "Orientation",
@@ -123,19 +124,11 @@ def _walk_xy(shape: Shape, ax: float, ay: float, delta: float,
     directions ``u1``, ``u2`` and the points ``D``, ``B``, as the canonical
     floats ``(u1x, u1y, dx, dy, u2x, u2y, bx, by)``.  Each direction is
     normalized and each point checked finite, as a Direction or a Point is."""
-    if isinstance(shape, Parabola):
-        f = shape.focus
-        u1x, u1y = 0.0, (-1.0 if orientation == "forward" else 1.0)
-        toward = orientation == "forward"
-    else:
-        f_from, f = shape.foci
-        if orientation == "backward":
-            f_from, f = f, f_from
-        u1x, u1y = _normalized(ax - f_from.x, ay - f_from.y)
-        toward = isinstance(shape, Ellipse)
+    forward = orientation == "forward"
+    u1x, u1y = shape._step(ax, ay, False, forward)
     dx, dy = ax + delta * u1x, ay + delta * u1y
     _require_finite(dx, dy)
-    u2x, u2y = _normalized(f.x - dx, f.y - dy) if toward else _normalized(dx - f.x, dy - f.y)
+    u2x, u2y = shape._step(dx, dy, True, forward)
     bx, by = dx + delta * u2x, dy + delta * u2y
     _require_finite(bx, by)
     return u1x, u1y, dx, dy, u2x, u2y, bx, by
@@ -249,12 +242,13 @@ def focal_change_error(conic: Conic | Shape, tri: StepTriangle) -> FocalChange:
 
 def _parallelism(shape: Shape, ax: float, ay: float, bx: float, by: float,
                  orientation: Orientation) -> float:
-    """``parallelism_error`` of the canonical points ``A`` and ``B``, on floats."""
+    """``parallelism_error`` of the canonical points ``A`` and ``B``, on floats:
+    the angle between the second steps from ``A`` and from ``B``."""
     if isinstance(shape, Parabola):
         raise UnsupportedVariantError("focal-change bookkeeping needs two foci; "
                                       "the parabola has one")
-    f = shape.foci[1 if orientation == "forward" else 0]
-    return _angle_xy(*_normalized(f.x - ax, f.y - ay), *_normalized(f.x - bx, f.y - by))
+    forward = orientation == "forward"
+    return _angle_xy(*shape._step(ax, ay, True, forward), *shape._step(bx, by, True, forward))
 
 
 def _return_length(shape: Shape, ox: float, oy: float, dx: float, dy: float,

@@ -38,19 +38,18 @@ from dataclasses import dataclass, field, replace
 
 from ._backend import kernels
 from .config import DEFAULT, Tolerances
-from .conics import Conic, Ellipse, Hyperbola, Parabola, Shape, as_conic
+from .conics import Conic, Hyperbola, Parabola, Shape, as_conic
 from .errors import UnsupportedVariantError
 from .geometry import (
     Direction,
     Line,
     Point,
+    _angle_xy,
     _normalized,
     _reflect_xy,
     _require_count,
     _require_finite,
     _unit_unchecked,
-    angle_between,
-    direction,
 )
 
 __all__ = [
@@ -293,25 +292,19 @@ def focal_property_error(
 ) -> float:
     """Angular error of the conic's focal reflection property at ``q``.
 
-    Ellipse: a beam from one focus reflects toward the other.  Parabola:
-    an axis-parallel beam reflects toward the focus.  Hyperbola: a beam
-    from the near focus reflects along the line away from the far focus.
-    The returned angle is zero up to rounding for every on-curve point.
+    The incoming beam is the two-step walk's first step at ``q`` and the
+    expected outgoing beam its second: a beam from one ellipse focus reflects
+    toward the other, an axis-parallel beam toward the parabola's focus, and a
+    beam from the near hyperbola focus away from the far one.  The angle is
+    zero up to rounding for every on-curve point; an off-curve ``q``, a focus
+    included, raises OffCurveError.
     """
     conic = as_conic(conic)
-    s = conic.shape
-    if isinstance(s, Parabola):
-        incoming = conic.placement.dir_to_scene(Direction(0.0, -1.0))
-        expected = direction(q, conic.focus_points()[0])
-    else:
-        f1, f2 = conic.focus_points()
-        incoming = direction(f1, q)
-        if isinstance(s, Ellipse):
-            expected = direction(q, f2)
-        else:
-            expected = direction(f2, q)
-    outgoing = reflect_at(conic, q, incoming, tolerances)
-    return angle_between(outgoing, expected)
+    xc, yc = conic._require_on_curve(q.x, q.y, tolerances)
+    rotate = conic.placement._rotate_to_scene
+    ix, iy = rotate(*conic.shape._step(xc, yc, False, True))
+    outgoing = _reflect(conic, q.x, q.y, ix, iy, tolerances)
+    return _angle_xy(*outgoing, *rotate(*conic.shape._step(xc, yc, True, True)))
 
 
 def _trace_xy(scene: Scene, ox: float, oy: float, dx: float, dy: float) -> list[_Bounce]:

@@ -322,13 +322,15 @@ class TestTrace:
         monkeypatch.undo()
         assert run(capsys, "trace", path)[1] == out
 
-    def test_spot_traced_again_at_another_cap(self, capsys, tmp_path, monkeypatch):
+    def test_cap_below_file_cap_traced_once(self, capsys, tmp_path, monkeypatch):
+        # the spot report reads the first file-cap bounces of the same
+        # trace; it used to trace every ray again at the file's cap
         path = bundled_scene("cassegrain.json")
         target = tmp_path / "trace.svg"
         calls = self._count_traces(monkeypatch)
         code, out, _ = run(capsys, "trace", path, "--max-bounces", "1", "--svg", str(target))
         assert code == 0
-        assert calls[0] == 200
+        assert calls[0] == 100
         monkeypatch.undo()
         scene = load_scene(path)
         capped = dataclasses.replace(scene, max_bounces=1)
@@ -336,6 +338,21 @@ class TestTrace:
         lines = out.splitlines()
         assert all(l.endswith(" bounces 1") for l in lines if l.startswith("ray "))
         assert "spot rays 100 focused 100 blocked 0 missed 0" in lines
+
+    def test_cap_above_file_cap_traced_once(self, capsys, tmp_path, monkeypatch):
+        path = bundled_scene("cassegrain.json")
+        target = tmp_path / "trace.svg"
+        calls = self._count_traces(monkeypatch)
+        code, out, _ = run(capsys, "trace", path, "--max-bounces", "5", "--svg", str(target))
+        assert code == 0
+        assert calls[0] == 100
+        monkeypatch.undo()
+        scene = load_scene(path)
+        assert scene.max_bounces < 5
+        deeper = dataclasses.replace(scene, max_bounces=5)
+        assert target.read_text(encoding="utf-8") == trace_svg(deeper)
+        spot = [l for l in run(capsys, "trace", path)[1].splitlines() if l.startswith("spot ")]
+        assert [l for l in out.splitlines() if l.startswith("spot ")] == spot
 
 
 class TestFigure:

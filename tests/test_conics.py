@@ -11,6 +11,7 @@ import pytest
 from conicsteps import (
     DEFAULT,
     Conic,
+    DegenerateDirectionError,
     Direction,
     Ellipse,
     Hyperbola,
@@ -22,6 +23,7 @@ from conicsteps import (
     as_conic,
     two_step,
 )
+from conicsteps.geometry import _normalized
 import oracle
 from conftest import POSED, random_conic, random_param
 
@@ -415,6 +417,55 @@ class TestPlacement:
         assert pl.to_scene(p1).distance_to(pl.to_scene(p2)) == pytest.approx(
             5.0, abs=1e-12
         )
+
+
+def _focus_step(shape, x, y, second, forward):
+    """The focus-based step formulas the walk used before each shape owned
+    its step rule, with their exact subtraction forms."""
+    if isinstance(shape, Parabola):
+        if not second:
+            return 0.0, (-1.0 if forward else 1.0)
+        f = shape.focus
+        return _normalized(f.x - x, f.y - y) if forward else _normalized(x - f.x, y - f.y)
+    f_from, f = shape.foci if forward else shape.foci[::-1]
+    if not second:
+        return _normalized(x - f_from.x, y - f_from.y)
+    if isinstance(shape, Ellipse):
+        return _normalized(f.x - x, f.y - y)
+    return _normalized(x - f.x, y - f.y)
+
+
+def _step_shapes():
+    rng = random.Random(1801)
+    shapes = [Ellipse(5, 3), Ellipse(2, 2), Parabola(1), Hyperbola(3, 4),
+              Hyperbola(3, 4, branch=-1)]
+    for _ in range(4):
+        a = rng.uniform(0.5, 6.0)
+        shapes += [Ellipse(a, a * rng.uniform(0.2, 1.0)), Parabola(rng.uniform(0.2, 3.0)),
+                   Hyperbola(a, rng.uniform(0.2, 6.0), branch=rng.choice((1, -1)))]
+    return shapes
+
+
+def _bits(step):
+    """The bits of the direction ``step()`` returns, or the error it raises."""
+    try:
+        return [v.hex() for v in step()]
+    except DegenerateDirectionError as exc:
+        return type(exc)
+
+
+class TestStepRule:
+    @pytest.mark.parametrize("forward", [True, False], ids=["forward", "backward"])
+    @pytest.mark.parametrize("shape", _step_shapes(), ids=repr)
+    def test_matches_the_focus_formulas_bit_for_bit(self, shape, forward):
+        rng = random.Random(repr((shape, forward)))
+        points = [(rng.uniform(-9, 9), rng.uniform(-9, 9)) for _ in range(40)]
+        for v in (0.0, -0.0, 0.7, -2.5):
+            points += [(v, 0.0), (v, -0.0), (0.0, v), (-0.0, v)]
+        for x, y in points:  # the circle's centre is both foci: both raise
+            for second in (False, True):
+                got = _bits(lambda: shape._step(x, y, second, forward))
+                assert got == _bits(lambda: _focus_step(shape, x, y, second, forward))
 
 
 class TestFociAndCoercion:

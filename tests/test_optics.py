@@ -162,6 +162,23 @@ class TestFocalProperty:
         q = circle.point_at(0.9)
         assert focal_property_error(circle, q) <= 1e-9
 
+    @pytest.mark.parametrize("shape, focus", [
+        (Ellipse(5, 3), Point(-4, 0)),
+        (Parabola(1), Point(0, 1)),
+        (Hyperbola(3, 4), Point(5, 0)),
+    ])
+    def test_focus_is_off_the_curve(self, shape, focus):
+        # the beam from the focus was normalized before the on-curve check,
+        # so a focus raised DegenerateDirectionError
+        with pytest.raises(OffCurveError):
+            focal_property_error(Conic(shape), focus)
+
+    def test_keeps_its_other_checks(self):
+        with pytest.raises(OffCurveError):
+            focal_property_error(ELL, Point(0.0, 3.1))
+        with pytest.raises(NoBranchError):
+            focal_property_error(Conic(Hyperbola(3, 4)), Point(0.0, 1.0))
+
 
 class TestScene:
     def test_roles_default_to_mirror(self):
