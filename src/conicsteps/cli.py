@@ -40,7 +40,7 @@ from .errors import (
     UnsupportedVariantError,
 )
 from .geometry import Direction, Point
-from .optics import _path, _spot_report, _trace_xy, reflect_at
+from .optics import _spot_report, _trace_xy, reflect_at
 from .sceneio import load_scene
 from .svgout import FIGURE_IDS, _trace_svg, figure_svg
 
@@ -259,15 +259,13 @@ def _cmd_trace(args) -> int:
     capped = scene if args.max_bounces is None else replace(scene, max_bounces=args.max_bounces)
     deepest = max(scene, capped, key=lambda s: s.max_bounces)
     bounces = [_trace_xy(deepest, r.origin.x, r.origin.y, r.dir.x, r.dir.y) for r in scene.rays]
-    paths = [_path(ray, b[:capped.max_bounces]) for ray, b in zip(scene.rays, bounces)]
-    for i, path in enumerate(paths):
-        print(f"ray {i} bounces {len(path.hits)}")
-        for hit in path.hits:
-            print(f"  hit {hit.mirror_index} {_g(hit.point.x)} {_g(hit.point.y)}")
-        print(
-            f"  final {_g(path.final.origin.x)} {_g(path.final.origin.y)} "
-            f"dir {_g(path.final.dir.x)} {_g(path.final.dir.y)}"
-        )
+    listed = [b[:capped.max_bounces] for b in bounces]
+    for i, (r, ray_bounces) in enumerate(zip(scene.rays, listed)):
+        print(f"ray {i} bounces {len(ray_bounces)}")
+        x, y, dx, dy = r.origin.x, r.origin.y, r.dir.x, r.dir.y
+        for index, _, x, y, dx, dy in ray_bounces:
+            print(f"  hit {index} {_g(x)} {_g(y)}")
+        print(f"  final {_g(x)} {_g(y)} dir {_g(dx)} {_g(dy)}")
     if scene.telescope_pair() is not None and scene.rays:
         rep = _spot_report(scene, [b[:scene.max_bounces] for b in bounces])
         print(f"spot target {_g(rep.target.x)} {_g(rep.target.y)}")
@@ -278,7 +276,7 @@ def _cmd_trace(args) -> int:
         print(f"spot max {_g(rep.max_distance)}")
         print(f"spot rms {_g(rep.rms_distance)}")
     if args.svg:
-        _write_or_print(_trace_svg(capped, paths), args.svg)
+        _write_or_print(_trace_svg(capped, listed), args.svg)
     return 0
 
 

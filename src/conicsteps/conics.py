@@ -357,13 +357,13 @@ class Conic:
         (tangent, normal) is a right-handed frame.  Raises OffCurveError
         when ``q`` is not on the curve within ``tolerances.on_curve * (1 + scale)``.
         """
-        normal = _unit_unchecked(*self._unit_normal(q.x, q.y, tolerances))
+        normal = _unit_unchecked(*self._normal_xy(*self._require_on_curve(q.x, q.y, tolerances)))
         return normal.perpendicular(), normal
 
-    def _unit_normal(self, x: float, y: float, tolerances: Tolerances) -> tuple[float, float]:
-        """``tangent_normal``'s scene-frame unit normal at the scene point
-        ``(x, y)``, as floats, after the same on-curve check."""
-        xc, yc = self._require_on_curve(x, y, tolerances)
+    def _normal_xy(self, xc: float, yc: float) -> tuple[float, float]:
+        """``tangent_normal``'s scene-frame unit normal, as floats, at the
+        canonical point ``(xc, yc)`` of a scene point already checked on the
+        curve by ``_require_on_curve``."""
         gx, gy = _normalized(*self.shape._gradient(xc, yc))
         return _normalized(*self.placement._rotate_to_scene(gx, gy))
 

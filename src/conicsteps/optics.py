@@ -19,13 +19,13 @@ measure the distance from the second focus to that outgoing line.
 The work is done in floats: one bounce loop, ``_trace_xy``, runs on plain
 coordinates in each mirror's canonical frame, through one private hit
 finder and one private reflector, and returns each bounce as a tuple.
-``intersect_ray`` and ``reflect_at`` wrap the same two functions.
-``trace`` is that loop plus the building of ``Hit``/``TracePath``/``Ray``
-at this public edge; ``spot_report`` reads the float bounces directly and
-builds no per-ray objects.  Every check the objects made (finite points,
-normalizable directions, the on-curve and branch checks) is still made on
-the floats, in the same order and with the same arithmetic, so results are
-bit-identical to tracing with objects.
+``intersect_ray`` and ``reflect_at`` wrap the same two functions, and
+``trace`` the loop; these three alone build trace objects, and only
+``trace`` builds ``Hit`` and ``TracePath``.  The spot statistics, the SVG
+and the CLI listing read the float bounces.  Every check the objects made
+(finite points, normalizable directions, the on-curve and branch checks) is
+still made on the floats, in the same order and with the same arithmetic,
+so results are bit-identical to tracing with objects.
 Tracing reads its bounce cap and its bounds from the scene
 (``Scene.max_bounces`` and ``Scene.tolerances``), the one trace policy;
 functions without a scene take a ``Tolerances`` argument.
@@ -272,7 +272,8 @@ def _reflect(
 ) -> tuple[float, float]:
     """``reflect_at`` on floats: the unit direction leaving the scene point
     ``(x, y)`` for the incoming direction ``(dx, dy)``."""
-    nx, ny = conic._unit_normal(x, y, tolerances)
+    xc, yc = conic._require_on_curve(x, y, tolerances)
+    nx, ny = conic._normal_xy(xc, yc)
     return _reflect_xy(dx, dy, ny, -nx)  # across the tangent: the normal turned by -pi/2
 
 
@@ -303,7 +304,8 @@ def focal_property_error(
     xc, yc = conic._require_on_curve(q.x, q.y, tolerances)
     rotate = conic.placement._rotate_to_scene
     ix, iy = rotate(*conic.shape._step(xc, yc, False, True))
-    outgoing = _reflect(conic, q.x, q.y, ix, iy, tolerances)
+    nx, ny = conic._normal_xy(xc, yc)
+    outgoing = _reflect_xy(ix, iy, ny, -nx)
     return _angle_xy(*outgoing, *rotate(*conic.shape._step(xc, yc, True, True)))
 
 
@@ -327,16 +329,6 @@ def _trace_xy(scene: Scene, ox: float, oy: float, dx: float, dy: float) -> list[
     return bounces
 
 
-def _path(ray: Ray, bounces: Sequence[_Bounce]) -> TracePath:
-    """The ``TracePath`` of ``ray`` from its ``_trace_xy`` bounces: the objects
-    are built here, at the edge, and nowhere in the bounce loop."""
-    hits = tuple(Hit(mirror_index=index, point=Point(x, y), t=t,
-                     outgoing=_unit_unchecked(dx, dy))
-                 for index, t, x, y, dx, dy in bounces)
-    final = Ray(hits[-1].point, hits[-1].outgoing) if hits else ray
-    return TracePath(ray=ray, hits=hits, final=final)
-
-
 def trace(scene: Scene, ray: Ray) -> TracePath:
     """Trace ``ray`` through the scene, always taking the nearest bounce.
 
@@ -347,7 +339,11 @@ def trace(scene: Scene, ray: Ray) -> TracePath:
     ``scene.tolerances``.  To trace at another cap, trace
     ``dataclasses.replace(scene, max_bounces=k)``.
     """
-    return _path(ray, _trace_xy(scene, ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y))
+    bounces = _trace_xy(scene, ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y)
+    hits = tuple(Hit(mirror_index=index, point=Point(x, y), t=t, outgoing=_unit_unchecked(dx, dy))
+                 for index, t, x, y, dx, dy in bounces)
+    final = Ray(hits[-1].point, hits[-1].outgoing) if hits else ray
+    return TracePath(ray=ray, hits=hits, final=final)
 
 
 def ray_line_distance(ray: Ray, q: Point) -> float:
@@ -436,24 +432,23 @@ def cassegrain_spot(scene: Scene, n_rays: int, aperture: float) -> SpotReport:
     secondary_index = scene.roles.index("secondary")
     p = primary.shape.p  # type: ignore[union-attr]
     y_top = aperture * aperture / (4.0 * p) + 2.0 * p + 1.0
-
-    axis_dir = primary.placement.dir_to_scene(Direction(0.0, -1.0))
+    dx, dy = _normalized(*primary.placement._rotate_to_scene(0.0, -1.0))
     first_bounce = replace(scene, max_bounces=1)
 
-    def ray_at(x: float) -> Ray:
-        return Ray(primary.placement.to_scene(Point(x, y_top)), axis_dir)
+    def bounces(traced: Scene, x: float) -> list[_Bounce]:
+        _require_finite(x, y_top)
+        return _trace_xy(traced, *primary.placement._xy_to_scene(x, y_top), dx, dy)
 
-    def blocked(x: float) -> bool:
-        path = trace(first_bounce, ray_at(x))
-        return bool(path.hits) and path.hits[0].mirror_index == secondary_index
+    def blocked(x: float) -> bool:  # is the first bounce off the secondary?
+        return any(index == secondary_index for index, *_ in bounces(first_bounce, x))
 
     if n_rays == 1:
-        return spot_report(scene, [ray_at(0.0)])
+        return _spot_report(scene, [bounces(scene, 0.0)])
 
     if blocked(aperture):
         # The whole aperture is shadowed; report the blocked bundle as-is.
         xs = [aperture * (i + 1) / n_rays for i in range(n_rays)]
-        return spot_report(scene, [ray_at(x) for x in xs])
+        return _spot_report(scene, [bounces(scene, x) for x in xs])
 
     lo, hi = 0.0, aperture
     if blocked(lo + 1e-12 * aperture):
@@ -474,4 +469,4 @@ def cassegrain_spot(scene: Scene, n_rays: int, aperture: float) -> SpotReport:
         for i in range(n_pos)
     ]
     xs += [-x for x in xs[:n_neg]]
-    return spot_report(scene, [ray_at(x) for x in xs])
+    return _spot_report(scene, [bounces(scene, x) for x in xs])

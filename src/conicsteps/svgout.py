@@ -8,7 +8,8 @@ for identical inputs.
 
 ``figure_svg`` renders the six named construction figures;
 ``REQUIRED_ELEMENTS`` lists, per figure, the element ids a structural
-check should find in the document.
+check should find in the document.  Traced rays are drawn from the float
+bounces of ``optics._trace_xy``; this module builds no trace objects.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Placement
 from .geometry import Direction, Point, _require_count, scalar_projection, translate
-from .optics import Ray, Scene, TracePath, trace
+from .optics import Ray, Scene, _Bounce, _trace_xy
 
 if TYPE_CHECKING:
     from .construction import StepTriangle
@@ -153,11 +154,14 @@ def _mark_foci(doc: _SvgDoc, f1: Point, f2: Point) -> None:
     doc.label("F2", f2)
 
 
-def _draw_path(doc: _SvgDoc, i: int, path: TracePath) -> None:
-    """The traced ray as a polyline, run on 3 units past its last bounce."""
-    pts = [path.ray.origin] + [h.point for h in path.hits]
-    pts.append(translate(path.final.origin, path.final.dir, 3.0))
-    doc.polyline(f"ray-{i}", pts)
+def _draw_path(doc: _SvgDoc, i: int, x: float, y: float, dx: float, dy: float,
+               bounces: Sequence[_Bounce]) -> None:
+    """The ray from ``(x, y)`` along ``(dx, dy)``, read from its ``_trace_xy`` bounces, as a
+    polyline run on 3 units past its last bounce (past its origin for a miss)."""
+    xy = [(x, y)]
+    for _, _, x, y, dx, dy in bounces:
+        xy.append((x, y))
+    doc.polyline_xy(f"ray-{i}", xy + [(x + 3.0 * dx, y + 3.0 * dy)])
 
 
 def _draw_triangle(doc: _SvgDoc, tri: StepTriangle, with_reflector: bool = True) -> None:
@@ -273,10 +277,9 @@ def _figure_cassegrain(doc: _SvgDoc) -> None:
     _sample(primary, -5.2, 5.2, "curve", doc)
     _sample(secondary, -2.6, 2.6, "curve-2", doc)
     _mark_foci(doc, primary.focus_points()[0], secondary.focus_points()[1])
-    down = Direction(0.0, -1.0)
     offsets = (3.8, 4.4, 5.0, -3.8, -4.4, -5.0)
     for i, x in enumerate(offsets):
-        _draw_path(doc, i, trace(scene, Ray(Point(x, 8.0), down)))
+        _draw_path(doc, i, x, 8.0, 0.0, -1.0, _trace_xy(scene, x, 8.0, 0.0, -1.0))
 
 
 #: figure id -> (drawer, default (delta, anchor_param)), or None for a
@@ -321,13 +324,15 @@ def figure_svg(
 def trace_svg(scene: Scene, width: int = 640, height: int = 480) -> str:
     """Draw a scene's mirrors and all its bundled rays, traced at its own cap."""
     _require_size(width, height)
-    return _trace_svg(scene, [trace(scene, ray) for ray in scene.rays], width, height)
+    return _trace_svg(scene, [_trace_xy(scene, r.origin.x, r.origin.y, r.dir.x, r.dir.y)
+                              for r in scene.rays], width, height)
 
 
 def _trace_svg(
-    scene: Scene, paths: Sequence[TracePath], width: int = 640, height: int = 480
+    scene: Scene, bounces: Sequence[Sequence[_Bounce]], width: int = 640, height: int = 480
 ) -> str:
-    """``trace_svg`` of the scene's rays already traced as ``paths``, at a checked size."""
+    """``trace_svg`` of the scene's rays already traced by ``_trace_xy``, one list of
+    float bounces per ray, at a checked size."""
     doc = _SvgDoc()
     for i, mirror in enumerate(scene.mirrors):
         elem_id = "curve" if i == 0 else f"curve-{i + 1}"
@@ -343,6 +348,6 @@ def _trace_svg(
     if pair is not None:
         doc.marker("focus-1", pair[0].focus_points()[0])
         doc.marker("focus-2", pair[1].focus_points()[1])
-    for i, path in enumerate(paths):
-        _draw_path(doc, i, path)
+    for i, (r, ray_bounces) in enumerate(zip(scene.rays, bounces)):
+        _draw_path(doc, i, r.origin.x, r.origin.y, r.dir.x, r.dir.y, ray_bounces)
     return doc.emit(width, height)

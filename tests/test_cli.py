@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from importlib import resources
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import conicsteps.cli
 import conicsteps.optics
 import conicsteps.svgout
-from conicsteps import load_scene, spot_report, trace_svg
+from conicsteps import Conic, Ellipse, exact_return, load_scene, spot_report, trace_svg
 from conicsteps.cli import main
 
 
@@ -126,6 +127,18 @@ class TestWalk:
         code, _, err = run(capsys, "walk", "--anchor-param", "1", "--delta", "0.1")
         assert code == 2
         assert err.startswith("error: usage:")
+
+    def test_exact_return(self, capsys):
+        code, out, _ = run(
+            capsys, "walk", "--ellipse", "5,3", "--anchor-param", "1.1",
+            "--delta", "0.1", "--exact-return",
+        )
+        assert code == 0
+        conic = Conic(Ellipse(5, 3))
+        res = exact_return(conic, conic.point_at(1.1), 0.1)
+        lines = out.splitlines()
+        assert lines[0] == f"A {res.triangle.A.x:.15g} {res.triangle.A.y:.15g}"
+        assert lines[4:] == [f"t_star {res.t_star:.15g}", f"gap {res.gap:.15g}"]
 
     def test_backward_orientation_accepted(self, capsys):
         code, out, _ = run(
@@ -287,8 +300,9 @@ class TestTrace:
         assert "<svg" in target.read_text()
 
     def _count_traces(self, monkeypatch) -> list[int]:
-        # Counts runs of the one bounce loop: trace, spot_report and the
-        # CLI's own per-ray trace all go through optics._trace_xy.
+        # Counts runs of the one bounce loop, optics._trace_xy, in every
+        # conicsteps module that binds it, so an SVG or a spot report that
+        # traced the rays again would be counted.
         calls = [0]
         real = conicsteps.optics._trace_xy
 
@@ -296,8 +310,9 @@ class TestTrace:
             calls[0] += 1
             return real(*args, **kwargs)
 
-        for module in (conicsteps.optics, conicsteps.cli):
-            monkeypatch.setattr(module, "_trace_xy", counting)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "conicsteps" and hasattr(module, "_trace_xy"):
+                monkeypatch.setattr(module, "_trace_xy", counting)
         return calls
 
     def test_each_ray_traced_once(self, capsys, tmp_path, monkeypatch):
@@ -433,6 +448,12 @@ class TestOneCheckEach:
         assert out == ""
         assert err.startswith(f"error: {category}: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_pair_of_non_numbers_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "residual", "--ellipse", "5,3", "--point", "a,3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: usage: ")
+        assert "expected numbers" in err
 
     @pytest.mark.parametrize("argv", [
         ("tangent", "--hyperbola", "3,4", "--param", "1e300"),

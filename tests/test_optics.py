@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 
 import pytest
 
@@ -97,6 +98,15 @@ class TestIntersect:
     def test_miss_returns_empty(self):
         assert intersect_ray(ELL, Ray(Point(0, 4), Direction(1, 0))) == ()
 
+    def test_non_finite_canonical_origin(self):
+        # both coordinates are finite in the scene; moving the origin into
+        # the conic's frame overflows
+        conic = Conic(Ellipse(5, 3), Placement(-1e308, 0.0, 0.0))
+        ray = Ray(Point(1e308, 0.0), Direction(1.0, 0.0))
+        with pytest.raises(ValueError,
+                           match=r"^point coordinates must be finite, got \(inf, nan\)$"):
+            intersect_ray(conic, ray)
+
     def test_hits_satisfy_residual_and_parameter(self):
         rng = random.Random(101)
         checked = 0
@@ -172,6 +182,23 @@ class TestFocalProperty:
         # so a focus raised DegenerateDirectionError
         with pytest.raises(OffCurveError):
             focal_property_error(Conic(shape), focus)
+
+    def test_checks_on_curve_once(self, monkeypatch):
+        # the reflection reuses the canonical point of the one check; it
+        # used to map q to the canonical frame and check it again
+        calls = []
+        real = Conic._require_on_curve
+
+        def spy(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Conic, "_require_on_curve", spy)
+        for shape in (Ellipse(5, 3), Parabola(1), Hyperbola(3, 4, -1)):
+            conic = Conic(shape, Placement(0.5, -1.0, 0.3))
+            calls.clear()
+            focal_property_error(conic, conic.point_at(0.7))
+            assert len(calls) == 1
 
     def test_keeps_its_other_checks(self):
         with pytest.raises(OffCurveError):
@@ -403,6 +430,24 @@ class TestCassegrain:
         report = cassegrain_spot(scene, n_rays=1, aperture=5.0)
         assert report.n_blocked == 1
         assert report.n_focused == 0
+
+    def test_whole_aperture_shadowed(self):
+        # the secondary shadows every offset up to 0.5: the bundle is
+        # reported as it is, every ray blocked
+        report = cassegrain_spot(default_cassegrain_scene(), 4, 0.5)
+        assert (report.n_rays, report.n_blocked, report.n_focused, report.n_missed) == (4, 4, 0, 0)
+
+    @pytest.mark.parametrize("aperture", [0.0, -1.0, math.inf, math.nan])
+    def test_aperture_must_be_positive(self, aperture):
+        with pytest.raises(ValueError, match="^aperture must be positive"):
+            cassegrain_spot(default_cassegrain_scene(), 3, aperture)
+
+    @pytest.mark.parametrize("n_rays, first", [(1, "0.0"), (4, "1e+160")])
+    def test_aperture_top_past_the_float_range(self, n_rays, first):
+        # the rays start at y = aperture**2 / (4 p) + 2 p + 1, which overflows
+        with pytest.raises(ValueError, match=(
+                rf"^point coordinates must be finite, got \({re.escape(first)}, inf\)$")):
+            cassegrain_spot(default_cassegrain_scene(), n_rays, 1e160)
 
     def test_n_rays_must_be_an_int(self):
         with pytest.raises(ValueError, match="n_rays"):

@@ -1,8 +1,13 @@
 """Properties checked on generated inputs, shrunk to a minimal case on failure."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import math
+import os
+import re
+import tempfile
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -30,7 +35,10 @@ from conicsteps import (
     serialize_scene,
     spot_report,
     trace,
+    trace_svg,
+    translate,
 )
+from conicsteps.cli import main
 from conicsteps.svgout import _CURVE_SAMPLES, _sample, _SvgDoc, default_cassegrain_scene
 from conftest import pose_scene
 
@@ -229,3 +237,62 @@ def test_spot_report_is_the_statistics_of_the_traced_paths(scene):
     report = spot_report(scene, scene.rays)
     assert _bits(report) == _bits(_spot_from_paths(scene))
     assert report.n_blocked >= 1 and report.n_missed >= 1
+
+
+def _ray_polyline(path) -> str:
+    """The ``points`` of a traced ray's SVG polyline, built from its public
+    ``TracePath``: the origin, each hit, and 3 units past the last bounce."""
+    pts = ([path.ray.origin] + [h.point for h in path.hits]
+           + [translate(path.final.origin, path.final.dir, 3.0)])
+    return " ".join("%.8g,%.8g" % (p.x, -p.y) for p in pts)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(scene=posed_telescopes())
+def test_svg_rays_are_the_traced_paths(scene):
+    # the SVG reads the float bounce loop; each ray's polyline must be the
+    # one drawn from the public TracePath, misses included
+    drawn = dict(re.findall(r'<polyline id="(ray-\d+)" points="([^"]*)"', trace_svg(scene)))
+    assert drawn == {f"ray-{i}": _ray_polyline(trace(scene, ray))
+                     for i, ray in enumerate(scene.rays)}
+
+
+def _listing(scene: Scene) -> list[str]:
+    """The CLI ``trace`` listing of the scene's rays, from ``trace`` paths."""
+    g = "%.15g"
+    lines = []
+    for i, ray in enumerate(scene.rays):
+        path = trace(scene, ray)
+        lines.append(f"ray {i} bounces {len(path.hits)}")
+        lines += [f"  hit {h.mirror_index} {g % h.point.x} {g % h.point.y}" for h in path.hits]
+        f = path.final
+        lines.append(f"  final {g % f.origin.x} {g % f.origin.y} dir {g % f.dir.x} {g % f.dir.y}")
+    return lines
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(scene=posed_telescopes())
+def test_cli_listing_is_the_traced_paths(scene):
+    # at a flag cap below the file's and at one above it, the listing is
+    # that of trace at the flag's cap, and the spot lines stay at the file's
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scene.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(serialize_scene(scene))
+        for cap in (scene.max_bounces - 1, scene.max_bounces + 1):
+            if cap < 1:
+                continue
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["trace", path, "--max-bounces", str(cap)]) == 0
+            lines = out.getvalue().splitlines()
+            listed = [l for l in lines if not l.startswith("spot ")]
+            assert listed == _listing(dataclasses.replace(scene, max_bounces=cap))
+            rep = spot_report(scene, scene.rays)
+            assert lines[len(listed):] == [
+                f"spot target {rep.target.x:.15g} {rep.target.y:.15g}",
+                f"spot rays {rep.n_rays} focused {rep.n_focused} "
+                f"blocked {rep.n_blocked} missed {rep.n_missed}",
+                f"spot max {rep.max_distance:.15g}",
+                f"spot rms {rep.rms_distance:.15g}",
+            ]
