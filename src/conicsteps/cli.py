@@ -16,13 +16,16 @@ Conics are selected with ``--ellipse a,b``, ``--parabola p`` or
 digits; CSV and scene files keep full precision.  Every failure exits 2
 with one line ``error: <category>: <reason>`` on stderr: ``usage`` when
 argparse finds input missing, conflicting or unparsable, else the category
-of the one library check that rejected the parsed value.
+of the one library check that rejected the parsed value.  A reader that
+closes stdout early (``| head``) is not a failure: the command exits 1
+with nothing on stderr.
 ``walk`` and ``converge`` import the construction and the sweep when they
 run, so the other commands start without loading either.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -306,7 +309,17 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        code = _DISPATCH[args.command](args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped early (``| head``), which is not an I/O failure
+        # of the command.  As the SIGPIPE note in the ``signal`` docs shows,
+        # point stdout at devnull, so the flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except tuple(cls for cls, _ in _CATEGORIES) as exc:
         for cls, category in _CATEGORIES:
             if isinstance(exc, cls):

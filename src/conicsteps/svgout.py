@@ -10,9 +10,16 @@ for identical inputs.
 ``REQUIRED_ELEMENTS`` lists, per figure, the element ids a structural
 check should find in the document.  Traced rays are drawn from the float
 bounces of ``optics._trace_xy``; this module builds no trace objects.
+
+Only the triangle of a figure depends on ``delta`` and ``anchor_param``;
+its curves are fixed.  Each fixed curve is sampled and formatted by the
+first render that draws it, and later renders in the same process reuse
+that text.  A scene's mirrors come from the caller and are drawn afresh
+on every ``trace_svg`` call.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
@@ -56,19 +63,52 @@ def _require_size(width: int, height: int) -> None:
     _require_count("height", height, 1)
 
 
+#: The x and y range of some drawn vertices: ``(xmin, xmax, ymin, ymax)``.
+_Extent = tuple[float, float, float, float]
+
+
+def _points_text(xy: Sequence[tuple[float, float]]) -> str:
+    """A polyline's ``points`` attribute: the vertices y-flipped, in absolute coordinates."""
+    return " ".join(["%.8g,%.8g" % (x, -y) for x, y in xy])
+
+
+def _extent_of(xy: Sequence[tuple[float, float]]) -> _Extent:
+    xs, ys = zip(*xy)
+    return min(xs), max(xs), min(ys), max(ys)
+
+
 class _SvgDoc:
-    """Collects world-coordinate primitives as float pairs; renders them y-flipped."""
+    """Collects world-coordinate primitives and renders them y-flipped.
+
+    A polyline's ``points`` text is formatted when it is added, and only the
+    extent of its vertices is kept for the viewBox; coordinates are absolute,
+    so neither depends on the rest of the document.
+    """
 
     def __init__(self) -> None:
         self._items: list[tuple] = []
-        self._xy: list[tuple[float, float]] = []  # polyline and marker vertices, for the viewBox
+        self._extent: _Extent | None = None  # of polyline and marker vertices
+
+    def _grow(self, xmin: float, xmax: float, ymin: float, ymax: float) -> None:
+        # min and max keep the first of equal values, as one pass over every
+        # vertex in drawing order would, so a signed zero lands the same way.
+        e = self._extent
+        self._extent = (xmin, xmax, ymin, ymax) if e is None else (
+            min(e[0], xmin), max(e[1], xmax), min(e[2], ymin), max(e[3], ymax))
+
+    def polyline_text(
+        self, elem_id: str, points: str, extent: _Extent, closed: bool = False,
+        dashed: bool = False,
+    ) -> None:
+        """Add a polyline whose ``points`` text and vertex extent are already made."""
+        self._grow(*extent)
+        self._items.append(("polyline", elem_id, points, closed, dashed))
 
     def polyline_xy(
         self, elem_id: str, xy: list[tuple[float, float]], closed: bool = False,
         dashed: bool = False,
     ) -> None:
-        self._xy.extend(xy)
-        self._items.append(("polyline", elem_id, xy, closed, dashed))
+        self.polyline_text(elem_id, _points_text(xy), _extent_of(xy), closed, dashed)
 
     def polyline(
         self, elem_id: str, pts: list[Point], closed: bool = False, dashed: bool = False
@@ -79,16 +119,14 @@ class _SvgDoc:
         self.polyline(elem_id, [p1, p2], dashed=dashed)
 
     def marker(self, elem_id: str, center: Point) -> None:
-        self._xy.append((center.x, center.y))
+        self._grow(center.x, center.x, center.y, center.y)
         self._items.append(("marker", elem_id, center.x, center.y))
 
     def label(self, text: str, anchor: Point) -> None:
         self._items.append(("label", text, anchor.x, anchor.y))
 
     def emit(self, width: int, height: int) -> str:
-        xs, ys = zip(*self._xy) if self._xy else ((0.0, 1.0), (0.0, 1.0))
-        xmin, xmax = min(xs), max(xs)
-        ymin, ymax = min(ys), max(ys)
+        xmin, xmax, ymin, ymax = self._extent or (0.0, 1.0, 0.0, 1.0)
         w = xmax - xmin
         h = ymax - ymin
         mx = 0.1 * w if w > 0.0 else 1.0
@@ -101,8 +139,7 @@ class _SvgDoc:
         body: list[str] = []
         for item in self._items:
             if item[0] == "polyline":
-                _, elem_id, xy, closed, dashed = item
-                coords = " ".join(["%.8g,%.8g" % (x, -y) for x, y in xy])
+                _, elem_id, coords, closed, dashed = item
                 tag = "polygon" if closed else "polyline"
                 dash = f' stroke-dasharray="{_f(3.0 * stroke)},{_f(2.0 * stroke)}"' if dashed else ""
                 body.append(
@@ -130,13 +167,21 @@ class _SvgDoc:
         return head + "\n" + "\n".join(body) + "\n</svg>\n"
 
 
-def _sample(conic: Conic, t0: float, t1: float, elem_id: str, doc: _SvgDoc,
-            closed: bool = False) -> None:
-    """Draw ``conic`` over ``[t0, t1]`` as ``_CURVE_SAMPLES`` chords, from one
-    ``Conic._xys_at`` call, so its finiteness checks and messages apply."""
+def _curve(conic: Conic, t0: float, t1: float) -> tuple[str, _Extent]:
+    """``conic`` over ``[t0, t1]`` as ``_CURVE_SAMPLES`` chords: the ``points``
+    text and extent, from one ``Conic._xys_at`` call, so its finiteness checks
+    and messages apply."""
     n = _CURVE_SAMPLES
-    ts = [t0 + (t1 - t0) * i / n for i in range(n + 1)]
-    doc.polyline_xy(elem_id, conic._xys_at(ts), closed)
+    xy = conic._xys_at([t0 + (t1 - t0) * i / n for i in range(n + 1)])
+    return _points_text(xy), _extent_of(xy)
+
+
+#: ``_curve`` of the figures' fixed curves, rendered once per process.  Only
+#: the figure drawers call it, each with this module's own constants, so it
+#: holds one entry per distinct fixed curve and needs no size limit; scenes
+#: come from the caller and go through ``_curve`` uncached.  A call that
+#: raises stores nothing.
+_fixed_curve = functools.cache(_curve)
 
 
 def _figure_triangle(conic: Conic, delta: float, anchor_param: float) -> StepTriangle:
@@ -192,7 +237,7 @@ def _figure_isosceles(doc: _SvgDoc) -> None:
 
 def _figure_ellipse(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
     conic = Conic(Ellipse(5.0, 3.0))
-    _sample(conic, 0.0, 2.0 * math.pi, "curve", doc, closed=True)
+    doc.polyline_text("curve", *_fixed_curve(conic, 0.0, 2.0 * math.pi), closed=True)
     f1, f2 = conic.focus_points()
     _mark_foci(doc, f1, f2)
     tri = _figure_triangle(conic, delta, anchor_param)
@@ -203,7 +248,7 @@ def _figure_ellipse(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
 
 def _figure_projection(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
     conic = Conic(Ellipse(5.0, 3.0))
-    _sample(conic, 0.0, 2.0 * math.pi, "curve", doc, closed=True)
+    doc.polyline_text("curve", *_fixed_curve(conic, 0.0, 2.0 * math.pi), closed=True)
     f1, f2 = conic.focus_points()
     _mark_foci(doc, f1, f2)
     tri = _figure_triangle(conic, delta, anchor_param)
@@ -217,7 +262,7 @@ def _figure_projection(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
 
 def _figure_parabola(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
     conic = Conic(Parabola(1.0))
-    _sample(conic, -2.5, 2.5, "curve", doc)
+    doc.polyline_text("curve", *_fixed_curve(conic, -2.5, 2.5))
     focus = conic.focus_points()[0]
     doc.marker("focus-1", focus)
     doc.label("F", focus)
@@ -231,9 +276,9 @@ def _figure_parabola(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
 
 def _figure_hyperbola(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
     conic = Conic(Hyperbola(3.0, 4.0, 1))
-    _sample(conic, -1.6, 1.6, "curve", doc)
+    doc.polyline_text("curve", *_fixed_curve(conic, -1.6, 1.6))
     other = Conic(Hyperbola(3.0, 4.0, -1))
-    _sample(other, -1.6, 1.6, "curve-2", doc)
+    doc.polyline_text("curve-2", *_fixed_curve(other, -1.6, 1.6))
     near, far = conic.focus_points()
     _mark_foci(doc, near, far)
     tri = _figure_triangle(conic, delta, anchor_param)
@@ -274,8 +319,8 @@ def default_cassegrain_scene(n_rays: int = 0) -> Scene:
 def _figure_cassegrain(doc: _SvgDoc) -> None:
     scene = default_cassegrain_scene()
     primary, secondary = scene.mirrors
-    _sample(primary, -5.2, 5.2, "curve", doc)
-    _sample(secondary, -2.6, 2.6, "curve-2", doc)
+    doc.polyline_text("curve", *_fixed_curve(primary, -5.2, 5.2))
+    doc.polyline_text("curve-2", *_fixed_curve(secondary, -2.6, 2.6))
     _mark_foci(doc, primary.focus_points()[0], secondary.focus_points()[1])
     offsets = (3.8, 4.4, 5.0, -3.8, -4.4, -5.0)
     for i, x in enumerate(offsets):
@@ -338,12 +383,12 @@ def _trace_svg(
         elem_id = "curve" if i == 0 else f"curve-{i + 1}"
         s = mirror.shape
         if isinstance(s, Ellipse):
-            _sample(mirror, 0.0, 2.0 * math.pi, elem_id, doc, closed=True)
+            t0, t1, closed = 0.0, 2.0 * math.pi, True
         elif isinstance(s, Parabola):
-            w = 6.0 * s.p
-            _sample(mirror, -w, w, elem_id, doc)
+            t0, t1, closed = -6.0 * s.p, 6.0 * s.p, False
         else:
-            _sample(mirror, -2.6, 2.6, elem_id, doc)
+            t0, t1, closed = -2.6, 2.6, False
+        doc.polyline_text(elem_id, *_curve(mirror, t0, t1), closed)
     pair = scene.telescope_pair()
     if pair is not None:
         doc.marker("focus-1", pair[0].focus_points()[0])

@@ -1,9 +1,14 @@
-"""Shared fixtures: random samplers and cached convergence sweeps."""
+"""Shared fixtures: random samplers, cached convergence sweeps and a fresh-interpreter runner."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +25,24 @@ from conicsteps import (
     run_sweep,
     standard_anchors,
 )
+
+
+def fresh(code: str) -> object:
+    """Run ``code`` in a new interpreter with ``src`` on the path.
+
+    ``code`` leaves its answer in ``result``; it is returned parsed from
+    JSON.  The interpreter's own stdout is discarded.
+    """
+    script = (
+        "import contextlib, io, json, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        + "".join(f"    {line}\n" for line in code.splitlines())
+        + "print(json.dumps(result))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def random_ellipse(rng: random.Random, placed: bool = False) -> Conic:

@@ -2,16 +2,28 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import math
+import os
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 import conicsteps.cli
 import conicsteps.optics
 import conicsteps.svgout
-from conicsteps import Conic, Ellipse, exact_return, load_scene, spot_report, trace_svg
+from conicsteps import (
+    Conic,
+    Ellipse,
+    exact_return,
+    load_scene,
+    save_scene,
+    spot_report,
+    trace_svg,
+)
 from conicsteps.cli import main
 
 
@@ -368,6 +380,46 @@ class TestTrace:
         assert target.read_text(encoding="utf-8") == trace_svg(deeper)
         spot = [l for l in run(capsys, "trace", path)[1].splitlines() if l.startswith("spot ")]
         assert [l for l in out.splitlines() if l.startswith("spot ")] == spot
+
+
+class TestClosedStdout:
+    """A reader that stops early (``| head``) is not an error of the command:
+    exit 1, nothing on stderr."""
+
+    def test_broken_pipe_is_not_an_io_error(self, capsys, monkeypatch, tmp_path):
+        with open(tmp_path / "stdout", "w") as backing:
+
+            class ClosedPipe:
+                def write(self, text: str) -> int:
+                    raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+                def flush(self) -> None:
+                    pass
+
+                def fileno(self) -> int:
+                    return backing.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            code = main(["trace", bundled_scene("cassegrain.json")])
+            # the descriptor now writes to devnull, so the flush at exit is quiet
+            assert os.path.samestat(os.fstat(backing.fileno()), os.stat(os.devnull))
+        assert code == 1
+        assert capsys.readouterr().err == ""
+
+    def test_pipe_closed_after_the_first_line(self, tmp_path):
+        # far more output than a pipe holds, so the command is still writing
+        # when the pipe is closed
+        scene = load_scene(bundled_scene("cassegrain.json"))
+        path = tmp_path / "many.json"
+        save_scene(dataclasses.replace(scene, rays=scene.rays * 20), path)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        with subprocess.Popen([sys.executable, "-m", "conicsteps", "trace", str(path)],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"ray 0 bounces 2\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert (code, err) == (1, b"")
 
 
 class TestFigure:

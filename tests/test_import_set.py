@@ -8,10 +8,6 @@ imported every module.
 """
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -20,28 +16,11 @@ import conicsteps
 import conicsteps.config
 import conicsteps.convergence
 from conicsteps.cli import main
+from conftest import fresh
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENE = ROOT / "src" / "conicsteps" / "scenes" / "cassegrain.json"
 DEFERRED = ("conicsteps.construction", "conicsteps.convergence")
-
-
-def fresh(code: str) -> object:
-    """Run ``code`` in a new interpreter with ``src`` on the path.
-
-    ``code`` leaves its answer in ``result``; it is returned parsed from
-    JSON.  The interpreter's own stdout is discarded.
-    """
-    script = (
-        "import contextlib, io, json, sys\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        + "".join(f"    {line}\n" for line in code.splitlines())
-        + "print(json.dumps(result))\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
 
 
 def loaded_by_cli(argv: list[str]) -> tuple[int, list[str]]:

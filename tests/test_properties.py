@@ -39,7 +39,7 @@ from conicsteps import (
     translate,
 )
 from conicsteps.cli import main
-from conicsteps.svgout import _CURVE_SAMPLES, _sample, _SvgDoc, default_cassegrain_scene
+from conicsteps.svgout import _CURVE_SAMPLES, _curve, _SvgDoc, default_cassegrain_scene
 from conftest import pose_scene
 
 EPS = 2.220446049250313e-16
@@ -119,15 +119,19 @@ def test_reflection_is_an_involution(conic, t, angle):
 @given(conic=posed_conics(), t0=_floats(-700.0, 700.0), t1=_floats(-700.0, 700.0))
 def test_batch_samples_are_the_pointwise_samples(conic, t0, t1):
     # a curve sampled in one batch, as the figures draw it, gives every
-    # sample bit for bit as point_at and the scalar kernel do one at a time
+    # sample bit for bit as point_at and the scalar kernel do one at a time;
+    # the drawn polyline is their formatting, and its extent their min/max
     n = _CURVE_SAMPLES
     ts = [t0 + (t1 - t0) * i / n for i in range(n + 1)]
     pointwise = [(p.x, p.y) for p in map(conic.point_at, ts)]
     assert [conic.placement._xy_to_scene(*conic.shape._point(t)) for t in ts] == pointwise
     assert conic._xys_at(ts) == pointwise
     doc = _SvgDoc()
-    _sample(conic, t0, t1, "curve", doc)
-    assert doc._xy == pointwise
+    doc.polyline_text("curve", *_curve(conic, t0, t1))
+    text = " ".join("%.8g,%.8g" % (x, -y) for x, y in pointwise)
+    assert doc._items == [("polyline", "curve", text, False, False)]
+    xs, ys = zip(*pointwise)
+    assert doc._extent == (min(xs), max(xs), min(ys), max(ys))
 
 
 @st.composite

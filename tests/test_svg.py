@@ -21,8 +21,8 @@ from conicsteps import (
     load_scene,
     trace_svg,
 )
-from conicsteps.svgout import _sample, _SvgDoc, default_cassegrain_scene
-from conftest import pose_scene
+from conicsteps.svgout import _curve, _fixed_curve, default_cassegrain_scene
+from conftest import fresh, pose_scene
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -134,6 +134,58 @@ class TestFrozenSvg:
         assert digest == "6bfe335a206d7fa7f035e7f383dc9f2c86184f5ea9398a3eb6f3ba07f8b90c18"
 
 
+#: (delta, anchor_param) pairs other than any walk figure's defaults.
+OTHER_PAIRS = ((0.3, 0.9), (0.6, 1.1), (0.05, 0.7))
+#: The walk figures, which take a (delta, anchor_param) pair.
+WALK_FIGURES = tuple(fid for fid in FIGURE_IDS if fid not in ("isosceles", "cassegrain"))
+
+
+def draw_every_figure_at_other_pairs() -> None:
+    for delta, anchor_param in OTHER_PAIRS:
+        for figure_id in FIGURE_IDS:
+            if figure_id in WALK_FIGURES:
+                figure_svg(figure_id, delta=delta, anchor_param=anchor_param)
+            else:
+                figure_svg(figure_id)
+
+
+class TestFixedCurveCache:
+    """The figures' fixed curves are rendered once per process and reused."""
+
+    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
+    def test_reused_curves_give_the_first_render_bytes(self, figure_id):
+        # the fresh interpreter renders this figure's curves for the first
+        # time; in process they come from the cache, filled by other figures
+        # and other triangles
+        first = fresh(f"from conicsteps import figure_svg\nresult = figure_svg({figure_id!r})")
+        draw_every_figure_at_other_pairs()
+        assert figure_svg(figure_id) == first
+
+    def test_one_entry_per_fixed_curve(self):
+        # the ellipse and projection figures share the Ellipse(5, 3) curve,
+        # so one pass over the six figures looks up 7 curves, 6 distinct
+        draw_every_figure_at_other_pairs()
+        before = _fixed_curve.cache_info()
+        for figure_id in FIGURE_IDS:
+            figure_svg(figure_id)
+        after = _fixed_curve.cache_info()
+        assert after.currsize == 6
+        assert (after.hits - before.hits, after.misses - before.misses) == (7, 0)
+
+    def test_a_failed_render_stores_nothing(self):
+        before = _fixed_curve.cache_info().currsize
+        for _ in range(2):  # the checks run again on the second call
+            with pytest.raises(ValueError, match=OVERFLOW_MESSAGE):
+                _fixed_curve(OVERFLOWING, 0.0, 1.0)
+        assert _fixed_curve.cache_info().currsize == before
+
+    def test_trace_svg_does_not_use_the_cache(self):
+        before = _fixed_curve.cache_info()
+        trace_svg(default_cassegrain_scene(4))
+        trace_svg(pose_scene(default_cassegrain_scene(4), Placement(1.5, -2.25, 0.7)))
+        assert _fixed_curve.cache_info() == before
+
+
 # Finite canonical axes whose translated samples overflow to infinity.
 OVERFLOWING = Conic(Ellipse(1e308, 1e308), Placement(1.5e308, 0.0, 0.0))
 OVERFLOW_MESSAGE = re.escape("point coordinates must be finite, got (inf, 0.0)")
@@ -142,7 +194,7 @@ OVERFLOW_MESSAGE = re.escape("point coordinates must be finite, got (inf, 0.0)")
 class TestSampleFiniteness:
     def test_sample_rejects_overflow(self):
         with pytest.raises(ValueError, match=OVERFLOW_MESSAGE):
-            _sample(OVERFLOWING, 0.0, 1.0, "curve", _SvgDoc())
+            _curve(OVERFLOWING, 0.0, 1.0)
 
     def test_trace_svg_rejects_overflow(self):
         with pytest.raises(ValueError, match=OVERFLOW_MESSAGE):
@@ -159,7 +211,7 @@ class TestSampleFiniteness:
         with pytest.raises(ValueError, match=message):
             conic.point_at(1e200)
         with pytest.raises(ValueError, match=message):
-            _sample(conic, 1e200, 1e200, "curve", _SvgDoc())
+            _curve(conic, 1e200, 1e200)
 
 
 class TestSampleErrorOrder:
@@ -171,13 +223,13 @@ class TestSampleErrorOrder:
         conic = Conic(Hyperbola(3, 4, -1), Placement(1, 2, 0.3))
         message = re.escape("point coordinates must be finite, got (-1.7936568447594977e+308, inf)")
         with pytest.raises(ValueError, match=f"^{message}$"):
-            _sample(conic, 0.0, 800.0, "curve", _SvgDoc())
+            _curve(conic, 0.0, 800.0)
 
     def test_first_sample_past_the_float_range_is_named(self):
         conic = Conic(Hyperbola(3, 4, -1), Placement(1, 2, 0.3))
         message = re.escape("parameter t=711.0 is past the float range")
         with pytest.raises(ValueError, match=f"^{message}$"):
-            _sample(conic, 711.0, 800.0, "curve", _SvgDoc())
+            _curve(conic, 711.0, 800.0)
 
 
 class TestSize:
