@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedVariantError,
 )
 from .geometry import Direction, Point
-from .optics import _spot_report, _trace_xy, reflect_at
+from .optics import _ray_xy, _spot_report, _trace_xy, reflect_at
 from .sceneio import load_scene
 from .svgout import FIGURE_IDS, _trace_svg, figure_svg
 
@@ -261,7 +261,7 @@ def _cmd_trace(args) -> int:
     # (a trace at cap k is the first k bounces of one at any larger cap).
     capped = scene if args.max_bounces is None else replace(scene, max_bounces=args.max_bounces)
     deepest = max(scene, capped, key=lambda s: s.max_bounces)
-    bounces = [_trace_xy(deepest, r.origin.x, r.origin.y, r.dir.x, r.dir.y) for r in scene.rays]
+    bounces = _trace_xy(deepest, map(_ray_xy, scene.rays))
     listed = [b[:capped.max_bounces] for b in bounces]
     for i, (r, ray_bounces) in enumerate(zip(scene.rays, listed)):
         print(f"ray {i} bounces {len(ray_bounces)}")

@@ -336,13 +336,17 @@ class Conic:
         xc, yc = self.placement._xy_to_canonical(x, y)
         _require_finite(xc, yc)
         res = self.shape._residual(xc, yc)
-        limit = tolerances.on_curve * (1.0 + self.scale)
+        limit = self._on_curve_limit(tolerances)
         if abs(res) > limit:
             raise OffCurveError(
                 f"{what} ({x!r}, {y!r}) is off the curve: "
                 f"residual {res!r} exceeds {limit!r}"
             )
         return xc, yc
+
+    def _on_curve_limit(self, tolerances: Tolerances) -> float:
+        """The |residual| ``_require_on_curve`` allows under ``tolerances``."""
+        return tolerances.on_curve * (1.0 + self.scale)
 
     # ------------------------------------------------- tangent and normal
 
@@ -357,15 +361,9 @@ class Conic:
         (tangent, normal) is a right-handed frame.  Raises OffCurveError
         when ``q`` is not on the curve within ``tolerances.on_curve * (1 + scale)``.
         """
-        normal = _unit_unchecked(*self._normal_xy(*self._require_on_curve(q.x, q.y, tolerances)))
+        gx, gy = _normalized(*self.shape._gradient(*self._require_on_curve(q.x, q.y, tolerances)))
+        normal = _unit_unchecked(*_normalized(*self.placement._rotate_to_scene(gx, gy)))
         return normal.perpendicular(), normal
-
-    def _normal_xy(self, xc: float, yc: float) -> tuple[float, float]:
-        """``tangent_normal``'s scene-frame unit normal, as floats, at the
-        canonical point ``(xc, yc)`` of a scene point already checked on the
-        curve by ``_require_on_curve``."""
-        gx, gy = _normalized(*self.shape._gradient(xc, yc))
-        return _normalized(*self.placement._rotate_to_scene(gx, gy))
 
     # ----------------------------------------------------- parametrization
 

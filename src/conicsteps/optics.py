@@ -16,16 +16,18 @@ acts as a virtual image: the outgoing ray's supporting line passes through
 it exactly, on the far side of the bounce.  Spot statistics therefore
 measure the distance from the second focus to that outgoing line.
 
-The work is done in floats: one bounce loop, ``_trace_xy``, runs on plain
-coordinates in each mirror's canonical frame, through one private hit
-finder and one private reflector, and returns each bounce as a tuple.
-``intersect_ray`` and ``reflect_at`` wrap the same two functions, and
-``trace`` the loop; these three alone build trace objects, and only
-``trace`` builds ``Hit`` and ``TracePath``.  The spot statistics, the SVG
-and the CLI listing read the float bounces.  Every check the objects made
-(finite points, normalizable directions, the on-curve and branch checks) is
-still made on the floats, in the same order and with the same arithmetic,
-so results are bit-identical to tracing with objects.
+The work is done in floats: one bounce loop, ``_trace_xy``, traces a bundle
+of ``(ox, oy, dx, dy)`` rays, each through all its bounces before the next,
+through one private hit finder and one private reflector that read each
+mirror from a float record (``_mirror``) built once per call, and returns
+each bounce as a tuple.  ``intersect_ray`` and ``reflect_at`` wrap the same
+two functions, and ``trace`` the loop; these three alone build trace
+objects, and only ``trace`` builds ``Hit`` and ``TracePath``.  The spot
+statistics, the SVG and the CLI listing trace each bundle in one call and
+read the float bounces.  Every check the objects made (finite points,
+normalizable directions, the on-curve and branch checks) is still made on
+the floats, in the same order and with the same arithmetic, so results are
+bit-identical to tracing with objects.
 Tracing reads its bounce cap and its bounds from the scene
 (``Scene.max_bounces`` and ``Scene.tolerances``), the one trace policy;
 functions without a scene take a ``Tolerances`` argument.
@@ -77,6 +79,8 @@ _ROOT_MERGE = 1e-7
 #: near-degenerate (almost linear) quadratics and are discarded.
 _MAX_RAY_T = 1e12
 
+_RayXY = tuple[float, float, float, float]  #: (ox, oy, dx, dy): origin, unit direction
+_Mirror = tuple  #: one mirror as the float tracer reads it, built by ``_mirror``
 #: one bounce of the float tracer: (mirror_index, t, x, y, dx, dy), the hit
 #: point and the unit outgoing direction.
 _Bounce = tuple[int, float, float, float, float, float]
@@ -143,8 +147,7 @@ class Scene:
         object.__setattr__(self, "mirrors", tuple(as_conic(m) for m in self.mirrors))
         object.__setattr__(self, "rays", tuple(self.rays))
         for ray in self.rays:
-            if not isinstance(ray, Ray):
-                raise TypeError(f"rays must be Rays, got {ray!r}")
+            _ray_xy(ray)
         roles = tuple(self.roles) or tuple("mirror" for _ in self.mirrors)
         object.__setattr__(self, "roles", roles)
         if len(self.roles) != len(self.mirrors):
@@ -209,20 +212,34 @@ class SpotReport:
     distances: tuple[float, ...] = field(repr=False)
 
 
+def _ray_xy(ray: Ray) -> _RayXY:
+    """``ray`` as the float tracer takes it; the one check that a traced item is a Ray."""
+    if not isinstance(ray, Ray):
+        raise TypeError(f"rays must be Rays, got {ray!r}")
+    return ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y
+
+
+def _mirror(conic: Conic, tolerances: Tolerances) -> _Mirror:
+    """``conic`` as ``_hits`` and ``_reflect`` read it: (cos, sin, tx, ty, ray_coeffs,
+    on_branch, residual, gradient, on-curve bound, conic, tolerances)."""
+    pl, shape = conic.placement, conic.shape
+    return (pl._cos, pl._sin, pl.tx, pl.ty, shape._ray_coeffs, shape._on_branch,
+            shape._residual, shape._gradient, conic._on_curve_limit(tolerances), conic, tolerances)
+
+
 def _hits(
-    conic: Conic, ox: float, oy: float, dx: float, dy: float
+    mirror: _Mirror, ox: float, oy: float, dx: float, dy: float
 ) -> list[tuple[float, float, float]]:
     """``intersect_ray`` on floats: ``(t, x, y)`` for each forward hit of the
     ray from ``(ox, oy)`` along ``(dx, dy)``, nearest first, all in scene
     coordinates.
 
-    The ray is solved in the conic's canonical frame, where its direction
+    The ray is solved in the mirror's canonical frame, where its direction
     is renormalized.  The ``_SELF_HIT``/``_MAX_RAY_T`` window, the
     ``_ROOT_MERGE`` tangency merge and the other-branch filter are applied
     here and nowhere else.
     """
-    placement = conic.placement
-    c, s, tx, ty = placement._cos, placement._sin, placement.tx, placement.ty
+    c, s, tx, ty, ray_coeffs, on_branch, _, _, _, _, _ = mirror
     isfinite = math.isfinite
     # The Placement transforms inline, and _require_finite only to raise:
     # this is the tracer's innermost call.
@@ -233,9 +250,7 @@ def _hits(
     if not (isfinite(ocx) and isfinite(ocy)):
         _require_finite(ocx, ocy)
     dcx, dcy = _normalized(dx * c + dy * s, -dx * s + dy * c)
-    shape = conic.shape
-    n, r0, r1 = kernels.quadratic_roots(*shape._ray_coeffs(ocx, ocy, dcx, dcy),
-                                        _ROOT_MERGE)
+    n, r0, r1 = kernels.quadratic_roots(*ray_coeffs(ocx, ocy, dcx, dcy), _ROOT_MERGE)
     hits = []
     for t in (r0, r1)[:n]:
         if not (_SELF_HIT < t <= _MAX_RAY_T):
@@ -244,7 +259,7 @@ def _hits(
         yc = ocy + t * dcy
         if not (isfinite(xc) and isfinite(yc)):
             _require_finite(xc, yc)
-        if not shape._on_branch(xc):
+        if not on_branch(xc):
             continue
         x = xc * c - yc * s + tx
         y = xc * s + yc * c + ty
@@ -263,29 +278,30 @@ def intersect_ray(conic: Conic | Shape, ray: Ray) -> tuple[tuple[float, Point], 
     than 1e-7 collapse to the single tangency point.  Hyperbola hits on the
     other branch are discarded.
     """
-    found = _hits(as_conic(conic), ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y)
+    found = _hits(_mirror(as_conic(conic), DEFAULT), *_ray_xy(ray))
     return tuple((t, Point(x, y)) for t, x, y in found)
 
 
-def _reflect(
-    conic: Conic, x: float, y: float, dx: float, dy: float, tolerances: Tolerances
-) -> tuple[float, float]:
+def _reflect(mirror: _Mirror, x: float, y: float, dx: float, dy: float) -> tuple[float, float]:
     """``reflect_at`` on floats: the unit direction leaving the scene point
-    ``(x, y)`` for the incoming direction ``(dx, dy)``."""
-    xc, yc = conic._require_on_curve(x, y, tolerances)
-    nx, ny = conic._normal_xy(xc, yc)
+    ``(x, y)`` for the incoming direction ``(dx, dy)``, across the tangent of
+    ``Conic.tangent_normal``; a point off the curve is raised by ``_require_on_curve``."""
+    c, s, tx, ty, _, _, residual, gradient, on_curve, conic, tolerances = mirror
+    x0, y0 = x - tx, y - ty
+    xc, yc = x0 * c + y0 * s, -x0 * s + y0 * c
+    if not (math.isfinite(xc) and math.isfinite(yc)) or abs(residual(xc, yc)) > on_curve:
+        conic._require_on_curve(x, y, tolerances)
+    gx, gy = _normalized(*gradient(xc, yc))
+    nx, ny = _normalized(gx * c - gy * s, gx * s + gy * c)
     return _reflect_xy(dx, dy, ny, -nx)  # across the tangent: the normal turned by -pi/2
 
 
 def reflect_at(
-    conic: Conic | Shape,
-    q: Point,
-    incoming: Direction,
-    tolerances: Tolerances = DEFAULT,
+    conic: Conic | Shape, q: Point, incoming: Direction, tolerances: Tolerances = DEFAULT
 ) -> Direction:
     """Reflect ``incoming`` across the analytic tangent line at ``q``."""
-    return _unit_unchecked(*_reflect(as_conic(conic), q.x, q.y, incoming.x, incoming.y,
-                                     tolerances))
+    return _unit_unchecked(*_reflect(_mirror(as_conic(conic), tolerances),
+                                     q.x, q.y, incoming.x, incoming.y))
 
 
 def focal_property_error(
@@ -303,43 +319,46 @@ def focal_property_error(
     conic = as_conic(conic)
     xc, yc = conic._require_on_curve(q.x, q.y, tolerances)
     rotate = conic.placement._rotate_to_scene
-    ix, iy = rotate(*conic.shape._step(xc, yc, False, True))
-    nx, ny = conic._normal_xy(xc, yc)
-    outgoing = _reflect_xy(ix, iy, ny, -nx)
+    outgoing = _reflect(_mirror(conic, tolerances), q.x, q.y,
+                        *rotate(*conic.shape._step(xc, yc, False, True)))
     return _angle_xy(*outgoing, *rotate(*conic.shape._step(xc, yc, True, True)))
 
 
-def _trace_xy(scene: Scene, ox: float, oy: float, dx: float, dy: float) -> list[_Bounce]:
-    """``trace`` on floats: the bounces of the ray from ``(ox, oy)`` along the
-    unit ``(dx, dy)``; the one bounce loop."""
-    tolerances = scene.tolerances
-    mirrors = scene.mirrors
-    bounces: list[_Bounce] = []
-    for _ in range(scene.max_bounces):
-        best: tuple[float, float, float, int] | None = None
-        for index, mirror in enumerate(mirrors):
-            found = _hits(mirror, ox, oy, dx, dy)
-            if found and (best is None or found[0][0] < best[0]):
-                best = (*found[0], index)
-        if best is None:
-            break
-        t, ox, oy, index = best
-        dx, dy = _reflect(mirrors[index], ox, oy, dx, dy, tolerances)
-        bounces.append((index, t, ox, oy, dx, dy))
-    return bounces
+def _trace_xy(scene: Scene, rays: Iterable[_RayXY]) -> list[list[_Bounce]]:
+    """``trace`` on floats, the one bounce loop: a list of bounces per ray, each
+    mirror's record built once per call.  Each ray makes all its bounces before
+    the next starts, so the first ray to fail a check raises as if traced alone."""
+    mirrors = [_mirror(m, scene.tolerances) for m in scene.mirrors]
+    indexed = list(enumerate(mirrors))
+    traced = []
+    for ox, oy, dx, dy in rays:
+        bounces: list[_Bounce] = []
+        for _ in range(scene.max_bounces):
+            best: tuple[float, float, float, int] | None = None
+            for index, mirror in indexed:
+                found = _hits(mirror, ox, oy, dx, dy)
+                if found and (best is None or found[0][0] < best[0]):
+                    best = (*found[0], index)
+            if best is None:
+                break
+            t, ox, oy, index = best
+            dx, dy = _reflect(mirrors[index], ox, oy, dx, dy)
+            bounces.append((index, t, ox, oy, dx, dy))
+        traced.append(bounces)
+    return traced
 
 
 def trace(scene: Scene, ray: Ray) -> TracePath:
     """Trace ``ray`` through the scene, always taking the nearest bounce.
 
-    Stops when no mirror lies ahead or ``scene.max_bounces`` is reached;
-    ties on hit distance go to the lower mirror index.  ``final`` is the
-    free ray leaving the last bounce (the input ray itself for a clean
-    miss).  The on-curve bound of each reflection comes from
-    ``scene.tolerances``.  To trace at another cap, trace
-    ``dataclasses.replace(scene, max_bounces=k)``.
+    Stops when no mirror lies ahead or ``scene.max_bounces`` is reached; ties
+    on hit distance go to the lower mirror index.  ``final`` is the free ray
+    leaving the last bounce (the input ray itself for a clean miss).  The
+    on-curve bound of each reflection comes from ``scene.tolerances``.  To
+    trace at another cap, trace ``dataclasses.replace(scene, max_bounces=k)``.
+    ``ray`` goes through ``_trace_xy`` as a bundle of one.
     """
-    bounces = _trace_xy(scene, ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y)
+    (bounces,) = _trace_xy(scene, [_ray_xy(ray)])
     hits = tuple(Hit(mirror_index=index, point=Point(x, y), t=t, outgoing=_unit_unchecked(dx, dy))
                  for index, t, x, y, dx, dy in bounces)
     final = Ray(hits[-1].point, hits[-1].outgoing) if hits else ray
@@ -369,8 +388,7 @@ def spot_report(scene: Scene, rays: Iterable[Ray]) -> SpotReport:
     passes through it).  Missed rays are counted, never dropped.
     """
     _require_pair(scene)
-    return _spot_report(scene, [_trace_xy(scene, r.origin.x, r.origin.y, r.dir.x, r.dir.y)
-                                for r in rays])
+    return _spot_report(scene, _trace_xy(scene, map(_ray_xy, rays)))
 
 
 def _spot_report(scene: Scene, bounces: Sequence[Sequence[_Bounce]]) -> SpotReport:
@@ -435,20 +453,20 @@ def cassegrain_spot(scene: Scene, n_rays: int, aperture: float) -> SpotReport:
     dx, dy = _normalized(*primary.placement._rotate_to_scene(0.0, -1.0))
     first_bounce = replace(scene, max_bounces=1)
 
-    def bounces(traced: Scene, x: float) -> list[_Bounce]:
+    def ray(x: float) -> _RayXY:
         _require_finite(x, y_top)
-        return _trace_xy(traced, *primary.placement._xy_to_scene(x, y_top), dx, dy)
+        return (*primary.placement._xy_to_scene(x, y_top), dx, dy)
 
     def blocked(x: float) -> bool:  # is the first bounce off the secondary?
-        return any(index == secondary_index for index, *_ in bounces(first_bounce, x))
+        return any(index == secondary_index for index, *_ in _trace_xy(first_bounce, [ray(x)])[0])
 
     if n_rays == 1:
-        return _spot_report(scene, [bounces(scene, 0.0)])
+        return _spot_report(scene, _trace_xy(scene, [ray(0.0)]))
 
     if blocked(aperture):
         # The whole aperture is shadowed; report the blocked bundle as-is.
         xs = [aperture * (i + 1) / n_rays for i in range(n_rays)]
-        return _spot_report(scene, [bounces(scene, x) for x in xs])
+        return _spot_report(scene, _trace_xy(scene, map(ray, xs)))
 
     lo, hi = 0.0, aperture
     if blocked(lo + 1e-12 * aperture):
@@ -469,4 +487,4 @@ def cassegrain_spot(scene: Scene, n_rays: int, aperture: float) -> SpotReport:
         for i in range(n_pos)
     ]
     xs += [-x for x in xs[:n_neg]]
-    return _spot_report(scene, [bounces(scene, x) for x in xs])
+    return _spot_report(scene, _trace_xy(scene, map(ray, xs)))

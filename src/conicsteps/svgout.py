@@ -8,8 +8,8 @@ for identical inputs.
 
 ``figure_svg`` renders the six named construction figures;
 ``REQUIRED_ELEMENTS`` lists, per figure, the element ids a structural
-check should find in the document.  Traced rays are drawn from the float
-bounces of ``optics._trace_xy``; this module builds no trace objects.
+check should find in the document.  A bundle of traced rays is drawn from
+the float bounces of one ``optics._trace_xy`` call, never from trace objects.
 
 Only the triangle of a figure depends on ``delta`` and ``anchor_param``;
 its curves are fixed.  Each fixed curve is sampled and formatted by the
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Placement
 from .geometry import Direction, Point, _require_count, scalar_projection, translate
-from .optics import Ray, Scene, _Bounce, _trace_xy
+from .optics import Ray, Scene, _Bounce, _ray_xy, _trace_xy
 
 if TYPE_CHECKING:
     from .construction import StepTriangle
@@ -322,9 +322,9 @@ def _figure_cassegrain(doc: _SvgDoc) -> None:
     doc.polyline_text("curve", *_fixed_curve(primary, -5.2, 5.2))
     doc.polyline_text("curve-2", *_fixed_curve(secondary, -2.6, 2.6))
     _mark_foci(doc, primary.focus_points()[0], secondary.focus_points()[1])
-    offsets = (3.8, 4.4, 5.0, -3.8, -4.4, -5.0)
-    for i, x in enumerate(offsets):
-        _draw_path(doc, i, x, 8.0, 0.0, -1.0, _trace_xy(scene, x, 8.0, 0.0, -1.0))
+    rays = [(x, 8.0, 0.0, -1.0) for x in (3.8, 4.4, 5.0, -3.8, -4.4, -5.0)]
+    for i, (ray, bounces) in enumerate(zip(rays, _trace_xy(scene, rays))):
+        _draw_path(doc, i, *ray, bounces)
 
 
 #: figure id -> (drawer, default (delta, anchor_param)), or None for a
@@ -369,8 +369,7 @@ def figure_svg(
 def trace_svg(scene: Scene, width: int = 640, height: int = 480) -> str:
     """Draw a scene's mirrors and all its bundled rays, traced at its own cap."""
     _require_size(width, height)
-    return _trace_svg(scene, [_trace_xy(scene, r.origin.x, r.origin.y, r.dir.x, r.dir.y)
-                              for r in scene.rays], width, height)
+    return _trace_svg(scene, _trace_xy(scene, map(_ray_xy, scene.rays)), width, height)
 
 
 def _trace_svg(
@@ -394,5 +393,5 @@ def _trace_svg(
         doc.marker("focus-1", pair[0].focus_points()[0])
         doc.marker("focus-2", pair[1].focus_points()[1])
     for i, (r, ray_bounces) in enumerate(zip(scene.rays, bounces)):
-        _draw_path(doc, i, r.origin.x, r.origin.y, r.dir.x, r.dir.y, ray_bounces)
+        _draw_path(doc, i, *_ray_xy(r), ray_bounces)
     return doc.emit(width, height)

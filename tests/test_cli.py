@@ -312,15 +312,17 @@ class TestTrace:
         assert "<svg" in target.read_text()
 
     def _count_traces(self, monkeypatch) -> list[int]:
-        # Counts runs of the one bounce loop, optics._trace_xy, in every
-        # conicsteps module that binds it, so an SVG or a spot report that
-        # traced the rays again would be counted.
-        calls = [0]
+        # Counts calls of the one bounce loop, optics._trace_xy, and the rays
+        # traced across them, in every conicsteps module that binds it, so an
+        # SVG or a spot report that traced the rays again would be counted.
+        calls = [0, 0]
         real = conicsteps.optics._trace_xy
 
-        def counting(*args, **kwargs):
+        def counting(scene, rays):
+            rays = list(rays)
             calls[0] += 1
-            return real(*args, **kwargs)
+            calls[1] += len(rays)
+            return real(scene, rays)
 
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "conicsteps" and hasattr(module, "_trace_xy"):
@@ -333,7 +335,7 @@ class TestTrace:
         calls = self._count_traces(monkeypatch)
         code, out, _ = run(capsys, "trace", path, "--svg", str(target))
         assert code == 0
-        assert calls[0] == 100
+        assert calls == [1, 100]
         monkeypatch.undo()
         scene = load_scene(path)
         assert target.read_text(encoding="utf-8") == trace_svg(scene)
@@ -345,7 +347,7 @@ class TestTrace:
         calls = self._count_traces(monkeypatch)
         code, out, _ = run(capsys, "trace", path, "--max-bounces", "2")
         assert code == 0
-        assert calls[0] == 100
+        assert calls == [1, 100]
         monkeypatch.undo()
         assert run(capsys, "trace", path)[1] == out
 
@@ -357,7 +359,7 @@ class TestTrace:
         calls = self._count_traces(monkeypatch)
         code, out, _ = run(capsys, "trace", path, "--max-bounces", "1", "--svg", str(target))
         assert code == 0
-        assert calls[0] == 100
+        assert calls == [1, 100]
         monkeypatch.undo()
         scene = load_scene(path)
         capped = dataclasses.replace(scene, max_bounces=1)
@@ -372,7 +374,7 @@ class TestTrace:
         calls = self._count_traces(monkeypatch)
         code, out, _ = run(capsys, "trace", path, "--max-bounces", "5", "--svg", str(target))
         assert code == 0
-        assert calls[0] == 100
+        assert calls == [1, 100]
         monkeypatch.undo()
         scene = load_scene(path)
         assert scene.max_bounces < 5

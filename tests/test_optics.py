@@ -1,11 +1,13 @@
 """Ray-conic intersection, reflection, tracing, and the two-mirror scene."""
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
 import math
 import random
 import re
+import types
 
 import pytest
 
@@ -31,7 +33,7 @@ from conicsteps import (
     spot_report,
     trace,
 )
-from conicsteps import optics
+from conicsteps import conics, optics
 from conicsteps.svgout import default_cassegrain_scene
 from conftest import pose_scene, random_conic, random_param
 
@@ -346,6 +348,22 @@ class TestSceneTolerances:
         monkeypatch.setattr(optics, "_MAX_RAY_T", 2.0)
         assert trace(scene, ray).hits == ()
 
+    # The window is ``_SELF_HIT < t <= _MAX_RAY_T``: a hit exactly at the
+    # far edge is kept, one exactly at the near edge is dropped.
+    EDGE_RAY = Ray(Point(0.0, 0.0), Direction(0.0, 1.0))
+
+    def test_hit_at_max_ray_t_is_kept(self, monkeypatch):
+        ((t, _),) = intersect_ray(ELL, self.EDGE_RAY)
+        monkeypatch.setattr(optics, "_MAX_RAY_T", t)
+        assert intersect_ray(ELL, self.EDGE_RAY)[0][0] == t
+        assert trace(Scene(mirrors=(ELL,)), self.EDGE_RAY).hits[0].t == t
+
+    def test_hit_at_self_hit_is_dropped(self, monkeypatch):
+        ((t, _),) = intersect_ray(ELL, self.EDGE_RAY)
+        monkeypatch.setattr(optics, "_SELF_HIT", t)
+        assert intersect_ray(ELL, self.EDGE_RAY) == ()
+        assert trace(Scene(mirrors=(ELL,)), self.EDGE_RAY).hits == ()
+
     def test_max_ray_t_read_by_spot_statistics(self, monkeypatch):
         scene = default_cassegrain_scene(10)
         assert spot_report(scene, scene.rays).n_missed == 0
@@ -402,6 +420,33 @@ class TestTrace:
         assert path.hits[0].mirror_index == 0  # outer ellipse met first at x=-5
         path2 = trace(scene, Ray(Point(-4.5, 0), Direction(1, 0)))
         assert path2.hits[0].mirror_index == 1
+
+    def test_tie_goes_to_the_lower_index(self):
+        # two coincident mirrors tie on every hit distance
+        scene = Scene(mirrors=(ELL, ELL), max_bounces=4)
+        path = trace(scene, Ray(Point(-4, 0), Direction(4, 3)))
+        assert [h.mirror_index for h in path.hits] == [0, 0, 0, 0]
+        telescope = default_cassegrain_scene(4)
+        primary, secondary = telescope.mirrors
+        doubled = dataclasses.replace(telescope, mirrors=(primary, secondary, primary),
+                                      roles=("primary", "secondary", "mirror"))
+        assert {h.mirror_index for r in doubled.rays for h in trace(doubled, r).hits} == {0, 1}
+
+
+class TestTracedItems:
+    """A traced item that is not a Ray is named in a TypeError."""
+
+    @pytest.mark.parametrize("item", [Point(0.0, 8.0), (3.7, 8.0, 0.0, -1.0), None])
+    def test_trace(self, item):
+        # was AttributeError: 'Point' object has no attribute 'origin'
+        with pytest.raises(TypeError, match=re.escape(f"rays must be Rays, got {item!r}")):
+            trace(default_cassegrain_scene(), item)
+
+    @pytest.mark.parametrize("item", [Point(0.0, 8.0), (3.7, 8.0, 0.0, -1.0), None])
+    def test_spot_report(self, item):
+        scene = default_cassegrain_scene(2)
+        with pytest.raises(TypeError, match=re.escape(f"rays must be Rays, got {item!r}")):
+            spot_report(scene, [*scene.rays, item])
 
 
 class TestRayLineDistance:
@@ -550,6 +595,24 @@ class TestFloatCore:
             reflect_at(ELL, Point(0.0, 3.1), Direction(1, 0))
         with pytest.raises(NoBranchError):
             reflect_at(Conic(Hyperbola(3, 4)), Point(0.0, 1.0), Direction(1, 0))
+
+    def test_kernels_read_at_call_time(self, monkeypatch):
+        # the benchmark tracer swaps the kernel module in each module that
+        # holds it; a kernel bound to another name would run uncounted
+        calls = collections.Counter()
+        proxy = types.ModuleType(optics.kernels.__name__)
+        for name, value in vars(optics.kernels).items():
+            if callable(value) and not name.startswith("_") and not isinstance(value, type):
+                def value(*args, _name=name, _fn=value):
+                    calls[_name] += 1
+                    return _fn(*args)
+            setattr(proxy, name, value)
+        monkeypatch.setattr(optics, "kernels", proxy)
+        monkeypatch.setattr(conics, "kernels", proxy)
+        scene = default_cassegrain_scene(100)
+        spot_report(scene, scene.rays)
+        assert calls["quadratic_roots"] == 400
+        assert calls["parabola_ray_coeffs"] == calls["hyperbola_ray_coeffs"] == 200
 
     def test_spot_report_raises_as_trace_does(self):
         # spot_report runs the bounce loop without trace's objects, so a

@@ -39,6 +39,7 @@ from conicsteps import (
     translate,
 )
 from conicsteps.cli import main
+from conicsteps.optics import _ray_xy, _trace_xy
 from conicsteps.svgout import _CURVE_SAMPLES, _curve, _SvgDoc, default_cassegrain_scene
 from conftest import pose_scene
 
@@ -241,6 +242,56 @@ def test_spot_report_is_the_statistics_of_the_traced_paths(scene):
     report = spot_report(scene, scene.rays)
     assert _bits(report) == _bits(_spot_from_paths(scene))
     assert report.n_blocked >= 1 and report.n_missed >= 1
+
+
+def _traced(scene: Scene, rays) -> object:
+    """``_trace_xy`` of the bundle, or the type and message of what it raised;
+    a float repr round-trips, so equal strings are equal bits."""
+    try:
+        return repr(_trace_xy(scene, rays))
+    except (ConicError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+#: float rays that fail a check wherever they start: two non-finite origins
+#: and a zero direction.
+BAD_RAYS = ((math.inf, 8.0, 0.0, -1.0), (0.0, math.nan, 0.0, -1.0), (4.0, 8.0, 0.0, 0.0))
+
+
+@st.composite
+def bundles(draw) -> tuple[Scene, list]:
+    """A posed telescope at a drawn on-curve bound, tight enough that some
+    hits fail it, and its rays as floats with up to two bad rays mixed in."""
+    scene = dataclasses.replace(draw(posed_telescopes()), tolerances=Tolerances(
+        on_curve=10.0 ** draw(_floats(-16.5, -14.0))))
+    rays = [_ray_xy(r) for r in scene.rays]
+    for bad in draw(st.lists(st.sampled_from(BAD_RAYS), max_size=2)):
+        rays.insert(draw(st.integers(0, len(rays))), bad)
+    return scene, rays
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scene=posed_telescopes())
+def test_bundle_is_the_rays_traced_one_by_one(scene):
+    # one call on the bundle gives, bit for bit, each ray's own bounces
+    rays = [_ray_xy(r) for r in scene.rays]
+    alone = [b for ray in rays for b in _trace_xy(scene, [ray])]
+    assert repr(_trace_xy(scene, rays)) == repr(alone)
+    paths = [trace(scene, r) for r in scene.rays]
+    assert repr(alone) == repr([[(h.mirror_index, h.t, h.point.x, h.point.y, h.outgoing.x,
+                                  h.outgoing.y) for h in p.hits] for p in paths])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(bundle=bundles())
+def test_bundle_raises_as_its_first_failing_ray(bundle):
+    # rays are traced in order, each through all its bounces, so the bundle
+    # raises what its first failing ray raises traced alone
+    scene, rays = bundle
+    alone = [_traced(scene, [ray]) for ray in rays]
+    failed = [outcome for outcome in alone if isinstance(outcome, tuple)]
+    expected = failed[0] if failed else repr([b for ray in rays for b in _trace_xy(scene, [ray])])
+    assert _traced(scene, rays) == expected
 
 
 def _ray_polyline(path) -> str:
