@@ -14,60 +14,23 @@ The numeric kernels are plain Python (``conicsteps._kernels_py``); the
 package needs no compiler and no build step.  ``BACKEND`` names that
 implementation (``"python"``) for benchmark records.
 
-The names of ``construction`` and ``convergence`` are loaded on first
-access (PEP 562), because tracing a scene, the CLI's cold-start path,
-calls neither module and would otherwise pay to compile and run both.
+Each module's ``__all__`` is the one list of its public names.  The
+package republishes the eager modules' lists by star import and names the
+exports of the two deferred modules, ``construction`` and ``convergence``,
+in ``_LAZY``.  Those are loaded on first access (PEP 562), because tracing
+a scene, the CLI's cold-start path, calls neither module and would
+otherwise pay to compile and run both.
 """
 from importlib import import_module
 
 from ._backend import BACKEND
 from .config import DEFAULT, METRICS, Tolerances
-from .conics import (
-    Conic,
-    Ellipse,
-    Hyperbola,
-    Parabola,
-    Placement,
-    Projection,
-    as_conic,
-)
-from .errors import (
-    BracketError,
-    ConicError,
-    DegenerateDirectionError,
-    DegenerateTriangleError,
-    IterationError,
-    NoBranchError,
-    OffCurveError,
-    SceneFormatError,
-    UnsupportedVariantError,
-)
-from .geometry import (
-    Direction,
-    Line,
-    Point,
-    angle_between,
-    direction,
-    reflect_direction,
-    scalar_projection,
-    translate,
-)
-from .optics import (
-    Hit,
-    Ray,
-    Scene,
-    SpotReport,
-    TracePath,
-    cassegrain_spot,
-    focal_property_error,
-    intersect_ray,
-    ray_line_distance,
-    reflect_at,
-    spot_report,
-    trace,
-)
-from .sceneio import load_scene, parse_scene, save_scene, serialize_scene
-from .svgout import FIGURE_IDS, REQUIRED_ELEMENTS, figure_svg, trace_svg
+from .conics import *
+from .errors import *
+from .geometry import *
+from .optics import *
+from .sceneio import *
+from .svgout import *
 
 __version__ = "0.1.0"
 
@@ -100,76 +63,7 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_LAZY))
 
 
-__all__ = [
-    "__version__",
-    "BACKEND",
-    "DEFAULT",
-    "Tolerances",
-    # geometry
-    "Point",
-    "Direction",
-    "Line",
-    "direction",
-    "translate",
-    "reflect_direction",
-    "angle_between",
-    "scalar_projection",
-    # conics
-    "Ellipse",
-    "Parabola",
-    "Hyperbola",
-    "Placement",
-    "Conic",
-    "Projection",
-    "as_conic",
-    # construction
-    "StepTriangle",
-    "FocalChange",
-    "ExactReturn",
-    "two_step",
-    "apex_reflector",
-    "reflect_through_apex",
-    "focal_change_error",
-    "exact_return",
-    # optics
-    "Ray",
-    "Hit",
-    "TracePath",
-    "Scene",
-    "SpotReport",
-    "intersect_ray",
-    "reflect_at",
-    "focal_property_error",
-    "trace",
-    "spot_report",
-    "cassegrain_spot",
-    "ray_line_distance",
-    # convergence
-    "METRICS",
-    "SweepConfig",
-    "OrderEstimate",
-    "ConvergenceReport",
-    "run_sweep",
-    "estimate_order",
-    "noise_floor",
-    "standard_anchors",
-    # io / output
-    "parse_scene",
-    "load_scene",
-    "serialize_scene",
-    "save_scene",
-    "FIGURE_IDS",
-    "REQUIRED_ELEMENTS",
-    "figure_svg",
-    "trace_svg",
-    # errors
-    "ConicError",
-    "DegenerateDirectionError",
-    "OffCurveError",
-    "NoBranchError",
-    "DegenerateTriangleError",
-    "UnsupportedVariantError",
-    "BracketError",
-    "IterationError",
-    "SceneFormatError",
-]
+# Each star import above also binds its submodule here, as ``conics`` etc.
+__all__ = ["__version__", "BACKEND", "DEFAULT", "METRICS", "Tolerances",
+           *conics.__all__, *errors.__all__, *geometry.__all__, *optics.__all__,
+           *sceneio.__all__, *svgout.__all__, *_LAZY]

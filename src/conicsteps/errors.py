@@ -1,5 +1,9 @@
 """Exception types raised by the public API."""
 
+__all__ = ["ConicError", "DegenerateDirectionError", "OffCurveError", "NoBranchError",
+           "DegenerateTriangleError", "UnsupportedVariantError", "BracketError",
+           "IterationError", "SceneFormatError"]
+
 
 class ConicError(Exception):
     """Base class for all conicsteps errors."""

@@ -219,6 +219,12 @@ def _ray_xy(ray: Ray) -> _RayXY:
     return ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y
 
 
+def _require_type(name: str, value: object, cls: type) -> None:
+    """Raise a TypeError naming ``name`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 def _mirror(conic: Conic, tolerances: Tolerances) -> _Mirror:
     """``conic`` as ``_hits`` and ``_reflect`` read it: (cos, sin, tx, ty, ray_coeffs,
     on_branch, residual, gradient, on-curve bound, conic, tolerances)."""
@@ -300,6 +306,8 @@ def reflect_at(
     conic: Conic | Shape, q: Point, incoming: Direction, tolerances: Tolerances = DEFAULT
 ) -> Direction:
     """Reflect ``incoming`` across the analytic tangent line at ``q``."""
+    _require_type("q", q, Point)
+    _require_type("incoming", incoming, Direction)
     return _unit_unchecked(*_reflect(_mirror(as_conic(conic), tolerances),
                                      q.x, q.y, incoming.x, incoming.y))
 
@@ -316,6 +324,7 @@ def focal_property_error(
     zero up to rounding for every on-curve point; an off-curve ``q``, a focus
     included, raises OffCurveError.
     """
+    _require_type("q", q, Point)
     conic = as_conic(conic)
     xc, yc = conic._require_on_curve(q.x, q.y, tolerances)
     rotate = conic.placement._rotate_to_scene
@@ -367,6 +376,8 @@ def trace(scene: Scene, ray: Ray) -> TracePath:
 
 def ray_line_distance(ray: Ray, q: Point) -> float:
     """Distance from ``q`` to the supporting line of ``ray``."""
+    _require_type("ray", ray, Ray)
+    _require_type("q", q, Point)
     return Line(ray.origin, ray.dir).distance_to(q)
 
 

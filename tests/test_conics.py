@@ -66,6 +66,10 @@ class TestShapeValidation:
             Ellipse(math.inf, 1.0)
         with pytest.raises(ValueError):
             Parabola(math.nan)
+        with pytest.raises(ValueError, match="finite"):
+            Hyperbola(math.inf, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            Hyperbola(1.0, math.nan)
 
 
 class TestResidual:

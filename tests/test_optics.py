@@ -109,6 +109,13 @@ class TestIntersect:
                            match=r"^point coordinates must be finite, got \(inf, nan\)$"):
             intersect_ray(conic, ray)
 
+    def test_one_non_finite_canonical_coordinate(self):
+        # rotating the origin overflows x only; a guard that needs both
+        # coordinates non-finite solved on and reported a miss
+        scene = Scene(mirrors=(Conic(Ellipse(5, 3), Placement(rotate=math.pi / 4)),))
+        with pytest.raises(ValueError, match=r"^point coordinates must be finite, got \(inf, "):
+            trace(scene, Ray(Point(1.5e308, 1.5e308), Direction(1, 0)))
+
     def test_hits_satisfy_residual_and_parameter(self):
         rng = random.Random(101)
         checked = 0
@@ -447,6 +454,26 @@ class TestTracedItems:
         scene = default_cassegrain_scene(2)
         with pytest.raises(TypeError, match=re.escape(f"rays must be Rays, got {item!r}")):
             spot_report(scene, [*scene.rays, item])
+
+
+class TestWrongTypedArguments:
+    """A public wrapper names a wrong-typed argument in a TypeError."""
+
+    # each was AttributeError: 'tuple' (or 'Point') object has no attribute ...
+    @pytest.mark.parametrize("call, message", [
+        (lambda: reflect_at(ELL, (0.0, 3.0), Direction(1, 0)), "q must be a Point, got (0.0, 3.0)"),
+        (lambda: reflect_at(ELL, Point(0.0, 3.0), (1.0, 0.0)),
+         "incoming must be a Direction, got (1.0, 0.0)"),
+        (lambda: focal_property_error(ELL, (0.0, 3.0)), "q must be a Point, got (0.0, 3.0)"),
+        (lambda: ray_line_distance(Point(0, 0), Point(1, 1)),
+         f"ray must be a Ray, got {Point(0, 0)!r}"),
+        (lambda: ray_line_distance(Ray(Point(0, 0), Direction(1, 1)), (1.0, 1.0)),
+         "q must be a Point, got (1.0, 1.0)"),
+    ], ids=["reflect_at-q", "reflect_at-incoming", "focal_property_error-q",
+            "ray_line_distance-ray", "ray_line_distance-q"])
+    def test_named_in_a_type_error(self, call, message):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            call()
 
 
 class TestRayLineDistance:
