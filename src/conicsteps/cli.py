@@ -263,21 +263,30 @@ def _cmd_trace(args) -> int:
     deepest = max(scene, capped, key=lambda s: s.max_bounces)
     bounces = _trace_xy(deepest, map(_ray_xy, scene.rays))
     listed = [b[:capped.max_bounces] for b in bounces]
+    lines = []
     for i, (r, ray_bounces) in enumerate(zip(scene.rays, listed)):
-        print(f"ray {i} bounces {len(ray_bounces)}")
+        lines.append(f"ray {i} bounces {len(ray_bounces)}")
         x, y, dx, dy = r.origin.x, r.origin.y, r.dir.x, r.dir.y
         for index, _, x, y, dx, dy in ray_bounces:
-            print(f"  hit {index} {_g(x)} {_g(y)}")
-        print(f"  final {_g(x)} {_g(y)} dir {_g(dx)} {_g(dy)}")
+            lines.append(f"  hit {index} {_g(x)} {_g(y)}")
+        lines.append(f"  final {_g(x)} {_g(y)} dir {_g(dx)} {_g(dy)}")
     if scene.telescope_pair() is not None and scene.rays:
         rep = _spot_report(scene, [b[:scene.max_bounces] for b in bounces])
-        print(f"spot target {_g(rep.target.x)} {_g(rep.target.y)}")
-        print(
+        lines += [
+            f"spot target {_g(rep.target.x)} {_g(rep.target.y)}",
             f"spot rays {rep.n_rays} focused {rep.n_focused} "
-            f"blocked {rep.n_blocked} missed {rep.n_missed}"
-        )
-        print(f"spot max {_g(rep.max_distance)}")
-        print(f"spot rms {_g(rep.rms_distance)}")
+            f"blocked {rep.n_blocked} missed {rep.n_missed}",
+            f"spot max {_g(rep.max_distance)}",
+            f"spot rms {_g(rep.rms_distance)}",
+        ]
+    if lines:
+        # The listing is one write, not a write per line (each print is one
+        # when stdout is unbuffered).  A reader that closes the pipe can cut
+        # that write short with no error, as the unbuffered text layer drops
+        # what a partial write leaves, so the last newline is a write of its
+        # own: it raises BrokenPipeError then.
+        sys.stdout.write("\n".join(lines))
+        sys.stdout.write("\n")
     if args.svg:
         _write_or_print(_trace_svg(capped, listed), args.svg)
     return 0

@@ -100,6 +100,16 @@ class TestIntersect:
     def test_miss_returns_empty(self):
         assert intersect_ray(ELL, Ray(Point(0, 4), Direction(1, 0))) == ()
 
+    def test_overflowing_coefficient_is_a_miss(self):
+        # far off to the side of a unit circle, x^2 + y^2 - 1 overflows: with
+        # C = inf the discriminant is -inf and its noise floor inf, which was
+        # taken for a tangency at the vertex of the overflowed quadratic
+        assert optics.kernels.quadratic_roots(1.0, -2.0, math.inf, 1e-7)[0] == 0
+        circle = Conic(Ellipse(1, 1))
+        ray = Ray(Point(1e200, -1), Direction(0, 1))
+        assert intersect_ray(circle, ray) == ()
+        assert trace(Scene(mirrors=(circle,)), ray).hits == ()
+
     def test_non_finite_canonical_origin(self):
         # both coordinates are finite in the scene; moving the origin into
         # the conic's frame overflows
@@ -115,6 +125,19 @@ class TestIntersect:
         scene = Scene(mirrors=(Conic(Ellipse(5, 3), Placement(rotate=math.pi / 4)),))
         with pytest.raises(ValueError, match=r"^point coordinates must be finite, got \(inf, "):
             trace(scene, Ray(Point(1.5e308, 1.5e308), Direction(1, 0)))
+
+    def test_scene_hit_past_the_float_range(self):
+        # the hit is finite in the mirror's frame (so thin a parabola is
+        # about 2.7e4 wide at the float maximum, and its ray coefficients
+        # stay finite), but moving it by ty into the scene overflows y
+        top = math.nextafter(math.inf, 0.0)
+        conic = Conic(Parabola(1e-300), Placement(ty=1.5 * math.ulp(top)))
+        ray = Ray(Point(0.0, top), Direction(1.0, 0.0))
+        message = r"^point coordinates must be finite, got \(26815\.\d+, inf\)$"
+        with pytest.raises(ValueError, match=message):
+            intersect_ray(conic, ray)
+        with pytest.raises(ValueError, match=message):
+            trace(Scene(mirrors=(conic,)), ray)
 
     def test_hits_satisfy_residual_and_parameter(self):
         rng = random.Random(101)
@@ -153,6 +176,17 @@ class TestReflectAt:
         out = reflect_at(Conic(Hyperbola(3, 4)), Point(3, 0), Direction(1, 0))
         assert out.x == pytest.approx(-1.0, abs=1e-15)
         assert out.y == pytest.approx(0.0, abs=1e-15)
+
+    def test_between_hyperbola_branches(self):
+        # canonical x == 0 is on neither branch: the hyperbola's own residual
+        # check raises, placed or not, before any gradient is taken
+        message = ("^point lies on the axis of symmetry between branches; "
+                   "the residual is defined per branch$")
+        for conic in (Conic(Hyperbola(3, 4)),
+                      Conic(Hyperbola(3, 4, branch=-1), Placement(1.0, -2.0))):
+            q = conic.placement.to_scene(Point(0.0, 1.0))
+            with pytest.raises(NoBranchError, match=message):
+                reflect_at(conic, q, Direction(1, 0))
 
     def test_reversed_ray_retraces_path(self):
         rng = random.Random(103)
