@@ -5,9 +5,8 @@ implicit-form gradients, parametric points (one at a time, or a whole
 curve's samples in one call), stable quadratic roots for
 ray-conic intersection, and the direct foot-of-normal solves, all reached
 through ``conicsteps._backend.kernels``: the per-shape kernels only from the
-shapes in ``conics``, whose methods call them and whose ``_tracer_kernels``
-binds the tracer's four to the shape's parameters for ``optics``;
-``quadratic_roots`` from ``optics`` and ``construction``.
+shape methods in ``conics``, ``quadratic_roots`` from ``optics`` and
+``construction``.
 
 All functions work in the conic's canonical frame and know nothing about
 placements, tolerable residuals, or error types — callers own validation.
@@ -126,7 +125,7 @@ def quadratic_roots(A: float, B: float, C: float, merge_sep: float) -> tuple[int
     if noise > thr2:
         thr2 = noise
     if disc <= thr2:
-        if disc < -thr2 or thr2 == math.inf:  # a coefficient overflowed
+        if disc < -thr2 or thr2 == math.inf:  # the noise floor overflowed
             return 0, 0.0, 0.0
         return 1, -B / (2.0 * A), 0.0
     sq = math.sqrt(disc)

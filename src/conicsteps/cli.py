@@ -280,13 +280,9 @@ def _cmd_trace(args) -> int:
             f"spot rms {_g(rep.rms_distance)}",
         ]
     if lines:
-        # The listing is one write, not a write per line (each print is one
-        # when stdout is unbuffered).  A reader that closes the pipe can cut
-        # that write short with no error, as the unbuffered text layer drops
-        # what a partial write leaves, so the last newline is a write of its
-        # own: it raises BrokenPipeError then.
-        sys.stdout.write("\n".join(lines))
-        sys.stdout.write("\n")
+        # print writes the trailing newline separately, so a reader that
+        # closes the pipe mid-listing is still reported
+        print("\n".join(lines))
     if args.svg:
         _write_or_print(_trace_svg(capped, listed), args.svg)
     return 0

@@ -15,12 +15,10 @@ shape with a placement and exposes every curve operation in scene
 coordinates: the signed residual, tangent/normal frames, parametric points,
 nearest-point projection, and focus locations.  Each shape owns its
 canonical-frame math: its ``_residual``, ``_gradient``, ``_point``,
-``_points``, ``_ray_coeffs``, ``_nearest`` and ``_on_branch`` call its
-kernels, and its ``_tracer_kernels`` returns the four the tracer calls
-(ray coefficients, branch test, residual, gradient) bound to the shape's
-parameters, so no other code picks a kernel by shape.  Its ``_step`` is the
-focal step rule: the unit direction of the two-step walk's first or second
-step, read by the walk and the focal reflection property.
+``_points``, ``_ray_coeffs``, ``_nearest`` and ``_on_branch`` are the only
+callers of its kernels, so no other code picks a kernel by shape.  Its
+``_step`` is the focal step rule: the unit direction of the two-step walk's
+first or second step, read by the walk and the focal reflection property.
 
 Residual conventions (distances measured in the canonical frame):
 
@@ -35,9 +33,8 @@ Residual conventions (distances measured in the canonical frame):
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from typing import ClassVar
 
 from ._backend import kernels
@@ -54,11 +51,6 @@ __all__ = [
     "Projection",
     "as_conic",
 ]
-
-#: a shape's ``(ray_coeffs, on_branch, residual, gradient)`` as the tracer
-#: calls them, each equal to the shape method of that name; ``on_branch`` is
-#: None where every canonical point is on the branch.
-_TracerKernels = tuple[Callable, Callable | None, Callable, Callable]
 
 
 @dataclass(frozen=True)
@@ -114,11 +106,6 @@ class Ellipse:
     def _on_branch(self, x: float) -> bool:
         return True
 
-    def _tracer_kernels(self) -> _TracerKernels:
-        a, b = self.a, self.b
-        return (partial(kernels.ellipse_ray_coeffs, a, b), None,
-                partial(kernels.ellipse_residual, a, b), partial(kernels.ellipse_gradient, a, b))
-
     def _step(self, x: float, y: float, second: bool, forward: bool) -> tuple[float, float]:
         f = self.c if second == forward else -self.c
         return _normalized(f - x, 0.0 - y) if second else _normalized(x - f, y - 0.0)
@@ -163,11 +150,6 @@ class Parabola:
 
     def _on_branch(self, x: float) -> bool:
         return True
-
-    def _tracer_kernels(self) -> _TracerKernels:
-        p = self.p
-        return (partial(kernels.parabola_ray_coeffs, p), None,
-                partial(kernels.parabola_residual, p), partial(kernels.parabola_gradient, p))
 
     def _step(self, x: float, y: float, second: bool, forward: bool) -> tuple[float, float]:
         if not second:
@@ -238,11 +220,6 @@ class Hyperbola:
 
     def _on_branch(self, x: float) -> bool:
         return x != 0.0 and (x > 0.0) == (self.branch > 0)
-
-    def _tracer_kernels(self) -> _TracerKernels:
-        a, b = self.a, self.b
-        return (partial(kernels.hyperbola_ray_coeffs, a, b), self._on_branch,
-                self._residual, partial(kernels.hyperbola_gradient, a, b))
 
     def _step(self, x: float, y: float, second: bool, forward: bool) -> tuple[float, float]:
         f = -self.branch * self.c if second == forward else self.branch * self.c

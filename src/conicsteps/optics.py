@@ -20,17 +20,14 @@ The work is done in floats: one bounce loop, ``_trace_xy``, traces a bundle
 of ``(ox, oy, dx, dy)`` rays, each through all its bounces before the next,
 through one private hit finder and one private reflector that read each
 mirror from a float record (``_mirror``) built once per call, and returns
-each bounce as a tuple.  The record holds the mirror's kernels, read from
-``kernels`` and bound to the shape's parameters when it is built, so the
-bounce loop calls no shape method that only forwards to a kernel.
-``intersect_ray`` and ``reflect_at`` wrap the same two functions, and
-``trace`` the loop; these three alone build trace objects, and only
-``trace`` builds ``Hit`` and ``TracePath``.  The spot statistics, the SVG
-and the CLI listing trace each bundle in one call and read the float
-bounces.  Every check the objects made (finite points, normalizable
-directions, the on-curve and branch checks) is still made on the floats, in
-the same order and with the same arithmetic, so results are bit-identical
-to tracing with objects.
+each bounce as a tuple.  ``intersect_ray`` and ``reflect_at`` wrap the same
+two functions, and ``trace`` the loop; these three alone build trace
+objects, and only ``trace`` builds ``Hit`` and ``TracePath``.  The spot
+statistics, the SVG and the CLI listing trace each bundle in one call and
+read the float bounces.  Every check the objects made (finite points,
+normalizable directions, the on-curve and branch checks) is still made on
+the floats, in the same order and with the same arithmetic, so results are
+bit-identical to tracing with objects.
 Tracing reads its bounce cap and its bounds from the scene
 (``Scene.max_bounces`` and ``Scene.tolerances``), the one trace policy;
 functions without a scene take a ``Tolerances`` argument.
@@ -83,7 +80,7 @@ _ROOT_MERGE = 1e-7
 _MAX_RAY_T = 1e12
 
 _RayXY = tuple[float, float, float, float]  #: (ox, oy, dx, dy): origin, unit direction
-_Mirror = tuple  #: one mirror, kernels bound, as the float tracer reads it: built by ``_mirror``
+_Mirror = tuple  #: one mirror as the float tracer reads it, built by ``_mirror``
 #: one bounce of the float tracer: (mirror_index, t, x, y, dx, dy), the hit
 #: point and the unit outgoing direction.
 _Bounce = tuple[int, float, float, float, float, float]
@@ -229,14 +226,11 @@ def _require_type(name: str, value: object, cls: type) -> None:
 
 
 def _mirror(conic: Conic, tolerances: Tolerances) -> _Mirror:
-    """``conic`` as ``_hits`` and ``_reflect`` read it: (cos, sin, tx, ty,
-    quadratic_roots, ray_coeffs, on_branch, residual, gradient, on-curve bound,
-    conic, tolerances).  The kernels are read from ``kernels`` here, once per
-    record, and bound by the shape's ``_tracer_kernels``, so the bounce loop
-    calls them directly."""
-    pl = conic.placement
-    return (pl._cos, pl._sin, pl.tx, pl.ty, kernels.quadratic_roots,
-            *conic.shape._tracer_kernels(), conic._on_curve_limit(tolerances), conic, tolerances)
+    """``conic`` as ``_hits`` and ``_reflect`` read it: (cos, sin, tx, ty, ray_coeffs,
+    on_branch, residual, gradient, on-curve bound, conic, tolerances)."""
+    pl, shape = conic.placement, conic.shape
+    return (pl._cos, pl._sin, pl.tx, pl.ty, shape._ray_coeffs, shape._on_branch,
+            shape._residual, shape._gradient, conic._on_curve_limit(tolerances), conic, tolerances)
 
 
 def _hits(
@@ -251,7 +245,7 @@ def _hits(
     ``_ROOT_MERGE`` tangency merge and the other-branch filter are applied
     here and nowhere else.
     """
-    c, s, tx, ty, quadratic_roots, ray_coeffs, on_branch, _, _, _, _, _ = mirror
+    c, s, tx, ty, ray_coeffs, on_branch, _, _, _, _, _ = mirror
     isfinite = math.isfinite
     # The Placement transforms inline, and _require_finite only to raise:
     # this is the tracer's innermost call.
@@ -263,7 +257,7 @@ def _hits(
         _require_finite(ocx, ocy)
     dcx, dcy = _normalized(dx * c + dy * s, -dx * s + dy * c)
     A, B, C = ray_coeffs(ocx, ocy, dcx, dcy)  # named, not star-passed: a *args call is slower
-    n, r0, r1 = quadratic_roots(A, B, C, _ROOT_MERGE)
+    n, r0, r1 = kernels.quadratic_roots(A, B, C, _ROOT_MERGE)
     hits = []
     for t in (r0, r1)[:n]:
         if not (_SELF_HIT < t <= _MAX_RAY_T):
@@ -272,7 +266,7 @@ def _hits(
         yc = ocy + t * dcy
         if not (isfinite(xc) and isfinite(yc)):
             _require_finite(xc, yc)
-        if on_branch is not None and not on_branch(xc):
+        if not on_branch(xc):
             continue
         x = xc * c - yc * s + tx
         y = xc * s + yc * c + ty
@@ -299,7 +293,7 @@ def _reflect(mirror: _Mirror, x: float, y: float, dx: float, dy: float) -> tuple
     """``reflect_at`` on floats: the unit direction leaving the scene point
     ``(x, y)`` for the incoming direction ``(dx, dy)``, across the tangent of
     ``Conic.tangent_normal``; a point off the curve is raised by ``_require_on_curve``."""
-    c, s, tx, ty, _, _, _, residual, gradient, on_curve, conic, tolerances = mirror
+    c, s, tx, ty, _, _, residual, gradient, on_curve, conic, tolerances = mirror
     x0, y0 = x - tx, y - ty
     xc, yc = x0 * c + y0 * s, -x0 * s + y0 * c
     if not (math.isfinite(xc) and math.isfinite(yc)) or abs(residual(xc, yc)) > on_curve:

@@ -177,17 +177,6 @@ class TestReflectAt:
         assert out.x == pytest.approx(-1.0, abs=1e-15)
         assert out.y == pytest.approx(0.0, abs=1e-15)
 
-    def test_between_hyperbola_branches(self):
-        # canonical x == 0 is on neither branch: the hyperbola's own residual
-        # check raises, placed or not, before any gradient is taken
-        message = ("^point lies on the axis of symmetry between branches; "
-                   "the residual is defined per branch$")
-        for conic in (Conic(Hyperbola(3, 4)),
-                      Conic(Hyperbola(3, 4, branch=-1), Placement(1.0, -2.0))):
-            q = conic.placement.to_scene(Point(0.0, 1.0))
-            with pytest.raises(NoBranchError, match=message):
-                reflect_at(conic, q, Direction(1, 0))
-
     def test_reversed_ray_retraces_path(self):
         rng = random.Random(103)
         for _ in range(100):
@@ -654,8 +643,14 @@ class TestFloatCore:
     def test_reflect_at_keeps_its_checks(self):
         with pytest.raises(OffCurveError):
             reflect_at(ELL, Point(0.0, 3.1), Direction(1, 0))
-        with pytest.raises(NoBranchError):
-            reflect_at(Conic(Hyperbola(3, 4)), Point(0.0, 1.0), Direction(1, 0))
+        # canonical x == 0 is on neither branch, placed or not
+        message = ("^point lies on the axis of symmetry between branches; "
+                   "the residual is defined per branch$")
+        for conic in (Conic(Hyperbola(3, 4)),
+                      Conic(Hyperbola(3, 4, branch=-1), Placement(1.0, -2.0))):
+            q = conic.placement.to_scene(Point(0.0, 1.0))
+            with pytest.raises(NoBranchError, match=message):
+                reflect_at(conic, q, Direction(1, 0))
 
     def test_kernels_read_at_call_time(self, monkeypatch):
         # the benchmark tracer swaps the kernel module in each module that

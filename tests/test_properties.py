@@ -135,52 +135,6 @@ def test_batch_samples_are_the_pointwise_samples(conic, t0, t1):
     assert doc._extent == (min(xs), max(xs), min(ys), max(ys))
 
 
-def _scaled(conic: Conic, f: float) -> Conic:
-    """``conic`` with every length multiplied by ``f``, a power of two."""
-    shape, pl = conic.shape, conic.placement
-    if isinstance(shape, Parabola):
-        shape = Parabola(shape.p * f)
-    else:
-        shape = dataclasses.replace(shape, a=shape.a * f, b=shape.b * f)
-    return Conic(shape, Placement(pl.tx * f, pl.ty * f, pl.rotate))
-
-
-def _outcome(fn, *args) -> object:
-    """``fn(*args)`` as bits, or its error and message."""
-    try:
-        value = fn(*args)
-    except ConicError as exc:
-        return type(exc), str(exc)
-    return [v.hex() if isinstance(v, float) else v for v in
-            (value if isinstance(value, tuple) else (value,))]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(conic=posed_conics(), k=st.integers(-40, 40), t=_floats(-3.0, 3.0),
-       angle=_floats(0.0, 2.0 * math.pi), mantissa=_floats(0.0, 1.0),
-       exponent=st.integers(-9, 2), heading=_floats(0.0, 2.0 * math.pi),
-       on_axis=st.booleans())
-def test_tracer_kernels_are_the_shape_methods(conic, k, t, angle, mantissa, exponent, heading,
-                                              on_axis):
-    # the tracer calls each shape's kernels bound once per trace; each must
-    # give what the shape method gives, bit for bit, error for error (a
-    # hyperbola residual at canonical x == 0 raises NoBranchError)
-    f = math.ldexp(1.0, k)
-    conic = _scaled(conic, f)
-    r = f * mantissa * 10.0 ** exponent
-    p = conic.point_at(t)
-    x, y = conic.placement._xy_to_canonical(p.x + r * math.cos(angle), p.y + r * math.sin(angle))
-    if on_axis:
-        x = 0.0
-    dx, dy = math.cos(heading), math.sin(heading)
-    shape = conic.shape
-    ray_coeffs, on_branch, residual, gradient = shape._tracer_kernels()
-    assert _outcome(ray_coeffs, x, y, dx, dy) == _outcome(shape._ray_coeffs, x, y, dx, dy)
-    assert (True if on_branch is None else on_branch(x)) is shape._on_branch(x)
-    assert _outcome(residual, x, y) == _outcome(shape._residual, x, y)
-    assert _outcome(gradient, x, y) == _outcome(shape._gradient, x, y)
-
-
 @st.composite
 def rays(draw) -> Ray:
     dx, dy = draw(_floats(-10.0, 10.0)), draw(_floats(-10.0, 10.0))
