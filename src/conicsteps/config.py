@@ -8,7 +8,8 @@ stock policy; callers that need another value derive a new instance with
 ``trace`` and the spot statistics read; the curve-level functions take one
 as an argument.  Solver guards that no caller sets (the self-hit window,
 the root merge, the identity budget and the like) are private constants of
-the one module that reads each.
+the one module that reads each; those that are lengths are multiples of the
+conic's length unit, ``conics._unit``.
 
 ``METRICS`` names the quantities a halving sweep can record.  It lives here,
 not in ``convergence``, so the CLI can list them without loading the sweep.
@@ -32,10 +33,12 @@ METRICS = (
 class Tolerances:
     """The tolerances a caller may set; each must be finite and positive.
 
-    ``on_curve`` is the |residual| allowed for "this point lies on the
-    curve", scaled by (1 + conic scale).  ``confocal`` is the distance
-    allowed between coincident focal points of a two-mirror scene, scaled
-    by (1 + the larger scale of the two mirrors).
+    Both are read in a conic's length unit, the power of two at or below
+    its largest length.  ``on_curve`` is the |residual| allowed for "this
+    point lies on the curve", in the conic's unit, plus the rounding floor
+    of a residual at the point.  ``confocal`` is the distance allowed
+    between coincident focal points of a two-mirror scene, in the larger
+    unit of the two mirrors.
     """
 
     on_curve: float = 1e-9

@@ -228,6 +228,20 @@ class Hyperbola:
 
 Shape = Ellipse | Parabola | Hyperbola
 
+#: the rounding floor of a residual at the canonical point (x, y), per unit of
+#: |x| + |y|: the backward error of a float point of that size.
+_ROUNDING_FLOOR = 4.0 * math.ulp(1.0)
+
+
+def _unit(shape: Shape) -> float:
+    """The conic's length unit: the power of two ``u`` with ``u <= L < 2u``,
+    ``L`` its largest length (ellipse ``a``, parabola ``p``, hyperbola
+    ``max(a, b)``).  This is the one place a shape's size becomes a tolerance
+    scale.  Unlike ``scale`` it never overflows, and it scales exactly with a
+    conic scaled by a power of two."""
+    length = shape.p if isinstance(shape, Parabola) else max(shape.a, shape.b)
+    return math.ldexp(0.5, math.frexp(length)[1])
+
 
 @dataclass(frozen=True)
 class Placement:
@@ -308,7 +322,8 @@ class Conic:
 
     @property
     def scale(self) -> float:
-        """Characteristic length used to make tolerances dimensionless."""
+        """Characteristic length: the sum of the shape's two lengths
+        (``a + b``, or ``2p``).  Tolerances read ``_unit`` instead."""
         return self.shape.scale
 
     # ------------------------------------------------------------ residual
@@ -332,11 +347,11 @@ class Conic:
     ) -> tuple[float, float]:
         """Canonical-frame coordinates of the scene point ``(x, y)``; the one
         on-curve check.  Raises OffCurveError, naming the point as ``what``,
-        when its residual exceeds ``tolerances.on_curve * (1 + scale)``."""
+        when its residual exceeds ``_on_curve_limit``."""
         xc, yc = self.placement._xy_to_canonical(x, y)
         _require_finite(xc, yc)
         res = self.shape._residual(xc, yc)
-        limit = self._on_curve_limit(tolerances)
+        limit = self._on_curve_limit(xc, yc, tolerances)
         if abs(res) > limit:
             raise OffCurveError(
                 f"{what} ({x!r}, {y!r}) is off the curve: "
@@ -344,9 +359,12 @@ class Conic:
             )
         return xc, yc
 
-    def _on_curve_limit(self, tolerances: Tolerances) -> float:
-        """The |residual| ``_require_on_curve`` allows under ``tolerances``."""
-        return tolerances.on_curve * (1.0 + self.scale)
+    def _on_curve_limit(self, xc: float, yc: float, tolerances: Tolerances) -> float:
+        """The |residual| ``_require_on_curve`` allows at the canonical point
+        ``(xc, yc)``: ``tolerances.on_curve`` in the conic's unit, plus the
+        rounding floor of a residual there, which grows with the point."""
+        return (tolerances.on_curve * _unit(self.shape)
+                + _ROUNDING_FLOOR * (abs(xc) + abs(yc)))
 
     # ------------------------------------------------- tangent and normal
 
@@ -359,7 +377,8 @@ class Conic:
         form (pointing toward increasing implicit value) mapped to scene
         coordinates; the tangent is the normal rotated by -pi/2, so
         (tangent, normal) is a right-handed frame.  Raises OffCurveError
-        when ``q`` is not on the curve within ``tolerances.on_curve * (1 + scale)``.
+        when the residual at ``q`` exceeds ``tolerances.on_curve`` in the
+        conic's unit plus the rounding floor at ``q``.
         """
         gx, gy = _normalized(*self.shape._gradient(*self._require_on_curve(q.x, q.y, tolerances)))
         normal = _unit_unchecked(*_normalized(*self.placement._rotate_to_scene(gx, gy)))

@@ -37,7 +37,7 @@ from typing import Literal
 
 from ._backend import kernels
 from .config import DEFAULT, Tolerances
-from .conics import Conic, Parabola, Shape, as_conic
+from .conics import Conic, Parabola, Shape, _unit, as_conic
 from .errors import BracketError, ConicError, DegenerateTriangleError, UnsupportedVariantError
 from .geometry import (Direction, Line, Point, _angle_xy, _require_finite, reflect_direction,
                        scalar_projection)
@@ -146,7 +146,7 @@ def _triangle(conic: Conic, A: Point, ac: tuple[float, float], walk: tuple[float
                         leg1_dir=Direction(*pl._rotate_to_scene(u1x, u1y)),
                         leg2_dir=Direction(*pl._rotate_to_scene(u2x, u2y)),
                         residual_b=conic.shape._residual(bx, by), orientation=orientation,
-                        degenerate=_retraced(*ac, bx, by, delta))
+                        degenerate=_retraced(conic.shape, *ac, bx, by))
 
 
 def two_step(
@@ -168,14 +168,14 @@ def two_step(
                      orientation)
 
 
-#: |B - A| below this (times 1 + delta) flags a collapsed step triangle.
+#: |B - A| at most this, in the conic's length unit, flags a collapsed step triangle.
 _DEGENERATE_STEP = 1e-12
 
 
-def _retraced(ax: float, ay: float, bx: float, by: float, delta: float) -> bool:
-    """Whether a walk of step ``delta`` from ``A`` to ``B`` retraced itself:
-    its chord is at most ``_DEGENERATE_STEP * (1 + delta)``."""
-    return math.hypot(bx - ax, by - ay) <= _DEGENERATE_STEP * (1.0 + delta)
+def _retraced(shape: Shape, ax: float, ay: float, bx: float, by: float) -> bool:
+    """Whether a walk on ``shape`` from ``A`` to ``B`` retraced itself: its
+    chord is at most ``_DEGENERATE_STEP`` in the unit ``conics._unit``."""
+    return math.hypot(bx - ax, by - ay) <= _DEGENERATE_STEP * _unit(shape)
 
 
 def apex_reflector(tri: StepTriangle) -> Line:
@@ -311,7 +311,7 @@ def exact_return(
     ac = conic._require_on_curve(A.x, A.y, tolerances, "start point")
     u1x, u1y, dx, dy, u2x, u2y, bx, by = _walk_xy(conic.shape, *ac, delta, orientation)
     t_star = delta
-    if not _retraced(*ac, bx, by, delta):
+    if not _retraced(conic.shape, *ac, bx, by):
         t_star, bx, by = _return_xy(conic.shape, dx, dy, u2x, u2y, delta)
     tri = _triangle(conic, A, ac, (u1x, u1y, dx, dy, u2x, u2y, bx, by), delta, orientation)
     return ExactReturn(triangle=tri, t_star=t_star, gap=abs(t_star - delta))

@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 
 from .config import DEFAULT, METRICS, Tolerances
-from .conics import Conic, Ellipse, Hyperbola, Parabola, Shape, _foot_xy, as_conic
+from .conics import Conic, Ellipse, Hyperbola, Parabola, Shape, _foot_xy, _unit, as_conic
 from .construction import (Orientation, _check_step, _parallelism, _retraced, _return_xy,
                            _walk_xy)
 from .errors import ConicError
@@ -142,14 +142,14 @@ def _fmt(v: float | None) -> str:
     return "" if v is None else "%.17g" % v
 
 
-#: noise floor for order fitting, in machine epsilons times (1 + conic scale).
+#: noise floor for order fitting, in machine epsilons times the conic's length unit.
 _NOISE_FLOOR_EPSILONS = 100.0
 
 
 def noise_floor(conic: Conic | Shape) -> float:
-    """Values below this are rounding noise for curves of this size."""
-    conic = as_conic(conic)
-    return _NOISE_FLOOR_EPSILONS * sys.float_info.epsilon * (1.0 + conic.scale)
+    """Values below this are rounding noise for curves of this size: the
+    floor in the conic's length unit, ``conics._unit``."""
+    return _NOISE_FLOOR_EPSILONS * sys.float_info.epsilon * _unit(as_conic(conic).shape)
 
 
 def estimate_order(
@@ -173,7 +173,7 @@ def _measure_level(cfg: SweepConfig, names: tuple[str, ...], ac: tuple[float, fl
     the canonical frame."""
     shape, (ax, ay), orientation = cfg.conic.shape, ac, cfg.orientation
     _, _, dx, dy, u2x, u2y, bx, by = _walk_xy(shape, ax, ay, delta, orientation)
-    if _retraced(ax, ay, bx, by, delta):
+    if _retraced(shape, ax, ay, bx, by):
         # A retraced walk has no triangle to measure; every metric is
         # identically zero at every level.
         return {m: 0.0 for m in names}

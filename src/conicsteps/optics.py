@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 
 from ._backend import kernels
 from .config import DEFAULT, Tolerances
-from .conics import Conic, Hyperbola, Parabola, Shape, as_conic
+from .conics import Conic, Hyperbola, Parabola, Shape, _unit, as_conic
 from .errors import UnsupportedVariantError
 from .geometry import (
     Direction,
@@ -71,12 +71,12 @@ __all__ = [
 
 ROLES = ("mirror", "primary", "secondary")
 
-#: intersection parameters below this are the ray's own origin.
+#: intersection parameters below this, in the mirror's unit, are the ray's own origin.
 _SELF_HIT = 1e-9
-#: quadratic roots closer than this merge into one tangency hit.
+#: quadratic roots closer than this, in the mirror's unit, merge into one tangency hit.
 _ROOT_MERGE = 1e-7
-#: intersection parameters beyond this are cancellation noise from
-#: near-degenerate (almost linear) quadratics and are discarded.
+#: intersection parameters beyond this, in the mirror's unit, are cancellation
+#: noise from near-degenerate (almost linear) quadratics and are discarded.
 _MAX_RAY_T = 1e12
 
 _RayXY = tuple[float, float, float, float]  #: (ox, oy, dx, dy): origin, unit direction
@@ -131,10 +131,10 @@ class Scene:
     ``primary`` (a parabola) / ``secondary`` (a hyperbola).  When both
     telescope roles are present the pair must be confocal: the secondary's
     near focus must coincide with the primary's focus within
-    ``tolerances.confocal * (1 + scale)``, the larger scale of the two
-    mirrors, so the check does not depend on the units of the scene.  The
-    default is tight (1e-9); misalignment studies may widen it deliberately
-    to trace an imperfect pair.
+    ``tolerances.confocal`` in the larger length unit of the two mirrors
+    (``conics._unit``), so the check does not depend on the units of the
+    scene.  The default is tight (1e-9); misalignment studies may widen it
+    deliberately to trace an imperfect pair.
     """
 
     mirrors: tuple[Conic, ...]
@@ -173,8 +173,7 @@ class Scene:
             pf = primary.focus_points()[0]
             hf_near = secondary.focus_points()[0]
             gap = pf.distance_to(hf_near)
-            limit = self.tolerances.confocal * (
-                1.0 + max(primary.shape.scale, secondary.shape.scale))
+            limit = self.tolerances.confocal * max(_unit(primary.shape), _unit(secondary.shape))
             if gap > limit:
                 raise ValueError(
                     f"primary/secondary pair is not confocal: focus gap {gap!r} "
@@ -226,11 +225,16 @@ def _require_type(name: str, value: object, cls: type) -> None:
 
 
 def _mirror(conic: Conic, tolerances: Tolerances) -> _Mirror:
-    """``conic`` as ``_hits`` and ``_reflect`` read it: (cos, sin, tx, ty, ray_coeffs,
-    on_branch, residual, gradient, on-curve bound, conic, tolerances)."""
+    """``conic`` as ``_hits`` and ``_reflect`` read it: (cos, sin, tx, ty, unit, ray_coeffs
+    in that unit, on_branch, residual, gradient, on-curve bound at the canonical origin (the
+    smallest; ``_reflect`` re-checks a point over it), conic, tolerances)."""
     pl, shape = conic.placement, conic.shape
-    return (pl._cos, pl._sin, pl.tx, pl.ty, shape._ray_coeffs, shape._on_branch,
-            shape._residual, shape._gradient, conic._on_curve_limit(tolerances), conic, tolerances)
+    unit = _unit(shape)
+    in_unit = (Parabola(shape.p / unit) if isinstance(shape, Parabola)
+               else replace(shape, a=shape.a / unit, b=shape.b / unit))
+    return (pl._cos, pl._sin, pl.tx, pl.ty, unit, in_unit._ray_coeffs, shape._on_branch,
+            shape._residual, shape._gradient, conic._on_curve_limit(0.0, 0.0, tolerances),
+            conic, tolerances)
 
 
 def _hits(
@@ -241,11 +245,13 @@ def _hits(
     coordinates.
 
     The ray is solved in the mirror's canonical frame, where its direction
-    is renormalized.  The ``_SELF_HIT``/``_MAX_RAY_T`` window, the
-    ``_ROOT_MERGE`` tangency merge and the other-branch filter are applied
-    here and nowhere else.
+    is renormalized, and in its unit: the origin and the shape's lengths
+    divided by it, each root multiplied back, all exactly.  The
+    ``_SELF_HIT``/``_MAX_RAY_T`` window and the ``_ROOT_MERGE`` tangency
+    merge, both in that unit, and the other-branch filter are applied here
+    and nowhere else.
     """
-    c, s, tx, ty, ray_coeffs, on_branch, _, _, _, _, _ = mirror
+    c, s, tx, ty, unit, ray_coeffs, on_branch, _, _, _, _, _ = mirror
     isfinite = math.isfinite
     # The Placement transforms inline, and _require_finite only to raise:
     # this is the tracer's innermost call.
@@ -256,12 +262,13 @@ def _hits(
     if not (isfinite(ocx) and isfinite(ocy)):
         _require_finite(ocx, ocy)
     dcx, dcy = _normalized(dx * c + dy * s, -dx * s + dy * c)
-    A, B, C = ray_coeffs(ocx, ocy, dcx, dcy)  # named, not star-passed: a *args call is slower
+    A, B, C = ray_coeffs(ocx / unit, ocy / unit, dcx, dcy)  # named: a *args call is slower
     n, r0, r1 = kernels.quadratic_roots(A, B, C, _ROOT_MERGE)
     hits = []
     for t in (r0, r1)[:n]:
         if not (_SELF_HIT < t <= _MAX_RAY_T):
             continue
+        t *= unit
         xc = ocx + t * dcx
         yc = ocy + t * dcy
         if not (isfinite(xc) and isfinite(yc)):
@@ -279,11 +286,11 @@ def _hits(
 def intersect_ray(conic: Conic | Shape, ray: Ray) -> tuple[tuple[float, Point], ...]:
     """All forward intersections of ``ray`` with the conic, nearest first.
 
-    Returns (t, point) pairs with ``1e-9 < t <= 1e12`` (nearer is the ray's
-    own origin, farther is cancellation noise), solved from the canonical
-    implicit quadratic with a cancellation-free formula.  Root pairs closer
-    than 1e-7 collapse to the single tangency point.  Hyperbola hits on the
-    other branch are discarded.
+    Returns (t, point) pairs with ``1e-9 u < t <= 1e12 u``, ``u`` the conic's
+    length unit (nearer is the ray's own origin, farther is cancellation
+    noise), solved from the canonical implicit quadratic with a
+    cancellation-free formula.  Root pairs closer than ``1e-7 u`` collapse to
+    the single tangency point.  Hyperbola hits on the other branch are dropped.
     """
     found = _hits(_mirror(as_conic(conic), DEFAULT), *_ray_xy(ray))
     return tuple((t, Point(x, y)) for t, x, y in found)
@@ -293,7 +300,7 @@ def _reflect(mirror: _Mirror, x: float, y: float, dx: float, dy: float) -> tuple
     """``reflect_at`` on floats: the unit direction leaving the scene point
     ``(x, y)`` for the incoming direction ``(dx, dy)``, across the tangent of
     ``Conic.tangent_normal``; a point off the curve is raised by ``_require_on_curve``."""
-    c, s, tx, ty, _, _, residual, gradient, on_curve, conic, tolerances = mirror
+    c, s, tx, ty, _, _, _, residual, gradient, on_curve, conic, tolerances = mirror
     x0, y0 = x - tx, y - ty
     xc, yc = x0 * c + y0 * s, -x0 * s + y0 * c
     if not (math.isfinite(xc) and math.isfinite(yc)) or abs(residual(xc, yc)) > on_curve:

@@ -92,6 +92,14 @@ class TestTangentAndReflect:
         assert code == 2
         assert err.startswith("error: off-curve:")
 
+    def test_off_curve_on_a_small_conic(self, capsys):
+        # 8% outside the vertex; the bound is in the conic's length unit
+        code, _, err = run(
+            capsys, "tangent", "--ellipse", "5e-9,3e-9", "--point", "5.4e-9,0"
+        )
+        assert code == 2
+        assert err.startswith("error: off-curve:")
+
     @pytest.mark.parametrize("argv", [
         ("tangent", "--ellipse", "5,3", "--point", "0,4"),
         ("reflect", "--ellipse", "5,3", "--point", "0,4", "--incoming", "0,-1"),

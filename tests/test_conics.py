@@ -23,6 +23,7 @@ from conicsteps import (
     as_conic,
     two_step,
 )
+from conicsteps import conics
 from conicsteps.geometry import _normalized
 import oracle
 from conftest import POSED, random_conic, random_param
@@ -113,19 +114,21 @@ class TestResidual:
         # first outside it; both checks must give the same verdict on each
         p = conic.point_at(t)
         _, n = conic.tangent_normal(p)
-        limit = DEFAULT.on_curve * (1.0 + conic.scale)
 
         def at(s: float) -> Point:
             return Point(p.x + side * s * n.x, p.y + side * s * n.y)
 
+        def limit(q: Point) -> float:  # the bound grows with the point
+            return conic._on_curve_limit(*conic.placement._xy_to_canonical(q.x, q.y), DEFAULT)
+
         inside, outside = 0.0, 1.0
         for _ in range(80):
             mid = 0.5 * (inside + outside)
-            if abs(conic.residual(at(mid))) <= limit:
+            if abs(conic.residual(at(mid))) <= limit(at(mid)):
                 inside = mid
             else:
                 outside = mid
-        assert abs(conic.residual(at(inside))) >= (1.0 - 1e-6) * limit
+        assert abs(conic.residual(at(inside))) >= (1.0 - 1e-6) * limit(at(inside))
         q = at(inside)
         assert conic.is_on_curve(q)
         conic._require_on_curve(q.x, q.y, DEFAULT)
@@ -133,6 +136,22 @@ class TestResidual:
         assert not conic.is_on_curve(q)
         with pytest.raises(OffCurveError):
             conic._require_on_curve(q.x, q.y, DEFAULT)
+
+    def test_on_curve_bound_is_relative_to_a_small_conic(self):
+        # 8% outside the vertex of a conic of size 5e-9; a bound of
+        # on_curve * (1 + scale) was at least 1e-9 and let it pass
+        tiny = Conic(Ellipse(5e-9, 3e-9))
+        q = Point(5.4e-9, 0.0)
+        assert tiny.residual(q) == pytest.approx(8e-10, rel=1e-9)
+        assert not tiny.is_on_curve(q)
+        assert tiny.is_on_curve(tiny.point_at(0.3))
+
+    def test_on_curve_bound_of_a_huge_conic_is_finite(self):
+        # the scale of Parabola(1e308) is inf, and so was on_curve * (1 + scale)
+        huge = Conic(Parabola(1e308))
+        q = Point(1e300, -1e300)
+        assert huge.residual(q) == pytest.approx(2e300, rel=1e-9)
+        assert not huge.is_on_curve(q)
 
     def test_residual_respects_placement(self):
         placed = Conic(Ellipse(5, 3), Placement(2.0, -1.0, math.pi / 2))
@@ -172,6 +191,20 @@ class TestPointAtAndScale:
         assert Conic(Ellipse(5, 3)).scale == 8.0
         assert Conic(Parabola(1)).scale == 2.0
         assert Conic(Hyperbola(3, 4)).scale == 7.0
+
+    @pytest.mark.parametrize("shape,unit", [
+        (Ellipse(5, 3), 4.0),
+        (Ellipse(4, 4), 4.0),
+        (Parabola(1), 1.0),
+        (Parabola(0.75), 0.5),
+        (Hyperbola(3, 4), 4.0),
+        (Hyperbola(4, 3, -1), 4.0),
+        (Hyperbola(1e-10, 3), 2.0),
+        (Ellipse(1.5e308, 1e308), 2.0 ** 1023),  # its scale overflows
+        (Parabola(5e-324), 5e-324),
+    ])
+    def test_unit_is_the_power_of_two_at_or_below_the_largest_length(self, shape, unit):
+        assert conics._unit(shape) == unit
 
 
 class TestTangentNormal:

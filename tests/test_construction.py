@@ -61,7 +61,7 @@ class TestWorkedExample:
 
     def test_endpoint_residual(self):
         tri = two_step(ELL, TOP, 0.1)
-        assert tri.residual_b == pytest.approx(-2.3093224278625257e-05, rel=1e-9)
+        assert tri.residual_b == pytest.approx(-2.3093224278625257e-05, rel=1e-9, abs=0)
 
     def test_legs_and_flags(self):
         tri = two_step(ELL, TOP, 0.1)
@@ -148,6 +148,11 @@ class TestValidation:
         with pytest.raises(OffCurveError):
             two_step(ELL, Point(0.0, 3.1), 0.1)
 
+    def test_anchor_off_a_small_conic(self):
+        # 8% outside the vertex of a conic of size 5e-9
+        with pytest.raises(OffCurveError):
+            two_step(Conic(Ellipse(5e-9, 3e-9)), Point(5.4e-9, 0.0), 1e-10)
+
     def test_non_positive_delta(self):
         with pytest.raises(ValueError):
             two_step(ELL, TOP, 0.0)
@@ -175,6 +180,15 @@ class TestDegenerate:
     def test_ellipse_major_vertex_collapses(self):
         tri = two_step(ELL, Point(5, 0), 0.05)
         assert tri.degenerate
+
+    def test_step_on_a_small_conic_is_not_a_retrace(self):
+        # |B - A| is about 1.4e-13, a fair chord on a conic of size 5 * 2**-30;
+        # an absolute 1e-12 * (1 + delta) took it for a retrace
+        conic = Conic(Ellipse(5 * 2**-30, 3 * 2**-30))
+        tri = two_step(conic, conic.point_at(1.0), 1e-4 * 2**-30)
+        assert tri.B.distance_to(tri.A) == pytest.approx(1.4e-13, rel=0.05)
+        assert not tri.degenerate
+        assert isinstance(apex_reflector(tri), Line)
 
     def test_apex_reflector_refuses_degenerate(self):
         tri = two_step(Conic(Parabola(1)), Point(0, 0), 0.1)

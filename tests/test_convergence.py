@@ -57,9 +57,10 @@ class TestOrderEstimation:
         assert est.order == pytest.approx(2.0, abs=1e-12)
 
     def test_noise_floor_value(self):
+        # 100 eps in the conic's length unit: 4 for Ellipse(5, 3), 1 for Parabola(1)
         eps = 2.220446049250313e-16
-        assert noise_floor(ELL) == pytest.approx(100.0 * eps * 9.0, rel=1e-12)
-        assert noise_floor(Parabola(1)) == pytest.approx(100.0 * eps * 3.0, rel=1e-12)
+        assert noise_floor(ELL) == pytest.approx(100.0 * eps * 4.0, rel=1e-12, abs=0)
+        assert noise_floor(Parabola(1)) == pytest.approx(100.0 * eps * 1.0, rel=1e-12, abs=0)
 
 
 class TestSweepConfig:
@@ -116,6 +117,15 @@ class TestSweepConfig:
 
 
 class TestRunSweep:
+    def test_small_conic_is_measured_to_the_finest_level(self):
+        # on a conic of size 5 * 2**-30 the finest chord is about 1.4e-13, and
+        # an absolute retrace threshold of 1e-12 zeroed every metric there
+        conic = Conic(Ellipse(5 * 2**-30, 3 * 2**-30))
+        report = run_sweep(SweepConfig(conic=conic, anchor=conic.point_at(1.0),
+                                       delta0=0.1 * 2**-30, halvings=10))
+        assert report.failure is None
+        assert report.values["residual_B"][-1] > 0.0
+
     def test_worked_example_first_row(self):
         cfg = SweepConfig(conic=ELL, anchor=TOP, delta0=0.1, halvings=6)
         report = run_sweep(cfg)
@@ -124,7 +134,7 @@ class TestRunSweep:
         assert report.deltas[-1] == pytest.approx(0.1 / 64, rel=1e-15)
         # the report records metric magnitudes; the signed value is -2.31e-5
         assert report.values["residual_B"][0] == pytest.approx(
-            2.3093224278625257e-05, rel=1e-9
+            2.3093224278625257e-05, rel=1e-9, abs=0
         )
         assert report.failed_level is None
         assert report.failure is None

@@ -7,6 +7,7 @@ import hashlib
 import math
 import random
 import re
+import sys
 import types
 
 import pytest
@@ -80,15 +81,22 @@ class TestIntersect:
         assert intersect_ray(ELL, Ray(Point(0, 3), Direction(1, 0))) == ()
 
     def test_far_hit_window_is_fixed(self):
-        # hits beyond t = 1e12 are discarded as cancellation noise, in
-        # intersect_ray and in trace alike
+        # hits beyond t = 1e12 u, u the mirror's length unit, are discarded
+        # as cancellation noise, in intersect_ray and in trace alike; the ray
+        # meets the vertex of Parabola(1) (u = 1) head on, at t = -y
+        far = Ray(Point(0.0, -2e12), Direction(0.0, 1.0))
+        unit = Conic(Parabola(1))
+        assert intersect_ray(unit, far) == ()
+        assert trace(Scene(mirrors=(unit,)), far).hits == ()
+        near = Ray(Point(0.0, -5e11), Direction(0.0, 1.0))
+        assert intersect_ray(unit, near) == ((5e11, Point(0.0, 0.0)),)
+        assert len(trace(Scene(mirrors=(unit,)), near).hits) == 1
+        # the window scales with the conic: 2e12 away is inside the window
+        # of an ellipse whose unit is 2**40
         ray = Ray(Point(0.0, 0.0), Direction(1.0, 0.0))
-        far = Conic(Ellipse(2e12, 1e12))
-        assert intersect_ray(far, ray) == ()
-        assert trace(Scene(mirrors=(far,)), ray).hits == ()
-        near = Conic(Ellipse(5e11, 3e11))
-        assert len(intersect_ray(near, ray)) == 1
-        assert len(trace(Scene(mirrors=(near,)), ray).hits) == 8
+        big = Conic(Ellipse(2e12, 1e12))
+        assert [t for t, _ in intersect_ray(big, ray)] == [pytest.approx(2e12, rel=1e-15)]
+        assert len(trace(Scene(mirrors=(big,)), ray).hits) == 8
 
     def test_branch_filter(self):
         ray = Ray(Point(-10, 0), Direction(1, 0))
@@ -127,17 +135,39 @@ class TestIntersect:
             trace(scene, Ray(Point(1.5e308, 1.5e308), Direction(1, 0)))
 
     def test_scene_hit_past_the_float_range(self):
-        # the hit is finite in the mirror's frame (so thin a parabola is
-        # about 2.7e4 wide at the float maximum, and its ray coefficients
-        # stay finite), but moving it by ty into the scene overflows y
-        top = math.nextafter(math.inf, 0.0)
-        conic = Conic(Parabola(1e-300), Placement(ty=1.5 * math.ulp(top)))
-        ray = Ray(Point(0.0, top), Direction(1.0, 0.0))
-        message = r"^point coordinates must be finite, got \(26815\.\d+, inf\)$"
+        # the hit is finite in the mirror's frame (x ~ 6.3e302), but moving
+        # it by ty = M/2 into the scene overflows y
+        half = sys.float_info.max / 2.0
+        conic = Conic(Parabola(1e297), Placement(ty=half))
+        ray = Ray(Point(0.0, half), Direction(6.3e-6, 1.0))
+        message = r"^point coordinates must be finite, got \(6\.349\d+e\+302, inf\)$"
         with pytest.raises(ValueError, match=message):
             intersect_ray(conic, ray)
         with pytest.raises(ValueError, match=message):
             trace(Scene(mirrors=(conic,)), ray)
+
+    def test_canonical_hit_past_the_float_range(self):
+        # in the unit of Parabola(1e308), 2**1023, the ray from (1e308, 9e307)
+        # leaves the curve at t ~ 0.9e308, finite and inside the window, but
+        # its x there, about 1.9e308, is past the float range
+        conic = Conic(Parabola(1e308))
+        ray = Ray(Point(1e308, 9e307), Direction(1.0, 0.0))
+        message = r"^point coordinates must be finite, got \(inf, 9e\+307\)$"
+        with pytest.raises(ValueError, match=message):
+            intersect_ray(conic, ray)
+        with pytest.raises(ValueError, match=message):
+            trace(Scene(mirrors=(conic,)), ray)
+
+    def test_parabola_past_the_overflow_of_its_coefficients(self):
+        # the unscaled coefficients (0.36, -3.2e200, 4e200) overflow B*B, so
+        # the discriminant's noise floor was infinite and the ray a miss; in
+        # the parabola's unit they are of order one.  The crossing near
+        # t = 1.25 is the ray's origin at this size (its residual is 2),
+        # inside the self-hit window.
+        conic = Conic(Parabola(1e200))
+        ((t, q),) = intersect_ray(conic, Ray(Point(1.0, -1.0), Direction(0.6, 0.8)))
+        assert t == pytest.approx(8.0e200 / 0.9, rel=1e-12)
+        assert conic.is_on_curve(q)
 
     def test_hits_satisfy_residual_and_parameter(self):
         rng = random.Random(101)
@@ -325,6 +355,23 @@ class TestScene:
         ))
         assert scene.telescope_pair() == scene.mirrors
 
+    @pytest.mark.parametrize("k", [-40, 0, 60])
+    @pytest.mark.parametrize("gap,ok", [(0.75e-9, True), (1.25e-9, False)])
+    def test_confocal_gate_is_in_the_larger_unit(self, k, gap, ok):
+        # the larger length unit of the stock pair is the primary's, 2^k for
+        # Parabola(2^k); the secondary's is half that
+        f = math.ldexp(1.0, k)
+        h = default_cassegrain_scene().mirrors[1]
+        primary = Conic(Parabola(f))
+        secondary = Conic(Hyperbola(h.shape.a * f, h.shape.b * f, h.shape.branch),
+                          Placement(0.0, h.placement.ty * f + gap * f, h.placement.rotate))
+        pair = {"mirrors": (primary, secondary), "roles": ("primary", "secondary")}
+        if ok:
+            Scene(**pair)
+        else:
+            with pytest.raises(ValueError, match="not confocal"):
+                Scene(**pair)
+
     def test_max_bounces_positive(self):
         with pytest.raises(ValueError):
             Scene(mirrors=(ELL,), max_bounces=0)
@@ -362,12 +409,19 @@ class TestSceneTolerances:
         with pytest.raises(TypeError, match="Tolerances"):
             Scene(mirrors=(ELL,), tolerances=1e-6)
 
-    def test_on_curve_read_from_scene(self):
+    def test_far_hit_is_on_the_curve(self):
+        # its residual, -1.19e-7, is rounding at |q| ~ 8e8, below the floor
+        # of the on-curve bound there
+        assert len(trace(dataclasses.replace(self.FAR, max_bounces=5), self.FAR_RAY).hits) == 5
+
+    def test_on_curve_read_from_scene(self, monkeypatch):
+        # without the rounding floor the far hits fail the default bound
+        monkeypatch.setattr(conics, "_ROUNDING_FLOOR", 0.0)
         far = dataclasses.replace(self.FAR, max_bounces=5)
         with pytest.raises(OffCurveError):
             trace(far, self.FAR_RAY)
-        loose = dataclasses.replace(far, tolerances=Tolerances(on_curve=1e-6))
-        assert len(trace(loose, self.FAR_RAY).hits) == 4
+        loose = dataclasses.replace(far, tolerances=Tolerances(on_curve=1e-3))
+        assert len(trace(loose, self.FAR_RAY).hits) == 5
 
     # The far-hit window is a solver constant, not a scene field; shrinking
     # it shows trace and the spot statistics both read the one window.
@@ -375,22 +429,23 @@ class TestSceneTolerances:
         scene = Scene(mirrors=(ELL,))
         ray = Ray(Point(0.0, 0.0), Direction(0.0, 1.0))  # the mirror is 3 away
         assert len(trace(scene, ray).hits) >= 1
-        monkeypatch.setattr(optics, "_MAX_RAY_T", 2.0)
+        monkeypatch.setattr(optics, "_MAX_RAY_T", 0.5)  # t = 2 in the mirror's unit, 4
         assert trace(scene, ray).hits == ()
 
-    # The window is ``_SELF_HIT < t <= _MAX_RAY_T``: a hit exactly at the
-    # far edge is kept, one exactly at the near edge is dropped.
+    # The window is ``_SELF_HIT < t <= _MAX_RAY_T`` in the mirror's unit:
+    # a hit exactly at the far edge is kept, one exactly at the near edge is
+    # dropped.
     EDGE_RAY = Ray(Point(0.0, 0.0), Direction(0.0, 1.0))
 
     def test_hit_at_max_ray_t_is_kept(self, monkeypatch):
         ((t, _),) = intersect_ray(ELL, self.EDGE_RAY)
-        monkeypatch.setattr(optics, "_MAX_RAY_T", t)
+        monkeypatch.setattr(optics, "_MAX_RAY_T", t / conics._unit(ELL.shape))
         assert intersect_ray(ELL, self.EDGE_RAY)[0][0] == t
         assert trace(Scene(mirrors=(ELL,)), self.EDGE_RAY).hits[0].t == t
 
     def test_hit_at_self_hit_is_dropped(self, monkeypatch):
         ((t, _),) = intersect_ray(ELL, self.EDGE_RAY)
-        monkeypatch.setattr(optics, "_SELF_HIT", t)
+        monkeypatch.setattr(optics, "_SELF_HIT", t / conics._unit(ELL.shape))
         assert intersect_ray(ELL, self.EDGE_RAY) == ()
         assert trace(Scene(mirrors=(ELL,)), self.EDGE_RAY).hits == ()
 
@@ -404,6 +459,18 @@ class TestSceneTolerances:
 
 
 class TestTrace:
+    @pytest.mark.parametrize("d", [(0.0, 1.0), (1.0, 0.0), (0.6, 0.8)])
+    def test_focal_rays_in_a_small_ellipse(self, d):
+        # a root-merge window of an absolute 1e-7 merged each ray's two roots
+        # into the vertex -B/2A, inside an ellipse of size 5e-9: the vertical
+        # ray made no bounce and the others raised OffCurveError
+        conic = Conic(Ellipse(5e-9, 3e-9))
+        foci = conic.focus_points()
+        path = trace(Scene(mirrors=(conic,), max_bounces=4), Ray(foci[0], Direction(*d)))
+        assert len(path.hits) == 4
+        for i, hit in enumerate(path.hits):  # from one focus to the other
+            assert ray_line_distance(Ray(hit.point, hit.outgoing), foci[1 - i % 2]) <= 1e-21
+
     def test_miss_keeps_original_ray(self):
         scene = Scene(mirrors=(ELL,))
         ray = Ray(Point(0, 4), Direction(1, 0))

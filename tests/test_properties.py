@@ -37,6 +37,7 @@ from conicsteps import (
     trace,
     trace_svg,
     translate,
+    two_step,
 )
 from conicsteps.cli import main
 from conicsteps.optics import _ray_xy, _trace_xy
@@ -292,6 +293,69 @@ def test_bundle_raises_as_its_first_failing_ray(bundle):
     failed = [outcome for outcome in alone if isinstance(outcome, tuple)]
     expected = failed[0] if failed else repr([b for ray in rays for b in _trace_xy(scene, [ray])])
     assert _traced(scene, rays) == expected
+
+
+def _scaled(conic: Conic, f: float) -> Conic:
+    """``conic`` with every length multiplied by ``f``: its shape, its
+    placement's translation."""
+    s, pl = conic.shape, conic.placement
+    lengths = {"p": s.p * f} if isinstance(s, Parabola) else {"a": s.a * f, "b": s.b * f}
+    return Conic(dataclasses.replace(s, **lengths), Placement(pl.tx * f, pl.ty * f, pl.rotate))
+
+
+def _outcome(call) -> object:
+    """What ``call`` returns, or the type of the error it raises."""
+    try:
+        return call()
+    except (ConicError, ValueError) as exc:
+        return type(exc)
+
+
+@st.composite
+def mirror_scenes(draw) -> Scene:
+    return Scene(mirrors=tuple(draw(st.lists(posed_conics(), min_size=1, max_size=2))),
+                 rays=tuple(draw(st.lists(rays(), min_size=1, max_size=3))), max_bounces=8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scene=st.one_of(posed_telescopes(), mirror_scenes()), k=st.integers(-30, 30),
+       t=_floats(-3.0, 3.0), offset=_floats(-3e-9, 3e-9),
+       gap=_floats(0.0, 2e-9))
+def test_power_of_two_scaling_is_exact(scene, k, t, offset, gap):
+    # the paper's construction has no preferred unit, and a scale by 2^k is
+    # exact in floats: every length, every gate's unit and every rounding
+    # scale with it.  So a scaled scene traces the same bounces, its points
+    # and t scaled by exactly 2^k and its directions bit for bit, and every
+    # tolerance gate gives the same answer.  (Parabola project_to_curve is
+    # not yet exact under scaling, so it is left out.)
+    f = math.ldexp(1.0, k)
+    big = dataclasses.replace(
+        scene, mirrors=tuple(_scaled(m, f) for m in scene.mirrors),
+        rays=tuple(Ray(Point(r.origin.x * f, r.origin.y * f), r.dir) for r in scene.rays))
+    rays = [_ray_xy(r) for r in scene.rays]
+    want = _outcome(lambda: repr([[(i, t * f, x * f, y * f, dx, dy)
+                                   for i, t, x, y, dx, dy in b] for b in _trace_xy(scene, rays)]))
+    assert _outcome(lambda: repr(_trace_xy(big, [_ray_xy(r) for r in big.rays]))) == want
+    for conic, scaled in zip(scene.mirrors, big.mirrors):
+        # a point near the bound of is_on_curve, and an anchor that may be a
+        # vertex, where the walk retraces itself
+        p = conic.point_at(t)
+        q = Point(p.x + offset * conic.scale, p.y)
+        assert scaled.is_on_curve(Point(q.x * f, q.y * f)) == conic.is_on_curve(q)
+        delta = 0.01 * conic.scale
+        tri = two_step(conic, p, delta)
+        big_tri = two_step(scaled, Point(p.x * f, p.y * f), delta * f)
+        assert big_tri.degenerate == tri.degenerate
+        assert (big_tri.B.x, big_tri.B.y) == (tri.B.x * f, tri.B.y * f)
+    if scene.telescope_pair() is not None:
+        # the confocal gate, with the secondary moved by a gap near its bound
+        def displaced(s: Scene, g: float) -> Scene:
+            primary, secondary = s.mirrors
+            pl = secondary.placement
+            return dataclasses.replace(s, mirrors=(primary, Conic(
+                secondary.shape, Placement(pl.tx, pl.ty + g, pl.rotate))))
+        assert _outcome(lambda: type(displaced(big, gap * f))) == _outcome(
+            lambda: type(displaced(scene, gap)))
 
 
 def _ray_polyline(path) -> str:
