@@ -2,7 +2,7 @@
 
 These are the hot inner loops of the library: canonical-frame residuals,
 implicit-form gradients, parametric points (one at a time, or a whole
-curve's samples in one call), stable quadratic roots for
+curve's samples as x and y columns in one call), stable quadratic roots for
 ray-conic intersection, and the direct foot-of-normal solves, all reached
 through ``conicsteps._backend.kernels``: the per-shape kernels only from the
 shape methods in ``conics``, ``quadratic_roots`` from ``optics`` and
@@ -77,25 +77,26 @@ def hyperbola_point(a: float, b: float, sigma: int, t: float) -> tuple[float, fl
     return sigma * a * math.cosh(t), b * math.sinh(t)
 
 
-# Whole-curve samples: each ``*_points`` is its ``*_point`` over ``ts``, bit
-# for bit; the hoisted ``4.0 * p`` and ``sigma * a`` are the same products.
+# Whole-curve samples: each ``*_points`` gives the columns ``(xs, ys)`` of
+# its ``*_point`` over ``ts``, bit for bit; the hoisted ``4.0 * p`` and
+# ``sigma * a`` are the same products.
 
-def ellipse_points(a: float, b: float, ts: Sequence[float]) -> list[tuple[float, float]]:
+def ellipse_points(a: float, b: float, ts: Sequence[float]) -> tuple[list[float], list[float]]:
     cos, sin = math.cos, math.sin
-    return [(a * cos(t), b * sin(t)) for t in ts]
+    return [a * cos(t) for t in ts], [b * sin(t) for t in ts]
 
 
-def parabola_points(p: float, ts: Sequence[float]) -> list[tuple[float, float]]:
+def parabola_points(p: float, ts: Sequence[float]) -> tuple[list[float], list[float]]:
     p4 = 4.0 * p
-    return [(t, t * t / p4) for t in ts]
+    return list(ts), [t * t / p4 for t in ts]
 
 
 def hyperbola_points(
     a: float, b: float, sigma: int, ts: Sequence[float]
-) -> list[tuple[float, float]]:
+) -> tuple[list[float], list[float]]:
     sa = sigma * a
     cosh, sinh = math.cosh, math.sinh
-    return [(sa * cosh(t), b * sinh(t)) for t in ts]
+    return [sa * cosh(t) for t in ts], [b * sinh(t) for t in ts]
 
 
 # ----------------------------------------------------------- quadratic roots

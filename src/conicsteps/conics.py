@@ -92,7 +92,7 @@ class Ellipse:
     def _point(self, t: float) -> tuple[float, float]:
         return kernels.ellipse_point(self.a, self.b, t)
 
-    def _points(self, ts: Sequence[float]) -> list[tuple[float, float]]:
+    def _points(self, ts: Sequence[float]) -> tuple[list[float], list[float]]:
         return kernels.ellipse_points(self.a, self.b, ts)
 
     def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
@@ -139,7 +139,7 @@ class Parabola:
     def _point(self, t: float) -> tuple[float, float]:
         return kernels.parabola_point(self.p, t)
 
-    def _points(self, ts: Sequence[float]) -> list[tuple[float, float]]:
+    def _points(self, ts: Sequence[float]) -> tuple[list[float], list[float]]:
         return kernels.parabola_points(self.p, ts)
 
     def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
@@ -209,7 +209,7 @@ class Hyperbola:
     def _point(self, t: float) -> tuple[float, float]:
         return kernels.hyperbola_point(self.a, self.b, self.branch, t)
 
-    def _points(self, ts: Sequence[float]) -> list[tuple[float, float]]:
+    def _points(self, ts: Sequence[float]) -> tuple[list[float], list[float]]:
         return kernels.hyperbola_points(self.a, self.b, self.branch, ts)
 
     def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
@@ -393,30 +393,32 @@ class Conic:
         Ellipse: ``(a cos t, b sin t)``; parabola: ``(t, t^2/(4p))``;
         hyperbola: ``(sigma a cosh t, b sinh t)`` on the selected branch.
         """
-        return Point(*self._xys_at((t,))[0])
+        xs, ys = self._xys_at((t,))
+        return Point(xs[0], ys[0])
 
-    def _xys_at(self, ts: Sequence[float]) -> list[tuple[float, float]]:
-        """Scene-frame float pairs at the parameters ``ts``: the one
+    def _xys_at(self, ts: Sequence[float]) -> tuple[list[float], list[float]]:
+        """Scene-frame columns ``(xs, ys)`` at the parameters ``ts``: the one
         parametric path, shared by ``point_at`` and figure sampling.
 
-        The canonical samples come from one kernel call and are placed in
-        one pass.  If a parameter is past the float range or a sample is not
-        finite, the first such sample in ``ts`` is named, and a non-finite
-        canonical pair before the scene pair it maps to.
+        The canonical columns come from one kernel call and are placed in
+        one pass each.  If a parameter is past the float range or a sample is
+        not finite, the first such sample in ``ts`` is named, and a
+        non-finite canonical pair before the scene pair it maps to.
         """
         pl = self.placement
         c, s, tx, ty = pl._cos, pl._sin, pl.tx, pl.ty
         isfinite = math.isfinite
         try:
-            xys = [(x * c - y * s + tx, x * s + y * c + ty)
-                   for x, y in self.shape._points(ts)]
-            if all(isfinite(x) and isfinite(y) for x, y in xys):
-                return xys
+            xcs, ycs = self.shape._points(ts)
+            xs = [x * c - y * s + tx for x, y in zip(xcs, ycs)]
+            ys = [x * s + y * c + ty for x, y in zip(xcs, ycs)]
+            if all(map(isfinite, xs)) and all(map(isfinite, ys)):
+                return xs, ys
         except OverflowError:  # cosh and sinh past |t| ~ 710
             pass
         for t in ts:  # the batch failed: find its first bad sample
             try:
-                ((x, y),) = self.shape._points((t,))
+                (x,), (y,) = self.shape._points((t,))
             except OverflowError as exc:
                 raise ValueError(f"parameter t={t!r} is past the float range") from exc
             _require_finite(x, y)

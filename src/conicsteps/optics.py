@@ -227,11 +227,21 @@ def _require_type(name: str, value: object, cls: type) -> None:
 def _mirror(conic: Conic, tolerances: Tolerances) -> _Mirror:
     """``conic`` as ``_hits`` and ``_reflect`` read it: (cos, sin, tx, ty, unit, ray_coeffs
     in that unit, on_branch, residual, gradient, on-curve bound at the canonical origin (the
-    smallest; ``_reflect`` re-checks a point over it), conic, tolerances)."""
+    smallest; ``_reflect`` re-checks a point over it), conic, tolerances).
+
+    Raises ValueError, naming the caller's shape, for an ellipse or hyperbola
+    whose smaller length squared underflows in the unit: the ray coefficients
+    divide by that square."""
     pl, shape = conic.placement, conic.shape
     unit = _unit(shape)
-    in_unit = (Parabola(shape.p / unit) if isinstance(shape, Parabola)
-               else replace(shape, a=shape.a / unit, b=shape.b / unit))
+    if isinstance(shape, Parabola):
+        in_unit = Parabola(shape.p / unit)
+    else:
+        small = min(shape.a, shape.b) / unit
+        if small * small == 0.0:
+            raise ValueError(f"{shape!r} is too thin to trace in floats: its smaller "
+                             "length squared underflows in the unit of its larger one")
+        in_unit = replace(shape, a=shape.a / unit, b=shape.b / unit)
     return (pl._cos, pl._sin, pl.tx, pl.ty, unit, in_unit._ray_coeffs, shape._on_branch,
             shape._residual, shape._gradient, conic._on_curve_limit(0.0, 0.0, tolerances),
             conic, tolerances)
@@ -272,6 +282,8 @@ def _hits(
         xc = ocx + t * dcx
         yc = ocy + t * dcy
         if not (isfinite(xc) and isfinite(yc)):
+            if t == math.inf:  # the root is past the window once multiplied back
+                continue
             _require_finite(xc, yc)
         if not on_branch(xc):
             continue

@@ -3,6 +3,9 @@
 World coordinates are y-up; the y axis is negated only when elements are
 serialized, so geometry code stays in math conventions and labels render
 upright.  The viewBox is fitted to the drawn content with a 10% margin.
+Drawn coordinates stay in float columns, ``xs`` and ``ys``, from the curve
+kernels to ``_polyline``, which formats a polyline's vertices in one
+operation; every other element is one format operation too.
 Output is plain SVG 1.1 geometry (no scripts, no CSS), and byte-identical
 for identical inputs.
 
@@ -53,10 +56,6 @@ REQUIRED_ELEMENTS: dict[str, frozenset[str]] = {
 _CURVE_SAMPLES = 512
 
 
-def _f(v: float) -> str:
-    return "%.8g" % v
-
-
 def _require_size(width: int, height: int) -> None:
     """Raise ValueError unless the document size is two positive ints."""
     _require_count("width", width, 1)
@@ -67,14 +66,19 @@ def _require_size(width: int, height: int) -> None:
 _Extent = tuple[float, float, float, float]
 
 
-def _points_text(xy: Sequence[tuple[float, float]]) -> str:
-    """A polyline's ``points`` attribute: the vertices y-flipped, in absolute coordinates."""
-    return " ".join(["%.8g,%.8g" % (x, -y) for x, y in xy])
+def _polyline(xs: Sequence[float], ys: Sequence[float]) -> tuple[str, _Extent]:
+    """A polyline's ``points`` attribute, the vertices y-flipped in absolute
+    coordinates and formatted in one operation, and the extent of its vertices.
 
-
-def _extent_of(xy: Sequence[tuple[float, float]]) -> _Extent:
-    xs, ys = zip(*xy)
-    return min(xs), max(xs), min(ys), max(ys)
+    ``min`` and ``max`` keep the first of equal values, so a signed zero
+    lands as one pass over the vertices in drawing order would put it.
+    """
+    n = len(xs)
+    flat = [0.0] * (2 * n)
+    flat[::2] = xs
+    flat[1::2] = [-y for y in ys]
+    return (" ".join(["%.8g,%.8g"] * n) % tuple(flat),
+            (min(xs), max(xs), min(ys), max(ys)))
 
 
 class _SvgDoc:
@@ -105,18 +109,18 @@ class _SvgDoc:
         self._items.append(("polyline", elem_id, points, closed, dashed))
 
     def polyline_xy(
-        self, elem_id: str, xy: list[tuple[float, float]], closed: bool = False,
+        self, elem_id: str, xs: Sequence[float], ys: Sequence[float], closed: bool = False,
         dashed: bool = False,
     ) -> None:
-        self.polyline_text(elem_id, _points_text(xy), _extent_of(xy), closed, dashed)
+        self.polyline_text(elem_id, *_polyline(xs, ys), closed, dashed)
 
     def polyline(
         self, elem_id: str, pts: list[Point], closed: bool = False, dashed: bool = False
     ) -> None:
-        self.polyline_xy(elem_id, [(p.x, p.y) for p in pts], closed, dashed)
+        self.polyline_xy(elem_id, [p.x for p in pts], [p.y for p in pts], closed, dashed)
 
     def segment(self, elem_id: str, p1: Point, p2: Point, dashed: bool = False) -> None:
-        self.polyline(elem_id, [p1, p2], dashed=dashed)
+        self.polyline_xy(elem_id, (p1.x, p2.x), (p1.y, p2.y), dashed=dashed)
 
     def marker(self, elem_id: str, center: Point) -> None:
         self._grow(center.x, center.x, center.y, center.y)
@@ -135,45 +139,41 @@ class _SvgDoc:
         size = max(vb[2], vb[3])
         stroke = 0.004 * size
         radius = 0.011 * size
-        font = 0.045 * size
+        offset = 1.2 * radius
+        # The attribute text every element of a kind shares is formatted once;
+        # each element is then one % operation.
+        stroke_attr = 'fill="none" stroke="black" stroke-width="%.8g"' % stroke
+        dash_attr = ' stroke-dasharray="%.8g,%.8g"' % (3.0 * stroke, 2.0 * stroke)
+        circle = '<circle id="%%s" cx="%%.8g" cy="%%.8g" r="%.8g" fill="black"/>' % radius
+        label = ('<text x="%%.8g" y="%%.8g" font-family="serif" font-size="%.8g">%%s</text>'
+                 % (0.045 * size))
         body: list[str] = []
         for item in self._items:
             if item[0] == "polyline":
                 _, elem_id, coords, closed, dashed = item
-                tag = "polygon" if closed else "polyline"
-                dash = f' stroke-dasharray="{_f(3.0 * stroke)},{_f(2.0 * stroke)}"' if dashed else ""
-                body.append(
-                    f'<{tag} id="{elem_id}" points="{coords}" fill="none" '
-                    f'stroke="black" stroke-width="{_f(stroke)}"{dash}/>'
-                )
+                body.append('<%s id="%s" points="%s" %s%s/>' % (
+                    "polygon" if closed else "polyline", elem_id, coords, stroke_attr,
+                    dash_attr if dashed else ""))
             elif item[0] == "marker":
                 _, elem_id, x, y = item
-                body.append(
-                    f'<circle id="{elem_id}" cx="{_f(x)}" cy="{_f(-y)}" '
-                    f'r="{_f(radius)}" fill="black"/>'
-                )
+                body.append(circle % (elem_id, x, -y))
             else:
                 _, text, x, y = item
-                body.append(
-                    f'<text x="{_f(x + 1.2 * radius)}" y="{_f(-y - 1.2 * radius)}" '
-                    f'font-family="serif" font-size="{_f(font)}">{text}</text>'
-                )
+                body.append(label % (x + offset, -y - offset, text))
         head = (
             '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-            f'width="{width}" height="{height}" '
-            f'viewBox="{_f(vb[0])} {_f(vb[1])} {_f(vb[2])} {_f(vb[3])}">'
+            '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            'width="%s" height="%s" viewBox="%.8g %.8g %.8g %.8g">' % (width, height, *vb)
         )
         return head + "\n" + "\n".join(body) + "\n</svg>\n"
 
 
 def _curve(conic: Conic, t0: float, t1: float) -> tuple[str, _Extent]:
     """``conic`` over ``[t0, t1]`` as ``_CURVE_SAMPLES`` chords: the ``points``
-    text and extent, from one ``Conic._xys_at`` call, so its finiteness checks
-    and messages apply."""
+    text and extent of the columns of one ``Conic._xys_at`` call, so its
+    finiteness checks and messages apply."""
     n = _CURVE_SAMPLES
-    xy = conic._xys_at([t0 + (t1 - t0) * i / n for i in range(n + 1)])
-    return _points_text(xy), _extent_of(xy)
+    return _polyline(*conic._xys_at([t0 + (t1 - t0) * i / n for i in range(n + 1)]))
 
 
 #: ``_curve`` of the figures' fixed curves, rendered once per process.  Only
@@ -203,10 +203,13 @@ def _draw_path(doc: _SvgDoc, i: int, x: float, y: float, dx: float, dy: float,
                bounces: Sequence[_Bounce]) -> None:
     """The ray from ``(x, y)`` along ``(dx, dy)``, read from its ``_trace_xy`` bounces, as a
     polyline run on 3 units past its last bounce (past its origin for a miss)."""
-    xy = [(x, y)]
+    xs, ys = [x], [y]
     for _, _, x, y, dx, dy in bounces:
-        xy.append((x, y))
-    doc.polyline_xy(f"ray-{i}", xy + [(x + 3.0 * dx, y + 3.0 * dy)])
+        xs.append(x)
+        ys.append(y)
+    xs.append(x + 3.0 * dx)
+    ys.append(y + 3.0 * dy)
+    doc.polyline_xy(f"ray-{i}", xs, ys)
 
 
 def _draw_triangle(doc: _SvgDoc, tri: StepTriangle, with_reflector: bool = True) -> None:

@@ -158,6 +158,18 @@ class TestIntersect:
         with pytest.raises(ValueError, match=message):
             trace(Scene(mirrors=(conic,)), ray)
 
+    def test_far_root_past_the_float_range(self):
+        # the ray crosses Parabola(1e308) twice, at x = -+sqrt(2) * 1e308; in
+        # the unit, 2**1023, both roots are finite, but the farther one
+        # multiplied back, t ~ 2.9e308, is past the float range.  It is
+        # dropped as past the window, and the nearer hit is kept.
+        conic = Conic(Parabola(1e308))
+        ((t, q),) = intersect_ray(conic, Ray(Point(-1.5e308, 5e307), Direction(1.0, 0.0)))
+        assert q.x == pytest.approx(-math.sqrt(2.0) * 1e308, rel=1e-12)
+        assert q.y == 5e307
+        assert t == pytest.approx(1.5e308 - math.sqrt(2.0) * 1e308, rel=1e-9)
+        assert conic.is_on_curve(q)
+
     def test_parabola_past_the_overflow_of_its_coefficients(self):
         # the unscaled coefficients (0.36, -3.2e200, 4e200) overflow B*B, so
         # the discriminant's noise floor was infinite and the ray a miss; in
@@ -189,6 +201,30 @@ class TestIntersect:
                 )
                 checked += 1
         assert checked > 500  # the sample must actually exercise hits
+
+
+class TestThinShapes:
+    # the ray coefficients divide by the smaller length squared in the
+    # conic's unit, so a shape where that square underflows is refused by
+    # name, not reported as the in-unit shape or a ZeroDivisionError
+    @pytest.mark.parametrize("shape", [Ellipse(1e300, 1e-30), Hyperbola(1e300, 1e-30),
+                                       Ellipse(2, 1e-320), Hyperbola(1e-320, 2, -1)])
+    def test_refused_naming_the_given_shape(self, shape):
+        message = rf"^{re.escape(repr(shape))} is too thin to trace in floats: "
+        conic = Conic(shape)
+        ray = Ray(Point(0.0, 0.0), Direction(0.6, 0.8))
+        with pytest.raises(ValueError, match=message):
+            intersect_ray(conic, ray)
+        with pytest.raises(ValueError, match=message):
+            trace(Scene(mirrors=(conic,)), ray)
+        with pytest.raises(ValueError, match=message):
+            reflect_at(conic, conic.point_at(0.0), Direction(0.6, 0.8))
+
+    def test_thin_but_traceable(self):
+        # the smaller length squared, 2**-1074 in the unit, is the least
+        # subnormal: still traced
+        conic = Conic(Ellipse(1.0, 2.0 ** -537))
+        assert intersect_ray(conic, Ray(Point(-2.0, 0.0), Direction(1.0, 0.0)))
 
 
 class TestReflectAt:

@@ -9,7 +9,7 @@ import os
 import re
 import tempfile
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conicsteps import (
@@ -41,7 +41,13 @@ from conicsteps import (
 )
 from conicsteps.cli import main
 from conicsteps.optics import _ray_xy, _trace_xy
-from conicsteps.svgout import _CURVE_SAMPLES, _curve, _SvgDoc, default_cassegrain_scene
+from conicsteps.svgout import (
+    _CURVE_SAMPLES,
+    _curve,
+    _polyline,
+    _SvgDoc,
+    default_cassegrain_scene,
+)
 from conftest import pose_scene
 
 EPS = 2.220446049250313e-16
@@ -121,19 +127,48 @@ def test_reflection_is_an_involution(conic, t, angle):
 @given(conic=posed_conics(), t0=_floats(-700.0, 700.0), t1=_floats(-700.0, 700.0))
 def test_batch_samples_are_the_pointwise_samples(conic, t0, t1):
     # a curve sampled in one batch, as the figures draw it, gives every
-    # sample bit for bit as point_at and the scalar kernel do one at a time;
-    # the drawn polyline is their formatting, and its extent their min/max
+    # sample bit for bit as point_at and the scalar kernel do one at a time,
+    # as its x and y columns; the drawn polyline is their formatting, and
+    # its extent their min/max
     n = _CURVE_SAMPLES
     ts = [t0 + (t1 - t0) * i / n for i in range(n + 1)]
     pointwise = [(p.x, p.y) for p in map(conic.point_at, ts)]
     assert [conic.placement._xy_to_scene(*conic.shape._point(t)) for t in ts] == pointwise
-    assert conic._xys_at(ts) == pointwise
+    xs, ys = conic._xys_at(ts)
+    assert repr(list(zip(xs, ys))) == repr(pointwise)
     doc = _SvgDoc()
     doc.polyline_text("curve", *_curve(conic, t0, t1))
     text = " ".join("%.8g,%.8g" % (x, -y) for x, y in pointwise)
     assert doc._items == [("polyline", "curve", text, False, False)]
     xs, ys = zip(*pointwise)
     assert doc._extent == (min(xs), max(xs), min(ys), max(ys))
+
+
+#: coordinates at the edges of the format and of min/max: signed zeros,
+#: subnormals, the least normal, far and largest values
+_EDGE_COORDS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                                2.2250738585072014e-308, 1e300, -1e300,
+                                1.7976931348623157e308, -1.7976931348623157e308])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(xy=st.lists(st.tuples(*[st.one_of(_EDGE_COORDS, _floats(-1e9, 1e9),
+                                          st.floats(allow_nan=False, allow_infinity=False))] * 2),
+                   min_size=1, max_size=20))
+@example(xy=[(0.0, -0.0), (-0.0, 0.0)])
+@example(xy=[(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+@example(xy=[(1e300, -1e300), (-1e300, 1e300)])
+def test_polyline_is_the_per_vertex_text_and_extent(xy):
+    # one format operation over the interleaved columns gives the text of
+    # one "%.8g,%.8g" per vertex, y flipped, and the extent is the min/max
+    # of the vertex pairs; repr tells signed zeros apart
+    xs, ys = zip(*xy)
+    text = " ".join(["%.8g,%.8g" % (x, -y) for x, y in xy])
+    extent = repr((min(xs), max(xs), min(ys), max(ys)))
+    for columns in ((xs, ys), (list(xs), list(ys))):
+        points, got = _polyline(*columns)
+        assert points == text
+        assert repr(got) == extent
 
 
 @st.composite
@@ -326,8 +361,9 @@ def test_power_of_two_scaling_is_exact(scene, k, t, offset, gap):
     # exact in floats: every length, every gate's unit and every rounding
     # scale with it.  So a scaled scene traces the same bounces, its points
     # and t scaled by exactly 2^k and its directions bit for bit, and every
-    # tolerance gate gives the same answer.  (Parabola project_to_curve is
-    # not yet exact under scaling, so it is left out.)
+    # tolerance gate gives the same answer, and a conic's samples are its
+    # own scaled by 2^k.  (Parabola project_to_curve is not yet exact under
+    # scaling, so it is left out.)
     f = math.ldexp(1.0, k)
     big = dataclasses.replace(
         scene, mirrors=tuple(_scaled(m, f) for m in scene.mirrors),
@@ -347,6 +383,11 @@ def test_power_of_two_scaling_is_exact(scene, k, t, offset, gap):
         big_tri = two_step(scaled, Point(p.x * f, p.y * f), delta * f)
         assert big_tri.degenerate == tri.degenerate
         assert (big_tri.B.x, big_tri.B.y) == (tri.B.x * f, tri.B.y * f)
+        # the parabola's parameter is its x, a length, so it scales too
+        ts = [t + i / 4.0 for i in range(-4, 5)]
+        big_ts = [u * f for u in ts] if isinstance(conic.shape, Parabola) else ts
+        xs, ys = conic._xys_at(ts)
+        assert scaled._xys_at(big_ts) == ([x * f for x in xs], [y * f for y in ys])
     if scene.telescope_pair() is not None:
         # the confocal gate, with the secondary moved by a gap near its bound
         def displaced(s: Scene, g: float) -> Scene:
