@@ -347,12 +347,12 @@ class Conic:
     ) -> tuple[float, float]:
         """Canonical-frame coordinates of the scene point ``(x, y)``; the one
         on-curve check.  Raises OffCurveError, naming the point as ``what``,
-        when its residual exceeds ``_on_curve_limit``."""
+        when its residual exceeds ``_on_curve_limit`` or is NaN."""
         xc, yc = self.placement._xy_to_canonical(x, y)
         _require_finite(xc, yc)
         res = self.shape._residual(xc, yc)
         limit = self._on_curve_limit(xc, yc, tolerances)
-        if abs(res) > limit:
+        if not abs(res) <= limit:  # a NaN residual is off the curve too
             raise OffCurveError(
                 f"{what} ({x!r}, {y!r}) is off the curve: "
                 f"residual {res!r} exceeds {limit!r}"

@@ -226,8 +226,8 @@ def _require_type(name: str, value: object, cls: type) -> None:
 
 def _mirror(conic: Conic, tolerances: Tolerances) -> _Mirror:
     """``conic`` as ``_hits`` and ``_reflect`` read it: (cos, sin, tx, ty, unit, ray_coeffs
-    in that unit, on_branch, residual, gradient, on-curve bound at the canonical origin (the
-    smallest; ``_reflect`` re-checks a point over it), conic, tolerances).
+    and gradient in that unit, on_branch, residual, on-curve bound at the canonical origin
+    (the smallest; ``_reflect`` re-checks a point over it), conic, tolerances).
 
     Raises ValueError, naming the caller's shape, for an ellipse or hyperbola
     whose smaller length squared underflows in the unit: the ray coefficients
@@ -242,8 +242,8 @@ def _mirror(conic: Conic, tolerances: Tolerances) -> _Mirror:
             raise ValueError(f"{shape!r} is too thin to trace in floats: its smaller "
                              "length squared underflows in the unit of its larger one")
         in_unit = replace(shape, a=shape.a / unit, b=shape.b / unit)
-    return (pl._cos, pl._sin, pl.tx, pl.ty, unit, in_unit._ray_coeffs, shape._on_branch,
-            shape._residual, shape._gradient, conic._on_curve_limit(0.0, 0.0, tolerances),
+    return (pl._cos, pl._sin, pl.tx, pl.ty, unit, in_unit._ray_coeffs, in_unit._gradient,
+            shape._on_branch, shape._residual, conic._on_curve_limit(0.0, 0.0, tolerances),
             conic, tolerances)
 
 
@@ -261,7 +261,7 @@ def _hits(
     merge, both in that unit, and the other-branch filter are applied here
     and nowhere else.
     """
-    c, s, tx, ty, unit, ray_coeffs, on_branch, _, _, _, _, _ = mirror
+    c, s, tx, ty, unit, ray_coeffs, _, on_branch, _, _, _, _ = mirror
     isfinite = math.isfinite
     # The Placement transforms inline, and _require_finite only to raise:
     # this is the tracer's innermost call.
@@ -311,13 +311,16 @@ def intersect_ray(conic: Conic | Shape, ray: Ray) -> tuple[tuple[float, Point], 
 def _reflect(mirror: _Mirror, x: float, y: float, dx: float, dy: float) -> tuple[float, float]:
     """``reflect_at`` on floats: the unit direction leaving the scene point
     ``(x, y)`` for the incoming direction ``(dx, dy)``, across the tangent of
-    ``Conic.tangent_normal``; a point off the curve is raised by ``_require_on_curve``."""
-    c, s, tx, ty, _, _, _, residual, gradient, on_curve, conic, tolerances = mirror
+    ``Conic.tangent_normal``; a point off the curve is raised by ``_require_on_curve``.
+    The gradient is taken in the mirror's unit, so a huge conic's does not
+    overflow; dividing by a power of two is exact short of the subnormals, so
+    the normal keeps its bits."""
+    c, s, tx, ty, unit, _, gradient, _, residual, on_curve, conic, tolerances = mirror
     x0, y0 = x - tx, y - ty
     xc, yc = x0 * c + y0 * s, -x0 * s + y0 * c
-    if not (math.isfinite(xc) and math.isfinite(yc)) or abs(residual(xc, yc)) > on_curve:
+    if not (math.isfinite(xc) and math.isfinite(yc)) or not abs(residual(xc, yc)) <= on_curve:
         conic._require_on_curve(x, y, tolerances)
-    gx, gy = gradient(xc, yc)
+    gx, gy = gradient(xc / unit, yc / unit)
     gx, gy = _normalized(gx, gy)
     nx, ny = _normalized(gx * c - gy * s, gx * s + gy * c)
     return _reflect_xy(dx, dy, ny, -nx)  # across the tangent: the normal turned by -pi/2

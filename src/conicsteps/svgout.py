@@ -17,8 +17,11 @@ the float bounces of one ``optics._trace_xy`` call, never from trace objects.
 Only the triangle of a figure depends on ``delta`` and ``anchor_param``;
 its curves are fixed.  Each fixed curve is sampled and formatted by the
 first render that draws it, and later renders in the same process reuse
-that text.  A scene's mirrors come from the caller and are drawn afresh
-on every ``trace_svg`` call.
+that text.  The two figures drawn at fixed values, ``isosceles`` and
+``cassegrain``, are drawn whole by their first render, rays traced and
+all; later renders only emit that drawing at their own size.  A scene's
+mirrors and rays come from the caller and are drawn afresh on every
+``trace_svg`` call.
 """
 from __future__ import annotations
 
@@ -86,7 +89,8 @@ class _SvgDoc:
 
     A polyline's ``points`` text is formatted when it is added, and only the
     extent of its vertices is kept for the viewBox; coordinates are absolute,
-    so neither depends on the rest of the document.
+    so neither depends on the rest of the document.  ``emit`` only reads the
+    document, so one drawing can be emitted at any number of sizes.
     """
 
     def __init__(self) -> None:
@@ -180,7 +184,8 @@ def _curve(conic: Conic, t0: float, t1: float) -> tuple[str, _Extent]:
 #: the figure drawers call it, each with this module's own constants, so it
 #: holds one entry per distinct fixed curve and needs no size limit; scenes
 #: come from the caller and go through ``_curve`` uncached.  A call that
-#: raises stores nothing.
+#: raises stores nothing.  The curves of a figure drawn at fixed values are
+#: looked up only when ``_fixed_figure`` draws it, once per process.
 _fixed_curve = functools.cache(_curve)
 
 
@@ -343,6 +348,20 @@ _FIGURES = {
 FIGURE_IDS = tuple(_FIGURES)
 
 
+@functools.cache
+def _fixed_figure(figure_id: str) -> _SvgDoc:
+    """The drawing of a figure drawn at fixed values, made once per process.
+
+    Only ``figure_svg`` calls it, with an id whose figure takes no
+    ``(delta, anchor_param)``, so it holds at most one entry per such figure.
+    The drawing does not depend on the document size, and ``emit`` only
+    reads it, so every render shares it.  A drawer that raises stores nothing.
+    """
+    doc = _SvgDoc()
+    _FIGURES[figure_id][0](doc)
+    return doc
+
+
 def figure_svg(
     figure_id: str,
     delta: float | None = None,
@@ -350,7 +369,10 @@ def figure_svg(
     width: int = 640,
     height: int = 480,
 ) -> str:
-    """Render one of the named construction figures as an SVG document."""
+    """Render one of the named construction figures as an SVG document.
+
+    A figure drawn at fixed values is drawn by the first render in the
+    process; later ones emit that drawing at their own size."""
     if figure_id not in FIGURE_IDS:
         raise ValueError(
             f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}"
@@ -360,12 +382,11 @@ def figure_svg(
         raise ValueError(f"figure {figure_id!r} is drawn at fixed values; "
                          "it takes no delta or anchor_param")
     _require_size(width, height)
-    doc = _SvgDoc()
     if defaults is None:
-        draw(doc)
-    else:
-        draw(doc, defaults[0] if delta is None else delta,
-             defaults[1] if anchor_param is None else anchor_param)
+        return _fixed_figure(figure_id).emit(width, height)
+    doc = _SvgDoc()
+    draw(doc, defaults[0] if delta is None else delta,
+         defaults[1] if anchor_param is None else anchor_param)
     return doc.emit(width, height)
 
 

@@ -12,6 +12,9 @@ from pathlib import Path
 
 import pytest
 
+import conicsteps.cli  # loaded, as svgout is, so that count_traces patches their bindings
+import conicsteps.optics
+import conicsteps.svgout
 from conicsteps import (
     Conic,
     ConvergenceReport,
@@ -43,6 +46,26 @@ def fresh(code: str) -> object:
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def count_traces(monkeypatch) -> list[int]:
+    """``[calls, rays]``: the calls of the one bounce loop, ``optics._trace_xy``,
+    and the rays traced across them, counted from now on in every conicsteps
+    module that binds it, so an SVG or a spot report that traced the rays again
+    is counted."""
+    calls = [0, 0]
+    real = conicsteps.optics._trace_xy
+
+    def counting(scene, rays):
+        rays = list(rays)
+        calls[0] += 1
+        calls[1] += len(rays)
+        return real(scene, rays)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "conicsteps" and hasattr(module, "_trace_xy"):
+            monkeypatch.setattr(module, "_trace_xy", counting)
+    return calls
 
 
 def random_ellipse(rng: random.Random, placed: bool = False) -> Conic:

@@ -12,9 +12,6 @@ from pathlib import Path
 
 import pytest
 
-import conicsteps.cli
-import conicsteps.optics
-import conicsteps.svgout
 from conicsteps import (
     Conic,
     Ellipse,
@@ -25,6 +22,7 @@ from conicsteps import (
     trace_svg,
 )
 from conicsteps.cli import main
+from conftest import count_traces
 
 
 def bundled_scene(name: str) -> str:
@@ -319,28 +317,10 @@ class TestTrace:
         assert target.read_text().startswith("<?xml")
         assert "<svg" in target.read_text()
 
-    def _count_traces(self, monkeypatch) -> list[int]:
-        # Counts calls of the one bounce loop, optics._trace_xy, and the rays
-        # traced across them, in every conicsteps module that binds it, so an
-        # SVG or a spot report that traced the rays again would be counted.
-        calls = [0, 0]
-        real = conicsteps.optics._trace_xy
-
-        def counting(scene, rays):
-            rays = list(rays)
-            calls[0] += 1
-            calls[1] += len(rays)
-            return real(scene, rays)
-
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "conicsteps" and hasattr(module, "_trace_xy"):
-                monkeypatch.setattr(module, "_trace_xy", counting)
-        return calls
-
     def test_each_ray_traced_once(self, capsys, tmp_path, monkeypatch):
         path = bundled_scene("cassegrain.json")
         target = tmp_path / "trace.svg"
-        calls = self._count_traces(monkeypatch)
+        calls = count_traces(monkeypatch)
         code, out, _ = run(capsys, "trace", path, "--svg", str(target))
         assert code == 0
         assert calls == [1, 100]
@@ -352,7 +332,7 @@ class TestTrace:
 
     def test_file_cap_given_as_flag_traced_once(self, capsys, monkeypatch):
         path = bundled_scene("cassegrain.json")
-        calls = self._count_traces(monkeypatch)
+        calls = count_traces(monkeypatch)
         code, out, _ = run(capsys, "trace", path, "--max-bounces", "2")
         assert code == 0
         assert calls == [1, 100]
@@ -364,7 +344,7 @@ class TestTrace:
         # trace; it used to trace every ray again at the file's cap
         path = bundled_scene("cassegrain.json")
         target = tmp_path / "trace.svg"
-        calls = self._count_traces(monkeypatch)
+        calls = count_traces(monkeypatch)
         code, out, _ = run(capsys, "trace", path, "--max-bounces", "1", "--svg", str(target))
         assert code == 0
         assert calls == [1, 100]
@@ -379,7 +359,7 @@ class TestTrace:
     def test_cap_above_file_cap_traced_once(self, capsys, tmp_path, monkeypatch):
         path = bundled_scene("cassegrain.json")
         target = tmp_path / "trace.svg"
-        calls = self._count_traces(monkeypatch)
+        calls = count_traces(monkeypatch)
         code, out, _ = run(capsys, "trace", path, "--max-bounces", "5", "--svg", str(target))
         assert code == 0
         assert calls == [1, 100]

@@ -153,6 +153,17 @@ class TestResidual:
         assert huge.residual(q) == pytest.approx(2e300, rel=1e-9)
         assert not huge.is_on_curve(q)
 
+    @pytest.mark.parametrize("shape", [Ellipse(1e180, 1e179), Hyperbola(1e180, 1e179)])
+    def test_nan_residual_is_off_the_curve(self, shape):
+        # a*a overflows in the residual kernel, so the residual at (1, -7) is
+        # NaN; abs(NaN) > bound is false, and the point passed as on the curve
+        conic = Conic(shape)
+        q = Point(1.0, -7.0)
+        assert math.isnan(conic.residual(q))
+        assert not conic.is_on_curve(q)
+        with pytest.raises(OffCurveError, match=r"residual nan exceeds"):
+            conic.tangent_normal(q)
+
     def test_residual_respects_placement(self):
         placed = Conic(Ellipse(5, 3), Placement(2.0, -1.0, math.pi / 2))
         # canonical (0,3) rotates to (-3,0) then translates to (-1,-1)

@@ -243,6 +243,23 @@ class TestReflectAt:
         assert out.x == pytest.approx(-1.0, abs=1e-15)
         assert out.y == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("shape", [Ellipse(1e180, 1e179), Hyperbola(1e180, 1e179)])
+    def test_nan_residual_is_off_the_curve(self, shape):
+        # the residual at (1, -7) is NaN; the fast on-curve check let it pass
+        # and the normal of the overflowed gradient was refused as degenerate
+        with pytest.raises(OffCurveError, match=r"residual nan exceeds"):
+            reflect_at(Conic(shape), Point(1.0, -7.0), Direction(1.0, 0.0))
+
+    def test_far_parabola_bounce(self):
+        # the hit at x = -sqrt(2) * 1e308 is on Parabola(1e308), but the
+        # gradient (2x, -4p) taken in the caller's frame overflowed to
+        # (-inf, -inf); in the parabola's unit it is of order one
+        scene = Scene(mirrors=(Conic(Parabola(1e308)),))
+        (hit,) = trace(scene, Ray(Point(-1.5e308, 5e307), Direction(1.0, 0.0))).hits
+        assert hit.point.x == pytest.approx(-math.sqrt(2.0) * 1e308, rel=1e-12)
+        assert hit.outgoing.x == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert hit.outgoing.y == pytest.approx(-math.sqrt(8.0) / 3.0, abs=1e-12)
+
     def test_reversed_ray_retraces_path(self):
         rng = random.Random(103)
         for _ in range(100):

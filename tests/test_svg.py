@@ -21,8 +21,9 @@ from conicsteps import (
     load_scene,
     trace_svg,
 )
-from conicsteps.svgout import _curve, _fixed_curve, default_cassegrain_scene
-from conftest import fresh, pose_scene
+from conicsteps import svgout
+from conicsteps.svgout import _curve, _fixed_curve, _fixed_figure, default_cassegrain_scene
+from conftest import count_traces, fresh, pose_scene
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -136,8 +137,10 @@ class TestFrozenSvg:
 
 #: (delta, anchor_param) pairs other than any walk figure's defaults.
 OTHER_PAIRS = ((0.3, 0.9), (0.6, 1.1), (0.05, 0.7))
+#: The figures drawn at fixed values, which take no (delta, anchor_param).
+FIXED_FIGURES = ("isosceles", "cassegrain")
 #: The walk figures, which take a (delta, anchor_param) pair.
-WALK_FIGURES = tuple(fid for fid in FIGURE_IDS if fid not in ("isosceles", "cassegrain"))
+WALK_FIGURES = tuple(fid for fid in FIGURE_IDS if fid not in FIXED_FIGURES)
 
 
 def draw_every_figure_at_other_pairs() -> None:
@@ -163,14 +166,15 @@ class TestFixedCurveCache:
 
     def test_one_entry_per_fixed_curve(self):
         # the ellipse and projection figures share the Ellipse(5, 3) curve,
-        # so one pass over the six figures looks up 7 curves, 6 distinct
+        # so the six figures draw 7 curves, 6 distinct; a warm pass looks up
+        # 5, as cassegrain's two come with its drawing from _fixed_figure
         draw_every_figure_at_other_pairs()
         before = _fixed_curve.cache_info()
         for figure_id in FIGURE_IDS:
             figure_svg(figure_id)
         after = _fixed_curve.cache_info()
         assert after.currsize == 6
-        assert (after.hits - before.hits, after.misses - before.misses) == (7, 0)
+        assert (after.hits - before.hits, after.misses - before.misses) == (5, 0)
 
     def test_a_failed_render_stores_nothing(self):
         before = _fixed_curve.cache_info().currsize
@@ -184,6 +188,57 @@ class TestFixedCurveCache:
         trace_svg(default_cassegrain_scene(4))
         trace_svg(pose_scene(default_cassegrain_scene(4), Placement(1.5, -2.25, 0.7)))
         assert _fixed_curve.cache_info() == before
+
+
+#: Document sizes rendered in turn, the first again last.
+SIZES = ((640, 480), (100, 80), (1920, 1080), (640, 480))
+
+
+class TestFixedFigureCache:
+    """The figures drawn at fixed values are drawn once per process; each
+    render only emits that drawing at its own size."""
+
+    def test_every_size_gives_the_fresh_render_bytes(self):
+        # each fresh interpreter draws both figures for the first time, at
+        # one size; in process, the sizes after the first reuse the drawing
+        fresh_docs = {
+            (w, h): fresh("from conicsteps import figure_svg\n"
+                          f"result = [figure_svg(f, width={w}, height={h}) "
+                          f"for f in {FIXED_FIGURES!r}]")
+            for w, h in set(SIZES)
+        }
+        for w, h in SIZES:
+            docs = [figure_svg(fid, width=w, height=h) for fid in FIXED_FIGURES]
+            assert docs == fresh_docs[w, h]
+
+    def test_a_warm_pass_traces_no_rays(self, monkeypatch):
+        _fixed_figure.cache_clear()
+        calls = count_traces(monkeypatch)
+        for figure_id in FIGURE_IDS:
+            figure_svg(figure_id)
+        assert calls == [1, 6]  # cassegrain's six rays, drawn once
+        for w, h in SIZES:
+            for figure_id in FIGURE_IDS:
+                figure_svg(figure_id, width=w, height=h)
+        assert calls == [1, 6]
+
+    def test_at_most_one_entry_per_fixed_figure(self):
+        for w, h in SIZES:
+            for figure_id in FIGURE_IDS:
+                figure_svg(figure_id, width=w, height=h)
+            draw_every_figure_at_other_pairs()
+        assert _fixed_figure.cache_info().currsize == len(FIXED_FIGURES) == 2
+
+    def test_a_failed_drawing_stores_nothing(self, monkeypatch):
+        def failing(doc):
+            raise ValueError("drawer failed")
+
+        _fixed_figure.cache_clear()
+        monkeypatch.setitem(svgout._FIGURES, "cassegrain", (failing, None))
+        for _ in range(2):  # the drawer runs again on the second call
+            with pytest.raises(ValueError, match="^drawer failed$"):
+                figure_svg("cassegrain")
+        assert _fixed_figure.cache_info().currsize == 0
 
 
 # Finite canonical axes whose translated samples overflow to infinity.
