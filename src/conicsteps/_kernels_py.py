@@ -1,15 +1,16 @@
 """Pure-Python scalar kernels.
 
 These are the hot inner loops of the library: canonical-frame residuals,
-implicit-form gradients, parametric points (one at a time, or a whole
-curve's samples as x and y columns in one call), stable quadratic roots for
-ray-conic intersection, and the direct foot-of-normal solves, all reached
-through ``conicsteps._backend.kernels``: the per-shape kernels only from the
-shape methods in ``conics``, ``quadratic_roots`` from ``optics`` and
+implicit-form gradients, parametric points (a whole curve's samples as x
+and y columns in one call), stable quadratic roots for ray-conic
+intersection, and the direct foot-of-normal solves, all reached through
+``conicsteps._backend.kernels``: the per-shape kernels only from the shape
+methods in ``conics``, ``quadratic_roots`` from ``optics`` and
 ``construction``.
 
 All functions work in the conic's canonical frame and know nothing about
 placements, tolerable residuals, or error types — callers own validation.
+Each shape calls them in its own length unit (see ``conics``).
 """
 from __future__ import annotations
 
@@ -69,26 +70,18 @@ def ellipse_point(a: float, b: float, t: float) -> tuple[float, float]:
     return a * math.cos(t), b * math.sin(t)
 
 
-def parabola_point(p: float, t: float) -> tuple[float, float]:
-    return t, t * t / (4.0 * p)
-
-
-def hyperbola_point(a: float, b: float, sigma: int, t: float) -> tuple[float, float]:
-    return sigma * a * math.cosh(t), b * math.sinh(t)
-
-
-# Whole-curve samples: each ``*_points`` gives the columns ``(xs, ys)`` of
-# its ``*_point`` over ``ts``, bit for bit; the hoisted ``4.0 * p`` and
-# ``sigma * a`` are the same products.
+# Whole-curve samples: the columns ``(xs, ys)`` over ``ts``.  The parabola's
+# ``p`` is in the unit ``u``, and ``ts`` and the samples in the caller's lengths:
+# ``t / u * t / (4 p)`` is ``t * t / (4 p u)`` bit for bit, with the square in the unit.
 
 def ellipse_points(a: float, b: float, ts: Sequence[float]) -> tuple[list[float], list[float]]:
     cos, sin = math.cos, math.sin
     return [a * cos(t) for t in ts], [b * sin(t) for t in ts]
 
 
-def parabola_points(p: float, ts: Sequence[float]) -> tuple[list[float], list[float]]:
+def parabola_points(p: float, u: float, ts: Sequence[float]) -> tuple[list[float], list[float]]:
     p4 = 4.0 * p
-    return list(ts), [t * t / p4 for t in ts]
+    return list(ts), [t / u * t / p4 for t in ts]
 
 
 def hyperbola_points(

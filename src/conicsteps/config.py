@@ -9,7 +9,7 @@ stock policy; callers that need another value derive a new instance with
 as an argument.  Solver guards that no caller sets (the self-hit window,
 the root merge, the identity budget and the like) are private constants of
 the one module that reads each; those that are lengths are multiples of the
-conic's length unit, ``conics._unit``.
+conic's length unit, the shape's ``_unit`` (see ``conics``).
 
 ``METRICS`` names the quantities a halving sweep can record.  It lives here,
 not in ``convergence``, so the CLI can list them without loading the sweep.

@@ -14,11 +14,18 @@ A ``Placement`` is a rotation followed by a translation; ``Conic`` pairs a
 shape with a placement and exposes every curve operation in scene
 coordinates: the signed residual, tangent/normal frames, parametric points,
 nearest-point projection, and focus locations.  Each shape owns its
-canonical-frame math: its ``_residual``, ``_gradient``, ``_point``,
-``_points``, ``_ray_coeffs``, ``_nearest`` and ``_on_branch`` are the only
-callers of its kernels, so no other code picks a kernel by shape.  Its
-``_step`` is the focal step rule: the unit direction of the two-step walk's
-first or second step, read by the walk and the focal reflection property.
+canonical-frame math: its ``_residual``, ``_gradient``, ``_points``,
+``_ray_coeffs``, ``_nearest`` and ``_on_branch`` are the only callers of its
+kernels, so no other code picks a kernel by shape.  Its ``_step`` is the
+focal step rule: the unit direction of the two-step walk's first or second
+step, read by the walk and the focal reflection property.
+
+Each shape owns its length unit ``_unit``, the power of two ``u <= L < 2u``
+for its largest length ``L`` and the one place its size becomes a tolerance,
+and keeps its lengths divided by ``u`` (``_au``, ``_bu``, ``_cu``, ``_pu``).
+Every kernel that squares a length runs on those and on coordinates divided
+by ``u``, lengths multiplied back (``_gradient`` stays in the unit): exact,
+short of the subnormals, so results keep their bits at every size.
 
 Residual conventions (distances measured in the canonical frame):
 
@@ -53,6 +60,16 @@ __all__ = [
 ]
 
 
+def _keep_in_unit(shape: Shape, largest: float, **lengths: float) -> None:
+    """Keep on ``shape`` its unit ``_unit``, the power of two ``u <= largest < 2u``,
+    and each of ``lengths`` divided by it, set one by one as ``Placement`` sets
+    ``_cos``: ``vars(shape).update`` would slow every attribute read."""
+    u = math.ldexp(0.5, math.frexp(largest)[1])
+    object.__setattr__(shape, "_unit", u)
+    for name, length in lengths.items():
+        object.__setattr__(shape, name, length / u)
+
+
 @dataclass(frozen=True)
 class Ellipse:
     """Axis-aligned ellipse with semi-major ``a`` and semi-minor ``b``."""
@@ -68,11 +85,13 @@ class Ellipse:
             raise ValueError(
                 f"ellipse requires a >= b > 0, got a={self.a}, b={self.b}"
             )
+        _keep_in_unit(self, self.a, _au=self.a, _bu=self.b)
+        object.__setattr__(self, "_cu", math.sqrt(self._au * self._au - self._bu * self._bu))
 
     @property
     def c(self) -> float:
         """Linear eccentricity (center-to-focus distance)."""
-        return math.sqrt(self.a * self.a - self.b * self.b)
+        return self._cu * self._unit
 
     @property
     def foci(self) -> tuple[Point, Point]:
@@ -84,30 +103,29 @@ class Ellipse:
         return self.a + self.b
 
     def _residual(self, x: float, y: float) -> float:
-        return kernels.ellipse_residual(self.a, self.b, x, y)
+        u = self._unit
+        return kernels.ellipse_residual(self._au, self._bu, x / u, y / u) * u
 
     def _gradient(self, x: float, y: float) -> tuple[float, float]:
-        return kernels.ellipse_gradient(self.a, self.b, x, y)
-
-    def _point(self, t: float) -> tuple[float, float]:
-        return kernels.ellipse_point(self.a, self.b, t)
+        return kernels.ellipse_gradient(self._au, self._bu, x / self._unit, y / self._unit)
 
     def _points(self, ts: Sequence[float]) -> tuple[list[float], list[float]]:
         return kernels.ellipse_points(self.a, self.b, ts)
 
     def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
-        return kernels.ellipse_ray_coeffs(self.a, self.b, ox, oy, dx, dy)
+        u = self._unit
+        return kernels.ellipse_ray_coeffs(self._au, self._bu, ox / u, oy / u, dx, dy)
 
     def _nearest(self, x: float, y: float) -> tuple[float, int]:
         if x == 0.0 and y == 0.0:
             raise ValueError("nearest point is ambiguous at the ellipse center")
-        return kernels.ellipse_nearest_param(self.a, self.b, x, y)
+        return kernels.ellipse_nearest_param(self._au, self._bu, x / self._unit, y / self._unit)
 
     def _on_branch(self, x: float) -> bool:
         return True
 
     def _step(self, x: float, y: float, second: bool, forward: bool) -> tuple[float, float]:
-        f = self.c if second == forward else -self.c
+        x, y, f = x / self._unit, y / self._unit, (self._cu if second == forward else -self._cu)
         return _normalized(f - x, 0.0 - y) if second else _normalized(x - f, y - 0.0)
 
 
@@ -121,6 +139,7 @@ class Parabola:
     def __post_init__(self) -> None:
         if not math.isfinite(self.p) or self.p <= 0.0:
             raise ValueError(f"parabola requires p > 0, got p={self.p}")
+        _keep_in_unit(self, self.p, _pu=self.p)
 
     @property
     def focus(self) -> Point:
@@ -131,22 +150,21 @@ class Parabola:
         return 2.0 * self.p
 
     def _residual(self, x: float, y: float) -> float:
-        return kernels.parabola_residual(self.p, x, y)
+        u = self._unit
+        return kernels.parabola_residual(self._pu, x / u, y / u) * u
 
     def _gradient(self, x: float, y: float) -> tuple[float, float]:
-        return kernels.parabola_gradient(self.p, x, y)
-
-    def _point(self, t: float) -> tuple[float, float]:
-        return kernels.parabola_point(self.p, t)
+        return kernels.parabola_gradient(self._pu, x / self._unit, y / self._unit)
 
     def _points(self, ts: Sequence[float]) -> tuple[list[float], list[float]]:
-        return kernels.parabola_points(self.p, ts)
+        return kernels.parabola_points(self._pu, self._unit, ts)
 
     def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
-        return kernels.parabola_ray_coeffs(self.p, ox, oy, dx, dy)
+        return kernels.parabola_ray_coeffs(self._pu, ox / self._unit, oy / self._unit, dx, dy)
 
     def _nearest(self, x: float, y: float) -> tuple[float, int]:
-        return kernels.parabola_nearest_param(self.p, x, y)
+        t, ok = kernels.parabola_nearest_param(self._pu, x / self._unit, y / self._unit)
+        return t * self._unit, ok
 
     def _on_branch(self, x: float) -> bool:
         return True
@@ -154,7 +172,8 @@ class Parabola:
     def _step(self, x: float, y: float, second: bool, forward: bool) -> tuple[float, float]:
         if not second:
             return 0.0, (-1.0 if forward else 1.0)
-        return _normalized(0.0 - x, self.p - y) if forward else _normalized(x - 0.0, y - self.p)
+        x, y, p = x / self._unit, y / self._unit, self._pu
+        return _normalized(0.0 - x, p - y) if forward else _normalized(x - 0.0, y - p)
 
 
 @dataclass(frozen=True)
@@ -181,11 +200,13 @@ class Hyperbola:
             )
         if type(self.branch) is not int or self.branch not in (1, -1):
             raise ValueError(f"branch must be +1 or -1, got {self.branch}")
+        _keep_in_unit(self, max(self.a, self.b), _au=self.a, _bu=self.b)
+        object.__setattr__(self, "_cu", math.sqrt(self._au * self._au + self._bu * self._bu))
 
     @property
     def c(self) -> float:
         """Linear eccentricity (center-to-focus distance)."""
-        return math.sqrt(self.a * self.a + self.b * self.b)
+        return self._cu * self._unit
 
     @property
     def foci(self) -> tuple[Point, Point]:
@@ -201,29 +222,29 @@ class Hyperbola:
         if x == 0.0:
             raise NoBranchError("point lies on the axis of symmetry between branches; "
                                 "the residual is defined per branch")
-        return kernels.hyperbola_residual(self.a, self.b, self.branch, x, y)
+        u = self._unit
+        return kernels.hyperbola_residual(self._au, self._bu, self.branch, x / u, y / u) * u
 
     def _gradient(self, x: float, y: float) -> tuple[float, float]:
-        return kernels.hyperbola_gradient(self.a, self.b, x, y)
-
-    def _point(self, t: float) -> tuple[float, float]:
-        return kernels.hyperbola_point(self.a, self.b, self.branch, t)
+        return kernels.hyperbola_gradient(self._au, self._bu, x / self._unit, y / self._unit)
 
     def _points(self, ts: Sequence[float]) -> tuple[list[float], list[float]]:
         return kernels.hyperbola_points(self.a, self.b, self.branch, ts)
 
     def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
-        return kernels.hyperbola_ray_coeffs(self.a, self.b, ox, oy, dx, dy)
+        u = self._unit
+        return kernels.hyperbola_ray_coeffs(self._au, self._bu, ox / u, oy / u, dx, dy)
 
     def _nearest(self, x: float, y: float) -> tuple[float, int]:
-        return kernels.hyperbola_nearest_param(self.a, self.b, self.branch, x, y)
+        u = self._unit
+        return kernels.hyperbola_nearest_param(self._au, self._bu, self.branch, x / u, y / u)
 
     def _on_branch(self, x: float) -> bool:
         return x != 0.0 and (x > 0.0) == (self.branch > 0)
 
     def _step(self, x: float, y: float, second: bool, forward: bool) -> tuple[float, float]:
-        f = -self.branch * self.c if second == forward else self.branch * self.c
-        return _normalized(x - f, y - 0.0)
+        f = -self.branch * self._cu if second == forward else self.branch * self._cu
+        return _normalized(x / self._unit - f, y / self._unit - 0.0)
 
 
 Shape = Ellipse | Parabola | Hyperbola
@@ -231,16 +252,6 @@ Shape = Ellipse | Parabola | Hyperbola
 #: the rounding floor of a residual at the canonical point (x, y), per unit of
 #: |x| + |y|: the backward error of a float point of that size.
 _ROUNDING_FLOOR = 4.0 * math.ulp(1.0)
-
-
-def _unit(shape: Shape) -> float:
-    """The conic's length unit: the power of two ``u`` with ``u <= L < 2u``,
-    ``L`` its largest length (ellipse ``a``, parabola ``p``, hyperbola
-    ``max(a, b)``).  This is the one place a shape's size becomes a tolerance
-    scale.  Unlike ``scale`` it never overflows, and it scales exactly with a
-    conic scaled by a power of two."""
-    length = shape.p if isinstance(shape, Parabola) else max(shape.a, shape.b)
-    return math.ldexp(0.5, math.frexp(length)[1])
 
 
 @dataclass(frozen=True)
@@ -323,7 +334,7 @@ class Conic:
     @property
     def scale(self) -> float:
         """Characteristic length: the sum of the shape's two lengths
-        (``a + b``, or ``2p``).  Tolerances read ``_unit`` instead."""
+        (``a + b``, or ``2p``).  Tolerances read the shape's ``_unit`` instead."""
         return self.shape.scale
 
     # ------------------------------------------------------------ residual
@@ -363,7 +374,7 @@ class Conic:
         """The |residual| ``_require_on_curve`` allows at the canonical point
         ``(xc, yc)``: ``tolerances.on_curve`` in the conic's unit, plus the
         rounding floor of a residual there, which grows with the point."""
-        return (tolerances.on_curve * _unit(self.shape)
+        return (tolerances.on_curve * self.shape._unit
                 + _ROUNDING_FLOOR * (abs(xc) + abs(yc)))
 
     # ------------------------------------------------- tangent and normal
@@ -477,7 +488,7 @@ def _foot_xy(shape: Shape, x: float, y: float) -> tuple[float, float, float]:
             raise IterationError(
                 f"nearest-point search did not converge for the canonical point ({x!r}, {y!r})"
             )
-        fx, fy = shape._point(t)
+        (fx,), (fy,) = shape._points((t,))
     if not (math.isfinite(fx) and math.isfinite(fy)):
         raise ValueError(
             f"the foot of the normal from the canonical point ({x!r}, {y!r}) "

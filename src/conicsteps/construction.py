@@ -37,7 +37,7 @@ from typing import Literal
 
 from ._backend import kernels
 from .config import DEFAULT, Tolerances
-from .conics import Conic, Parabola, Shape, _unit, as_conic
+from .conics import Conic, Parabola, Shape, as_conic
 from .errors import BracketError, ConicError, DegenerateTriangleError, UnsupportedVariantError
 from .geometry import (Direction, Line, Point, _angle_xy, _require_finite, reflect_direction,
                        scalar_projection)
@@ -174,8 +174,8 @@ _DEGENERATE_STEP = 1e-12
 
 def _retraced(shape: Shape, ax: float, ay: float, bx: float, by: float) -> bool:
     """Whether a walk on ``shape`` from ``A`` to ``B`` retraced itself: its
-    chord is at most ``_DEGENERATE_STEP`` in the unit ``conics._unit``."""
-    return math.hypot(bx - ax, by - ay) <= _DEGENERATE_STEP * _unit(shape)
+    chord is at most ``_DEGENERATE_STEP`` in the shape's ``_unit``."""
+    return math.hypot(bx - ax, by - ay) <= _DEGENERATE_STEP * shape._unit
 
 
 def apex_reflector(tri: StepTriangle) -> Line:
@@ -285,7 +285,8 @@ def _return_length(shape: Shape, ox: float, oy: float, dx: float, dy: float,
     def rank(t: float) -> tuple[float, bool]:
         return max(lo - t, t - hi, 0.0), not shape._on_branch(ox + t * dx)
 
-    t = min((r0, r1)[:n], key=rank)
+    t0, t1 = r0 * shape._unit, r1 * shape._unit  # min((t0, t1)[:n], key=rank), unrolled
+    t = t1 if n == 2 and rank(t1) < rank(t0) else t0
     return min(max(t, lo), hi)
 
 

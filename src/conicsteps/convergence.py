@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 
 from .config import DEFAULT, METRICS, Tolerances
-from .conics import Conic, Ellipse, Hyperbola, Parabola, Shape, _foot_xy, _unit, as_conic
+from .conics import Conic, Ellipse, Hyperbola, Parabola, Shape, _foot_xy, as_conic
 from .construction import (Orientation, _check_step, _parallelism, _retraced, _return_xy,
                            _walk_xy)
 from .errors import ConicError
@@ -148,8 +148,8 @@ _NOISE_FLOOR_EPSILONS = 100.0
 
 def noise_floor(conic: Conic | Shape) -> float:
     """Values below this are rounding noise for curves of this size: the
-    floor in the conic's length unit, ``conics._unit``."""
-    return _NOISE_FLOOR_EPSILONS * sys.float_info.epsilon * _unit(as_conic(conic).shape)
+    floor in the conic's length unit, the shape's ``_unit``."""
+    return _NOISE_FLOOR_EPSILONS * sys.float_info.epsilon * as_conic(conic).shape._unit
 
 
 def estimate_order(
@@ -231,7 +231,12 @@ def run_sweep(cfg: SweepConfig, tolerances: Tolerances = DEFAULT) -> Convergence
         order = orders[m].order
         if order is not None:  # then some value is above the floor
             d, v = next((d, v) for d, v in zip(reversed(deltas), reversed(values[m])) if v > floor)
-            constants[m] = v / d**order
+            try:
+                constants[m] = v / d**order
+            except (OverflowError, ZeroDivisionError):  # d**order is past the float range:
+                mant, e = math.frexp(d)  # split it at d's binary exponent
+                c = v / mant**order / 2.0 ** (e * order % 1.0)
+                constants[m] = math.ldexp(c, -math.floor(e * order))
     return ConvergenceReport(
         config=cfg,
         deltas=tuple(deltas),

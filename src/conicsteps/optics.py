@@ -20,7 +20,8 @@ The work is done in floats: one bounce loop, ``_trace_xy``, traces a bundle
 of ``(ox, oy, dx, dy)`` rays, each through all its bounces before the next,
 through one private hit finder and one private reflector that read each
 mirror from a float record (``_mirror``) built once per call, and returns
-each bounce as a tuple.  ``intersect_ray`` and ``reflect_at`` wrap the same
+each bounce as a tuple; the record holds the shape's own methods, which run
+its kernels in its unit.  ``intersect_ray`` and ``reflect_at`` wrap the same
 two functions, and ``trace`` the loop; these three alone build trace
 objects, and only ``trace`` builds ``Hit`` and ``TracePath``.  The spot
 statistics, the SVG and the CLI listing trace each bundle in one call and
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field, replace
 
 from ._backend import kernels
 from .config import DEFAULT, Tolerances
-from .conics import Conic, Hyperbola, Parabola, Shape, _unit, as_conic
+from .conics import Conic, Hyperbola, Parabola, Shape, as_conic
 from .errors import UnsupportedVariantError
 from .geometry import (
     Direction,
@@ -132,7 +133,7 @@ class Scene:
     telescope roles are present the pair must be confocal: the secondary's
     near focus must coincide with the primary's focus within
     ``tolerances.confocal`` in the larger length unit of the two mirrors
-    (``conics._unit``), so the check does not depend on the units of the
+    (each shape's ``_unit``), so the check does not depend on the units of the
     scene.  The default is tight (1e-9); misalignment studies may widen it
     deliberately to trace an imperfect pair.
     """
@@ -173,7 +174,7 @@ class Scene:
             pf = primary.focus_points()[0]
             hf_near = secondary.focus_points()[0]
             gap = pf.distance_to(hf_near)
-            limit = self.tolerances.confocal * max(_unit(primary.shape), _unit(secondary.shape))
+            limit = self.tolerances.confocal * max(primary.shape._unit, secondary.shape._unit)
             if gap > limit:
                 raise ValueError(
                     f"primary/secondary pair is not confocal: focus gap {gap!r} "
@@ -225,24 +226,17 @@ def _require_type(name: str, value: object, cls: type) -> None:
 
 
 def _mirror(conic: Conic, tolerances: Tolerances) -> _Mirror:
-    """``conic`` as ``_hits`` and ``_reflect`` read it: (cos, sin, tx, ty, unit, ray_coeffs
-    and gradient in that unit, on_branch, residual, on-curve bound at the canonical origin
-    (the smallest; ``_reflect`` re-checks a point over it), conic, tolerances).
-
-    Raises ValueError, naming the caller's shape, for an ellipse or hyperbola
-    whose smaller length squared underflows in the unit: the ray coefficients
-    divide by that square."""
+    """``conic`` as ``_hits`` and ``_reflect`` read it: (cos, sin, tx, ty, unit, the shape's
+    ray_coeffs, gradient, on_branch and residual, the on-curve bound at the canonical origin
+    (the smallest; ``_reflect`` re-checks a point over it), conic, tolerances).  Raises a
+    ValueError naming the shape if its smaller length, squared in the unit, underflows."""
     pl, shape = conic.placement, conic.shape
-    unit = _unit(shape)
-    if isinstance(shape, Parabola):
-        in_unit = Parabola(shape.p / unit)
-    else:
-        small = min(shape.a, shape.b) / unit
+    if not isinstance(shape, Parabola):
+        small = min(shape._au, shape._bu)
         if small * small == 0.0:
             raise ValueError(f"{shape!r} is too thin to trace in floats: its smaller "
                              "length squared underflows in the unit of its larger one")
-        in_unit = replace(shape, a=shape.a / unit, b=shape.b / unit)
-    return (pl._cos, pl._sin, pl.tx, pl.ty, unit, in_unit._ray_coeffs, in_unit._gradient,
+    return (pl._cos, pl._sin, pl.tx, pl.ty, shape._unit, shape._ray_coeffs, shape._gradient,
             shape._on_branch, shape._residual, conic._on_curve_limit(0.0, 0.0, tolerances),
             conic, tolerances)
 
@@ -254,12 +248,11 @@ def _hits(
     ray from ``(ox, oy)`` along ``(dx, dy)``, nearest first, all in scene
     coordinates.
 
-    The ray is solved in the mirror's canonical frame, where its direction
-    is renormalized, and in its unit: the origin and the shape's lengths
-    divided by it, each root multiplied back, all exactly.  The
-    ``_SELF_HIT``/``_MAX_RAY_T`` window and the ``_ROOT_MERGE`` tangency
-    merge, both in that unit, and the other-branch filter are applied here
-    and nowhere else.
+    The ray is solved in the mirror's canonical frame, where its direction is
+    renormalized, and in its unit, by the shape's ``_ray_coeffs``; each root is
+    multiplied back, exactly.  The ``_SELF_HIT``/``_MAX_RAY_T`` window and the
+    ``_ROOT_MERGE`` merge, both in that unit, and the other-branch filter are
+    applied here and nowhere else.
     """
     c, s, tx, ty, unit, ray_coeffs, _, on_branch, _, _, _, _ = mirror
     isfinite = math.isfinite
@@ -272,7 +265,7 @@ def _hits(
     if not (isfinite(ocx) and isfinite(ocy)):
         _require_finite(ocx, ocy)
     dcx, dcy = _normalized(dx * c + dy * s, -dx * s + dy * c)
-    A, B, C = ray_coeffs(ocx / unit, ocy / unit, dcx, dcy)  # named: a *args call is slower
+    A, B, C = ray_coeffs(ocx, ocy, dcx, dcy)  # named: a *args call is slower
     n, r0, r1 = kernels.quadratic_roots(A, B, C, _ROOT_MERGE)
     hits = []
     for t in (r0, r1)[:n]:
@@ -311,16 +304,13 @@ def intersect_ray(conic: Conic | Shape, ray: Ray) -> tuple[tuple[float, Point], 
 def _reflect(mirror: _Mirror, x: float, y: float, dx: float, dy: float) -> tuple[float, float]:
     """``reflect_at`` on floats: the unit direction leaving the scene point
     ``(x, y)`` for the incoming direction ``(dx, dy)``, across the tangent of
-    ``Conic.tangent_normal``; a point off the curve is raised by ``_require_on_curve``.
-    The gradient is taken in the mirror's unit, so a huge conic's does not
-    overflow; dividing by a power of two is exact short of the subnormals, so
-    the normal keeps its bits."""
-    c, s, tx, ty, unit, _, gradient, _, residual, on_curve, conic, tolerances = mirror
+    ``Conic.tangent_normal``; a point off the curve is raised by ``_require_on_curve``."""
+    c, s, tx, ty, _, _, gradient, _, residual, on_curve, conic, tolerances = mirror
     x0, y0 = x - tx, y - ty
     xc, yc = x0 * c + y0 * s, -x0 * s + y0 * c
     if not (math.isfinite(xc) and math.isfinite(yc)) or not abs(residual(xc, yc)) <= on_curve:
         conic._require_on_curve(x, y, tolerances)
-    gx, gy = gradient(xc / unit, yc / unit)
+    gx, gy = gradient(xc, yc)
     gx, gy = _normalized(gx, gy)
     nx, ny = _normalized(gx * c - gy * s, gx * s + gy * c)
     return _reflect_xy(dx, dy, ny, -nx)  # across the tangent: the normal turned by -pi/2

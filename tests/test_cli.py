@@ -146,6 +146,14 @@ class TestWalk:
         assert code == 2
         assert err.startswith("error: usage:")
 
+    def test_huge_ellipse(self, capsys):
+        # the walk's residual squared a and b in the caller's frame: the
+        # start point was refused as off the curve, with a NaN residual
+        code, out, err = run(capsys, "walk", "--ellipse", "1e180,6e179", "--anchor-param", "0.7",
+                             "--delta", "1e178")
+        assert (code, err) == (0, "")
+        assert "nan" not in out
+
     def test_exact_return(self, capsys):
         code, out, _ = run(
             capsys, "walk", "--ellipse", "5,3", "--anchor-param", "1.1",
@@ -220,6 +228,20 @@ class TestConverge:
         assert code == 2
         assert err.startswith("error: value:")
         assert "halvings" in err
+
+    @pytest.mark.parametrize("argv", [
+        # the parabola's samples squared t = 7e199 in the caller's frame, so
+        # the anchor was not finite, and the sweep exited 2
+        ("--parabola", "1e200", "--anchor-param", "7e199", "--delta0", "1e199"),
+        # delta**2 overflowed in the sweep's constants: a traceback, exit 1
+        ("--ellipse", "1e180,1e179", "--anchor-param", "0.7", "--delta0", "1e178"),
+        ("--ellipse", "5e-169,3e-169", "--anchor-param", "0.7", "--delta0", "1e-170"),
+    ])
+    def test_conic_far_from_unit_size(self, capsys, argv):
+        code, out, err = run(capsys, "converge", *argv, "--halvings", "4")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-1].startswith("constant,")
+        assert "inf" not in out and "nan" not in out
 
     def test_truncation_note_on_stderr(self, capsys):
         code, out, err = run(

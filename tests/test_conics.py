@@ -20,10 +20,16 @@ from conicsteps import (
     Parabola,
     Placement,
     Point,
+    Ray,
+    Scene,
+    SweepConfig,
     as_conic,
+    exact_return,
+    focal_property_error,
+    run_sweep,
+    trace,
     two_step,
 )
-from conicsteps import conics
 from conicsteps.geometry import _normalized
 import oracle
 from conftest import POSED, random_conic, random_param
@@ -153,12 +159,25 @@ class TestResidual:
         assert huge.residual(q) == pytest.approx(2e300, rel=1e-9)
         assert not huge.is_on_curve(q)
 
-    @pytest.mark.parametrize("shape", [Ellipse(1e180, 1e179), Hyperbola(1e180, 1e179)])
-    def test_nan_residual_is_off_the_curve(self, shape):
-        # a*a overflows in the residual kernel, so the residual at (1, -7) is
-        # NaN; abs(NaN) > bound is false, and the point passed as on the curve
+    @pytest.mark.parametrize("shape,residual", [(Ellipse(1e180, 1e179), -1.0025e178),
+                                                 (Hyperbola(1e180, 1e179), -2e180)])
+    def test_far_point_of_a_huge_conic_is_off_the_curve(self, shape, residual):
+        # a*a overflowed in the caller's frame, so the residual at (1, -7) was
+        # NaN, and abs(NaN) > bound is false: the point passed as on the
+        # curve.  In the shape's unit it is finite: 2(c - a) on the ellipse,
+        # near -2a on the hyperbola, whose focal distances there nearly tie.
         conic = Conic(shape)
         q = Point(1.0, -7.0)
+        assert conic.residual(q) == pytest.approx(residual, rel=1e-4)
+        assert not conic.is_on_curve(q)
+        with pytest.raises(OffCurveError, match=r"residual -[\d.]+e\+1(78|80) exceeds"):
+            conic.tangent_normal(q)
+
+    def test_nan_residual_is_off_the_curve(self):
+        # both focal distances overflow to inf, and inf - inf is NaN; the
+        # on-curve check must refuse a NaN residual, not let it pass
+        conic = Conic(Hyperbola(1.0, 1.0))
+        q = Point(1.5e308, 1.5e308)
         assert math.isnan(conic.residual(q))
         assert not conic.is_on_curve(q)
         with pytest.raises(OffCurveError, match=r"residual nan exceeds"):
@@ -215,7 +234,68 @@ class TestPointAtAndScale:
         (Parabola(5e-324), 5e-324),
     ])
     def test_unit_is_the_power_of_two_at_or_below_the_largest_length(self, shape, unit):
-        assert conics._unit(shape) == unit
+        assert shape._unit == unit
+        # the lengths in the unit, kept with it, are the lengths divided by it
+        lengths = ("p",) if isinstance(shape, Parabola) else ("a", "b")
+        assert [getattr(shape, f"_{n}u") for n in lengths] == [
+            getattr(shape, n) / unit for n in lengths]
+        # kept out of equality, the repr and dataclasses.replace's fields
+        assert dataclasses.replace(shape) == shape
+        assert "_unit" not in repr(shape)
+
+
+class TestFarFromUnitSize:
+    """Every curve operation works on a conic of any size in the float range:
+    each shape runs its kernels in its own length unit."""
+
+    @pytest.mark.parametrize("k", [600, -600])
+    @pytest.mark.parametrize("shape", [Ellipse(5.0, 3.0), Parabola(1.0), Hyperbola(3.0, 4.0)],
+                             ids=lambda s: s.kind)
+    def test_every_operation_at_2_to_the_k(self, shape, k):
+        f = 2.0**k
+        lengths = {"p": shape.p * f} if isinstance(shape, Parabola) else {
+            "a": shape.a * f, "b": shape.b * f}
+        conic = Conic(dataclasses.replace(shape, **lengths), Placement(f, -2.0 * f, 0.4))
+        t = 0.7 * f if isinstance(shape, Parabola) else 0.7
+        A = conic.point_at(t)
+        delta = 0.01 * conic.scale
+        assert conic.is_on_curve(A)
+        tri = two_step(conic, A, delta)
+        assert abs(tri.residual_b) < 1e-3 * conic.scale
+        assert 0.0 < exact_return(conic, A, delta).gap < 0.1 * delta
+        tangent, normal = conic.tangent_normal(A)
+        assert abs(tangent.x * normal.x + tangent.y * normal.y) < 1e-15
+        assert focal_property_error(conic, A) < 1e-14
+        q = Point(A.x + 0.1 * normal.x * conic.scale, A.y + 0.1 * normal.y * conic.scale)
+        proj = conic.project_to_curve(q)
+        assert proj.distance == pytest.approx(0.1 * conic.scale, rel=1e-9)
+        # a ray into the curve along the normal bounces straight back
+        (hit,) = trace(Scene(mirrors=(conic,), max_bounces=1),
+                       Ray(q, Direction(-normal.x, -normal.y))).hits
+        assert hit.point.distance_to(A) < 1e-12 * conic.scale
+        assert hit.outgoing.x * normal.x + hit.outgoing.y * normal.y == pytest.approx(1.0)
+        report = run_sweep(SweepConfig(conic, A, delta, 6))
+        assert report.failure is None
+        assert report.orders["residual_B"].order > 1.8
+        assert all(c is None or math.isfinite(c) for c in report.constants.values())
+
+    def test_huge_ellipse(self):
+        # a*a overflowed in the caller's frame: the residual was NaN, so every
+        # point of the curve was refused as off it, and the foci were infinite
+        conic = Conic(Ellipse(1e180, 6e179))
+        (f1, f2) = conic.focus_points()
+        assert (f1.x, f1.y, f2.x, f2.y) == pytest.approx((-8e179, 0.0, 8e179, 0.0), rel=1e-15)
+        A = conic.point_at(0.7)
+        assert conic.is_on_curve(A)
+        assert abs(two_step(conic, A, 1e178).residual_b) < 1e176
+        tangent, _ = conic.tangent_normal(A)
+        # along (-a sin t, b cos t), with b/a = 0.6
+        assert abs(tangent.x) == pytest.approx(math.sin(0.7) / math.hypot(
+            math.sin(0.7), 0.6 * math.cos(0.7)), abs=1e-15)
+        assert conic.project_to_curve(Point(A.x * 1.5, A.y * 1.5)).distance > 0.0
+        (hit,) = trace(Scene(mirrors=(conic,), max_bounces=1),
+                       Ray(Point(0.0, 0.0), Direction(0.6, 0.8))).hits
+        assert conic.is_on_curve(hit.point)
 
 
 class TestTangentNormal:

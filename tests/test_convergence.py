@@ -298,6 +298,27 @@ class TestRunSweep:
         report = run_sweep(cfg)
         assert report.orders["residual_B"].order >= 1.8
 
+    @pytest.mark.parametrize("conic,delta0", [
+        (Conic(Ellipse(1e180, 1e179)), 1e178),  # delta**2 overflows
+        (Conic(Ellipse(5.0 * 2.0**-560, 3.0 * 2.0**-560)), 0.08 * 2.0**-560),  # underflows to 0
+    ])
+    def test_constant_when_delta_to_the_order_leaves_the_float_range(self, conic, delta0):
+        # v / d**order raised OverflowError, or ZeroDivisionError, out of
+        # run_sweep.  c in v = c * d**order is a length to the power
+        # 1 - order, so it is the constant of the conic scaled to its unit
+        # times unit**(1 - order); compared in log2, as that power may not
+        # be a float.
+        report = run_sweep(SweepConfig(conic, conic.point_at(0.7), delta0, 10))
+        assert report.failure is None
+        unit = conic.shape._unit
+        small = Conic(Ellipse(conic.shape.a / unit, conic.shape.b / unit))
+        ref = run_sweep(SweepConfig(small, small.point_at(0.7), delta0 / unit, 10))
+        for m in ("residual_B", "apex_curve_distance", "exact_return_gap"):
+            order = report.orders[m].order
+            assert order == ref.orders[m].order
+            assert math.log2(report.constants[m]) == pytest.approx(
+                math.log2(ref.constants[m]) + (1.0 - order) * math.log2(unit), abs=1e-12)
+
 
 class TestCsv:
     def test_structure(self):

@@ -244,11 +244,17 @@ class TestReflectAt:
         assert out.y == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("shape", [Ellipse(1e180, 1e179), Hyperbola(1e180, 1e179)])
-    def test_nan_residual_is_off_the_curve(self, shape):
-        # the residual at (1, -7) is NaN; the fast on-curve check let it pass
-        # and the normal of the overflowed gradient was refused as degenerate
-        with pytest.raises(OffCurveError, match=r"residual nan exceeds"):
+    def test_far_point_of_a_huge_conic_is_off_the_curve(self, shape):
+        # the residual at (1, -7) was NaN in the caller's frame, and the fast
+        # on-curve check let it pass; in the shape's unit it is finite
+        # (-1.0e178 on the ellipse, -2e180 on the hyperbola) and refused
+        with pytest.raises(OffCurveError, match=r"residual -[\d.]+e\+1(78|80) exceeds"):
             reflect_at(Conic(shape), Point(1.0, -7.0), Direction(1.0, 0.0))
+
+    def test_nan_residual_is_off_the_curve(self):
+        # both focal distances overflow, so the residual is inf - inf = NaN
+        with pytest.raises(OffCurveError, match=r"residual nan exceeds"):
+            reflect_at(Conic(Hyperbola(1.0, 1.0)), Point(1.5e308, 1.5e308), Direction(1.0, 0.0))
 
     def test_far_parabola_bounce(self):
         # the hit at x = -sqrt(2) * 1e308 is on Parabola(1e308), but the
@@ -492,13 +498,13 @@ class TestSceneTolerances:
 
     def test_hit_at_max_ray_t_is_kept(self, monkeypatch):
         ((t, _),) = intersect_ray(ELL, self.EDGE_RAY)
-        monkeypatch.setattr(optics, "_MAX_RAY_T", t / conics._unit(ELL.shape))
+        monkeypatch.setattr(optics, "_MAX_RAY_T", t / ELL.shape._unit)
         assert intersect_ray(ELL, self.EDGE_RAY)[0][0] == t
         assert trace(Scene(mirrors=(ELL,)), self.EDGE_RAY).hits[0].t == t
 
     def test_hit_at_self_hit_is_dropped(self, monkeypatch):
         ((t, _),) = intersect_ray(ELL, self.EDGE_RAY)
-        monkeypatch.setattr(optics, "_SELF_HIT", t / conics._unit(ELL.shape))
+        monkeypatch.setattr(optics, "_SELF_HIT", t / ELL.shape._unit)
         assert intersect_ray(ELL, self.EDGE_RAY) == ()
         assert trace(Scene(mirrors=(ELL,)), self.EDGE_RAY).hits == ()
 

@@ -7,6 +7,7 @@ import io
 import math
 import os
 import re
+import sys
 import tempfile
 
 from hypothesis import assume, example, given, settings
@@ -123,17 +124,27 @@ def test_reflection_is_an_involution(conic, t, angle):
     assert abs(back.y - d.y) <= 8.0 * EPS
 
 
+def _textbook_point(shape, t: float) -> tuple[float, float]:
+    """The canonical point at ``t``, written out as the parametrization reads."""
+    if isinstance(shape, Ellipse):
+        return shape.a * math.cos(t), shape.b * math.sin(t)
+    if isinstance(shape, Parabola):
+        return t, t * t / (4.0 * shape.p)
+    return shape.branch * shape.a * math.cosh(t), shape.b * math.sinh(t)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(conic=posed_conics(), t0=_floats(-700.0, 700.0), t1=_floats(-700.0, 700.0))
 def test_batch_samples_are_the_pointwise_samples(conic, t0, t1):
     # a curve sampled in one batch, as the figures draw it, gives every
-    # sample bit for bit as point_at and the scalar kernel do one at a time,
-    # as its x and y columns; the drawn polyline is their formatting, and
-    # its extent their min/max
+    # sample bit for bit as point_at does one at a time and as the textbook
+    # parametrization does (the parabola's square is taken in its unit), as
+    # its x and y columns; the drawn polyline is their formatting, and its
+    # extent their min/max
     n = _CURVE_SAMPLES
     ts = [t0 + (t1 - t0) * i / n for i in range(n + 1)]
     pointwise = [(p.x, p.y) for p in map(conic.point_at, ts)]
-    assert [conic.placement._xy_to_scene(*conic.shape._point(t)) for t in ts] == pointwise
+    assert [conic.placement._xy_to_scene(*_textbook_point(conic.shape, t)) for t in ts] == pointwise
     xs, ys = conic._xys_at(ts)
     assert repr(list(zip(xs, ys))) == repr(pointwise)
     doc = _SvgDoc()
@@ -352,41 +363,80 @@ def mirror_scenes(draw) -> Scene:
                  rays=tuple(draw(st.lists(rays(), min_size=1, max_size=3))), max_bounces=8)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(scene=st.one_of(posed_telescopes(), mirror_scenes()), k=st.integers(-30, 30),
+def _exact_at(f: float, values) -> bool:
+    """Whether multiplying each of ``values`` by the power of two ``f`` is
+    exact: each is zero, or normal and still normal and finite once scaled.
+    A subnormal has fewer bits than its scaled image, so an unscaled value
+    that rounds into the subnormals cannot be its own scaled image divided
+    by ``f``, and neither can a value whose scaled image does."""
+    tiny = sys.float_info.min
+    return all(v == 0.0 or (tiny <= abs(v) and tiny <= abs(v * f) < math.inf) for v in values)
+
+
+#: the sweep metrics that are lengths; the others are angles
+_LENGTH_METRICS = ("residual_B", "apex_curve_distance", "exact_return_gap")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(scene=st.one_of(posed_telescopes(), mirror_scenes()), k=st.integers(-900, 1000),
        t=_floats(-3.0, 3.0), offset=_floats(-3e-9, 3e-9),
        gap=_floats(0.0, 2e-9))
 def test_power_of_two_scaling_is_exact(scene, k, t, offset, gap):
     # the paper's construction has no preferred unit, and a scale by 2^k is
     # exact in floats: every length, every gate's unit and every rounding
-    # scale with it.  So a scaled scene traces the same bounces, its points
-    # and t scaled by exactly 2^k and its directions bit for bit, and every
-    # tolerance gate gives the same answer, and a conic's samples are its
-    # own scaled by 2^k.  (Parabola project_to_curve is not yet exact under
-    # scaling, so it is left out.)
+    # scale with it.  Each shape runs its kernels in its own unit, so they
+    # see the same bits at every scale.  So a scaled scene traces the same
+    # bounces, its points and t scaled by exactly 2^k and its directions bit
+    # for bit, every tolerance gate gives the same answer, and every curve
+    # operation gives its own result scaled by 2^k.  That holds over the
+    # float range, short of the subnormals: examples with a compared value
+    # that is subnormal, unscaled or scaled, are left out (_exact_at).
     f = math.ldexp(1.0, k)
     big = dataclasses.replace(
         scene, mirrors=tuple(_scaled(m, f) for m in scene.mirrors),
         rays=tuple(Ray(Point(r.origin.x * f, r.origin.y * f), r.dir) for r in scene.rays))
     rays = [_ray_xy(r) for r in scene.rays]
-    want = _outcome(lambda: repr([[(i, t * f, x * f, y * f, dx, dy)
-                                   for i, t, x, y, dx, dy in b] for b in _trace_xy(scene, rays)]))
-    assert _outcome(lambda: repr(_trace_xy(big, [_ray_xy(r) for r in big.rays]))) == want
+    traced = _outcome(lambda: _trace_xy(scene, rays))
+    if isinstance(traced, list):
+        assume(_exact_at(f, [v for b in traced for _, s, x, y, _, _ in b for v in (s, x, y)]))
+        traced = repr([[(i, t * f, x * f, y * f, dx, dy) for i, t, x, y, dx, dy in b]
+                       for b in traced])
+    big_traced = _outcome(lambda: _trace_xy(big, [_ray_xy(r) for r in big.rays]))
+    assert (repr(big_traced) if isinstance(big_traced, list) else big_traced) == traced
     for conic, scaled in zip(scene.mirrors, big.mirrors):
-        # a point near the bound of is_on_curve, and an anchor that may be a
-        # vertex, where the walk retraces itself
+        assert scaled.focus_points() == tuple(Point(q.x * f, q.y * f)
+                                              for q in conic.focus_points())
+        # a curve point, a point near the bound of is_on_curve, and an anchor
+        # that may be a vertex, where the walk retraces itself; the
+        # parabola's parameter is its x, a length, so it scales too
+        big_t = t * f if isinstance(conic.shape, Parabola) else t
         p = conic.point_at(t)
+        assert scaled.point_at(big_t) == Point(p.x * f, p.y * f)
+        assert conic.is_on_curve(p) and scaled.is_on_curve(Point(p.x * f, p.y * f))
         q = Point(p.x + offset * conic.scale, p.y)
         assert scaled.is_on_curve(Point(q.x * f, q.y * f)) == conic.is_on_curve(q)
         delta = 0.01 * conic.scale
         tri = two_step(conic, p, delta)
+        assume(_exact_at(f, (tri.B.x, tri.B.y)))
         big_tri = two_step(scaled, Point(p.x * f, p.y * f), delta * f)
         assert big_tri.degenerate == tri.degenerate
         assert (big_tri.B.x, big_tri.B.y) == (tri.B.x * f, tri.B.y * f)
-        # the parabola's parameter is its x, a length, so it scales too
+        # the nearest point from off the curve, for all three kinds
+        r = Point(p.x + 0.25 * conic.scale, p.y - 0.5 * conic.scale)
+        proj = _outcome(lambda: conic.project_to_curve(r))
+        if not isinstance(proj, type):
+            assume(_exact_at(f, (proj.foot.x, proj.foot.y, proj.distance)))
+            proj = (proj.foot.x * f, proj.foot.y * f,
+                    proj.param * f if isinstance(conic.shape, Parabola) else proj.param,
+                    proj.distance * f)
+        big_proj = _outcome(lambda: scaled.project_to_curve(Point(r.x * f, r.y * f)))
+        if not isinstance(big_proj, type):
+            big_proj = (big_proj.foot.x, big_proj.foot.y, big_proj.param, big_proj.distance)
+        assert big_proj == proj
         ts = [t + i / 4.0 for i in range(-4, 5)]
         big_ts = [u * f for u in ts] if isinstance(conic.shape, Parabola) else ts
         xs, ys = conic._xys_at(ts)
+        assume(_exact_at(f, xs + ys))
         assert scaled._xys_at(big_ts) == ([x * f for x in xs], [y * f for y in ys])
     if scene.telescope_pair() is not None:
         # the confocal gate, with the secondary moved by a gap near its bound
@@ -397,6 +447,33 @@ def test_power_of_two_scaling_is_exact(scene, k, t, offset, gap):
                 secondary.shape, Placement(pl.tx, pl.ty + g, pl.rotate))))
         assert _outcome(lambda: type(displaced(big, gap * f))) == _outcome(
             lambda: type(displaced(scene, gap)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(conic=posed_conics(), t=_floats(-3.0, 3.0), k=st.sampled_from((-600, 600)),
+       orientation=st.sampled_from(("forward", "backward")))
+def test_sweep_scales_exactly(conic, t, k, orientation):
+    # a halving sweep of a conic scaled by 2^+-600 measures every length
+    # metric scaled by 2^k and every angle bit for bit, and fits the same
+    # orders to the lengths.  (The noise floor is a length, so the orders
+    # of the angles, compared with it, may differ.)
+    f = math.ldexp(1.0, k)
+    scaled = _scaled(conic, f)
+    big_t = t * f if isinstance(conic.shape, Parabola) else t
+    p = conic.point_at(t)
+    delta = 0.01 * conic.scale
+    report = run_sweep(SweepConfig(conic, p, delta, 6, orientation=orientation))
+    big = run_sweep(SweepConfig(scaled, scaled.point_at(big_t), delta * f, 6,
+                                orientation=orientation))
+    assume(_exact_at(f, [v for values in report.values.values() for v in values]))
+    assert big.deltas == tuple(d * f for d in report.deltas)
+    assert big.failed_level == report.failed_level
+    for m, values in report.values.items():
+        scale = f if m in _LENGTH_METRICS else 1.0
+        assert big.values[m] == tuple(v * scale for v in values), m
+        if m in _LENGTH_METRICS:
+            assert big.orders[m] == report.orders[m], m
+        assert big.constants[m] is None or math.isfinite(big.constants[m])
 
 
 def _ray_polyline(path) -> str:
