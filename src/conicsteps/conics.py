@@ -249,6 +249,18 @@ class Hyperbola:
 
 Shape = Ellipse | Parabola | Hyperbola
 
+
+def _require_thick(shape: Shape) -> None:
+    """Raise a ValueError naming ``shape`` if its smaller length, squared in its
+    unit, underflows: ``_gradient`` and ``_ray_coeffs`` divide by that square,
+    so each caller checks before its first use of either."""
+    if not isinstance(shape, Parabola):
+        small = min(shape._au, shape._bu)
+        if small * small == 0.0:
+            raise ValueError(f"{shape!r} is too thin for float arithmetic: its smaller "
+                             "length squared underflows in the unit of its larger one")
+
+
 #: the rounding floor of a residual at the canonical point (x, y), per unit of
 #: |x| + |y|: the backward error of a float point of that size.
 _ROUNDING_FLOOR = 4.0 * math.ulp(1.0)
@@ -374,8 +386,9 @@ class Conic:
         """The |residual| ``_require_on_curve`` allows at the canonical point
         ``(xc, yc)``: ``tolerances.on_curve`` in the conic's unit, plus the
         rounding floor of a residual there, which grows with the point."""
+        # Each coordinate is scaled before the sum, which cannot overflow.
         return (tolerances.on_curve * self.shape._unit
-                + _ROUNDING_FLOOR * (abs(xc) + abs(yc)))
+                + _ROUNDING_FLOOR * abs(xc) + _ROUNDING_FLOOR * abs(yc))
 
     # ------------------------------------------------- tangent and normal
 
@@ -389,8 +402,10 @@ class Conic:
         coordinates; the tangent is the normal rotated by -pi/2, so
         (tangent, normal) is a right-handed frame.  Raises OffCurveError
         when the residual at ``q`` exceeds ``tolerances.on_curve`` in the
-        conic's unit plus the rounding floor at ``q``.
+        conic's unit plus the rounding floor at ``q``, and ValueError for a
+        shape too thin for its gradient (``_require_thick``).
         """
+        _require_thick(self.shape)
         gx, gy = _normalized(*self.shape._gradient(*self._require_on_curve(q.x, q.y, tolerances)))
         normal = _unit_unchecked(*_normalized(*self.placement._rotate_to_scene(gx, gy)))
         return normal.perpendicular(), normal

@@ -37,7 +37,7 @@ from typing import Literal
 
 from ._backend import kernels
 from .config import DEFAULT, Tolerances
-from .conics import Conic, Parabola, Shape, as_conic
+from .conics import Conic, Parabola, Shape, _require_thick, as_conic
 from .errors import BracketError, ConicError, DegenerateTriangleError, UnsupportedVariantError
 from .geometry import (Direction, Line, Point, _angle_xy, _require_finite, reflect_direction,
                        scalar_projection)
@@ -263,7 +263,8 @@ def _return_length(shape: Shape, ox: float, oy: float, dx: float, dy: float,
     implicit-form quadratic.  Residual and implicit form share their sign,
     so exactly one root lies in the bracket; rounding can only push it just
     outside, hence the root nearest the bracket (preferring one on the
-    selected branch) is taken and clamped into it.
+    selected branch) is taken and clamped into it.  A shape too thin for its
+    ray coefficients is refused there, by ``_require_thick``.
     """
     lo, hi = 0.5 * delta, 2.0 * delta
     flo = shape._residual(ox + lo * dx, oy + lo * dy)
@@ -278,6 +279,7 @@ def _return_length(shape: Shape, ox: float, oy: float, dx: float, dy: float,
             "cannot bracket the exact-return step"
         )
     # No merge window: the sign change already rules out a tangency.
+    _require_thick(shape)
     n, r0, r1 = kernels.quadratic_roots(*shape._ray_coeffs(ox, oy, dx, dy), 0.0)
     if n == 0:  # a sign change below rounding: keep the closer end
         return lo if abs(flo) <= abs(fhi) else hi

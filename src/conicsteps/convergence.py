@@ -12,7 +12,8 @@ then halves the step ``halvings`` times, recording at each level:
 * ``exact_return_gap``: |t* - delta| from the exact-return variant.
 
 Orders are fitted as the mean of log2 ratios of successive values, skipping
-values at the rounding noise floor, so the reported exponent is the
+values at the rounding noise floor (``noise_floor`` for the lengths, a
+fixed one for the angles), so the reported exponent is the
 empirical rate at which each quantity vanishes as delta -> 0.  Each level
 takes one walk through construction's float core and derives every metric
 from it on floats, with the checks and errors of the public functions.
@@ -144,11 +145,16 @@ def _fmt(v: float | None) -> str:
 
 #: noise floor for order fitting, in machine epsilons times the conic's length unit.
 _NOISE_FLOOR_EPSILONS = 100.0
+#: the metrics that are angles, and their noise floor: as many epsilons, in
+#: radians, as an angle has no length.
+_ANGLE_METRICS = ("chord_tangent_angle", "parallelism_error")
+_ANGLE_FLOOR = _NOISE_FLOOR_EPSILONS * sys.float_info.epsilon
 
 
 def noise_floor(conic: Conic | Shape) -> float:
-    """Values below this are rounding noise for curves of this size: the
-    floor in the conic's length unit, the shape's ``_unit``."""
+    """Lengths below this are rounding noise for curves of this size: the
+    floor in the conic's length unit, the shape's ``_unit``.  The angle
+    metrics are fitted against a floor of their own, in radians."""
     return _NOISE_FLOOR_EPSILONS * sys.float_info.epsilon * as_conic(conic).shape._unit
 
 
@@ -223,14 +229,16 @@ def run_sweep(cfg: SweepConfig, tolerances: Tolerances = DEFAULT) -> Convergence
         deltas.append(delta)
         for m in names:
             columns[m].append(row[m])
-    floor = noise_floor(conic)
+    length_floor = noise_floor(conic)
+    floors = {m: _ANGLE_FLOOR if m in _ANGLE_METRICS else length_floor for m in names}
     values = {m: tuple(columns[m]) for m in names}
-    orders = {m: estimate_order(values[m], floor) for m in names}
+    orders = {m: estimate_order(values[m], floors[m]) for m in names}
     constants: dict[str, float | None] = dict.fromkeys(names)
     for m in names:
         order = orders[m].order
         if order is not None:  # then some value is above the floor
-            d, v = next((d, v) for d, v in zip(reversed(deltas), reversed(values[m])) if v > floor)
+            d, v = next((d, v) for d, v in zip(reversed(deltas), reversed(values[m]))
+                        if v > floors[m])
             try:
                 constants[m] = v / d**order
             except (OverflowError, ZeroDivisionError):  # d**order is past the float range:

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 
 from ._backend import kernels
 from .config import DEFAULT, Tolerances
-from .conics import Conic, Hyperbola, Parabola, Shape, as_conic
+from .conics import Conic, Hyperbola, Parabola, Shape, _require_thick, as_conic
 from .errors import UnsupportedVariantError
 from .geometry import (
     Direction,
@@ -228,14 +228,10 @@ def _require_type(name: str, value: object, cls: type) -> None:
 def _mirror(conic: Conic, tolerances: Tolerances) -> _Mirror:
     """``conic`` as ``_hits`` and ``_reflect`` read it: (cos, sin, tx, ty, unit, the shape's
     ray_coeffs, gradient, on_branch and residual, the on-curve bound at the canonical origin
-    (the smallest; ``_reflect`` re-checks a point over it), conic, tolerances).  Raises a
-    ValueError naming the shape if its smaller length, squared in the unit, underflows."""
+    (the smallest; ``_reflect`` re-checks a point over it), conic, tolerances).  A shape
+    too thin for its ray coefficients is refused by ``_require_thick``."""
     pl, shape = conic.placement, conic.shape
-    if not isinstance(shape, Parabola):
-        small = min(shape._au, shape._bu)
-        if small * small == 0.0:
-            raise ValueError(f"{shape!r} is too thin to trace in floats: its smaller "
-                             "length squared underflows in the unit of its larger one")
+    _require_thick(shape)
     return (pl._cos, pl._sin, pl.tx, pl.ty, shape._unit, shape._ray_coeffs, shape._gradient,
             shape._on_branch, shape._residual, conic._on_curve_limit(0.0, 0.0, tolerances),
             conic, tolerances)

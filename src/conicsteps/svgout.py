@@ -11,23 +11,19 @@ for identical inputs.
 
 ``figure_svg`` renders the six named construction figures;
 ``REQUIRED_ELEMENTS`` lists, per figure, the element ids a structural
-check should find in the document.  A bundle of traced rays is drawn from
-the float bounces of one ``optics._trace_xy`` call, never from trace objects.
-
-Only the triangle of a figure depends on ``delta`` and ``anchor_param``;
-its curves are fixed.  Each fixed curve is sampled and formatted by the
-first render that draws it, and later renders in the same process reuse
-that text.  The two figures drawn at fixed values, ``isosceles`` and
-``cassegrain``, are drawn whole by their first render, rays traced and
-all; later renders only emit that drawing at their own size.  A scene's
-mirrors and rays come from the caller and are drawn afresh on every
-``trace_svg`` call.
+check should find in the document.  A figure is a frame (its curves, foci
+and directrix; all of ``isosceles`` and ``cassegrain``) plus, on the four
+walk figures, the two-step walk, the only part that depends on ``delta``
+and ``anchor_param``.  ``_frame``, the one cache, draws each frame once per
+process, and a walk is drawn on a copy of it.  A bundle of traced rays is
+drawn from the float bounces of one ``optics._trace_xy`` call, never from
+trace objects; ``trace_svg`` draws a scene's mirrors and rays afresh.
 """
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Placement
@@ -89,13 +85,21 @@ class _SvgDoc:
 
     A polyline's ``points`` text is formatted when it is added, and only the
     extent of its vertices is kept for the viewBox; coordinates are absolute,
-    so neither depends on the rest of the document.  ``emit`` only reads the
-    document, so one drawing can be emitted at any number of sizes.
+    so neither depends on the rest of the document.  ``emit`` and ``copy``
+    only read the document, so one drawing can be emitted at any number of
+    sizes, or drawn on further in a copy.
     """
 
     def __init__(self) -> None:
         self._items: list[tuple] = []
         self._extent: _Extent | None = None  # of polyline and marker vertices
+
+    def copy(self) -> _SvgDoc:
+        """A new document holding this one's elements, to draw more on."""
+        doc = _SvgDoc()
+        doc._items = self._items.copy()
+        doc._extent = self._extent
+        return doc
 
     def _grow(self, xmin: float, xmax: float, ymin: float, ymax: float) -> None:
         # min and max keep the first of equal values, as one pass over every
@@ -180,23 +184,6 @@ def _curve(conic: Conic, t0: float, t1: float) -> tuple[str, _Extent]:
     return _polyline(*conic._xys_at([t0 + (t1 - t0) * i / n for i in range(n + 1)]))
 
 
-#: ``_curve`` of the figures' fixed curves, rendered once per process.  Only
-#: the figure drawers call it, each with this module's own constants, so it
-#: holds one entry per distinct fixed curve and needs no size limit; scenes
-#: come from the caller and go through ``_curve`` uncached.  A call that
-#: raises stores nothing.  The curves of a figure drawn at fixed values are
-#: looked up only when ``_fixed_figure`` draws it, once per process.
-_fixed_curve = functools.cache(_curve)
-
-
-def _figure_triangle(conic: Conic, delta: float, anchor_param: float) -> StepTriangle:
-    """The forward two-step walk a figure draws, anchored at ``anchor_param``."""
-    # Imported here so that tracing a scene does not load the construction.
-    from .construction import two_step
-
-    return two_step(conic, conic.point_at(anchor_param), delta)
-
-
 def _mark_foci(doc: _SvgDoc, f1: Point, f2: Point) -> None:
     doc.marker("focus-1", f1)
     doc.marker("focus-2", f2)
@@ -232,6 +219,12 @@ def _draw_triangle(doc: _SvgDoc, tri: StepTriangle, with_reflector: bool = True)
     doc.label("B", tri.B)
 
 
+#: The conics the walk figures are drawn on.
+_ELLIPSE = Conic(Ellipse(5.0, 3.0))
+_PARABOLA = Conic(Parabola(1.0))
+_HYPERBOLA = Conic(Hyperbola(3.0, 4.0, 1))
+
+
 def _figure_isosceles(doc: _SvgDoc) -> None:
     a, b, d = Point(-1.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)
     doc.polyline("triangle", [a, d, b], closed=True)
@@ -243,23 +236,19 @@ def _figure_isosceles(doc: _SvgDoc) -> None:
     doc.label("B", b)
 
 
-def _figure_ellipse(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
-    conic = Conic(Ellipse(5.0, 3.0))
-    doc.polyline_text("curve", *_fixed_curve(conic, 0.0, 2.0 * math.pi), closed=True)
-    f1, f2 = conic.focus_points()
-    _mark_foci(doc, f1, f2)
-    tri = _figure_triangle(conic, delta, anchor_param)
+def _ellipse_frame(doc: _SvgDoc) -> None:
+    doc.polyline_text("curve", *_curve(_ELLIPSE, 0.0, 2.0 * math.pi), closed=True)
+    _mark_foci(doc, *_ELLIPSE.focus_points())
+
+
+def _ellipse_walk(doc: _SvgDoc, tri: StepTriangle) -> None:
+    f1, f2 = _ELLIPSE.focus_points()
     doc.segment("beam-in", f1, tri.D)
     doc.segment("beam-out", tri.D, f2)
     _draw_triangle(doc, tri)
 
 
-def _figure_projection(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
-    conic = Conic(Ellipse(5.0, 3.0))
-    doc.polyline_text("curve", *_fixed_curve(conic, 0.0, 2.0 * math.pi), closed=True)
-    f1, f2 = conic.focus_points()
-    _mark_foci(doc, f1, f2)
-    tri = _figure_triangle(conic, delta, anchor_param)
+def _projection_walk(doc: _SvgDoc, tri: StepTriangle) -> None:
     u1, u2 = tri.leg1_dir, tri.leg2_dir
     foot1 = translate(tri.D, u2, scalar_projection(tri.A - tri.D, u2))
     foot2 = translate(tri.D, u1, scalar_projection(tri.B - tri.D, u1))
@@ -268,29 +257,29 @@ def _figure_projection(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
     _draw_triangle(doc, tri, with_reflector=False)
 
 
-def _figure_parabola(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
-    conic = Conic(Parabola(1.0))
-    doc.polyline_text("curve", *_fixed_curve(conic, -2.5, 2.5))
-    focus = conic.focus_points()[0]
+def _parabola_frame(doc: _SvgDoc) -> None:
+    doc.polyline_text("curve", *_curve(_PARABOLA, -2.5, 2.5))
+    focus = _PARABOLA.focus_points()[0]
     doc.marker("focus-1", focus)
     doc.label("F", focus)
     doc.segment("directrix", Point(-2.5, -1.0), Point(2.5, -1.0), dashed=True)
-    tri = _figure_triangle(conic, delta, anchor_param)
+
+
+def _parabola_walk(doc: _SvgDoc, tri: StepTriangle) -> None:
     top = max(tri.A.y + 1.0, 1.8)
     doc.segment("beam-in", Point(tri.A.x, top), tri.D)
-    doc.segment("beam-out", tri.D, focus)
+    doc.segment("beam-out", tri.D, _PARABOLA.focus_points()[0])
     _draw_triangle(doc, tri)
 
 
-def _figure_hyperbola(doc: _SvgDoc, delta: float, anchor_param: float) -> None:
-    conic = Conic(Hyperbola(3.0, 4.0, 1))
-    doc.polyline_text("curve", *_fixed_curve(conic, -1.6, 1.6))
-    other = Conic(Hyperbola(3.0, 4.0, -1))
-    doc.polyline_text("curve-2", *_fixed_curve(other, -1.6, 1.6))
-    near, far = conic.focus_points()
-    _mark_foci(doc, near, far)
-    tri = _figure_triangle(conic, delta, anchor_param)
-    doc.segment("beam-in", near, tri.D)
+def _hyperbola_frame(doc: _SvgDoc) -> None:
+    doc.polyline_text("curve", *_curve(_HYPERBOLA, -1.6, 1.6))
+    doc.polyline_text("curve-2", *_curve(Conic(Hyperbola(3.0, 4.0, -1)), -1.6, 1.6))
+    _mark_foci(doc, *_HYPERBOLA.focus_points())
+
+
+def _hyperbola_walk(doc: _SvgDoc, tri: StepTriangle) -> None:
+    doc.segment("beam-in", _HYPERBOLA.focus_points()[0], tri.D)
     doc.segment("beam-out", tri.D, translate(tri.B, tri.leg2_dir, 1.0))
     _draw_triangle(doc, tri)
 
@@ -327,38 +316,39 @@ def default_cassegrain_scene(n_rays: int = 0) -> Scene:
 def _figure_cassegrain(doc: _SvgDoc) -> None:
     scene = default_cassegrain_scene()
     primary, secondary = scene.mirrors
-    doc.polyline_text("curve", *_fixed_curve(primary, -5.2, 5.2))
-    doc.polyline_text("curve-2", *_fixed_curve(secondary, -2.6, 2.6))
+    doc.polyline_text("curve", *_curve(primary, -5.2, 5.2))
+    doc.polyline_text("curve-2", *_curve(secondary, -2.6, 2.6))
     _mark_foci(doc, primary.focus_points()[0], secondary.focus_points()[1])
     rays = [(x, 8.0, 0.0, -1.0) for x in (3.8, 4.4, 5.0, -3.8, -4.4, -5.0)]
     for i, (ray, bounces) in enumerate(zip(rays, _trace_xy(scene, rays))):
         _draw_path(doc, i, *ray, bounces)
 
 
-#: figure id -> (drawer, default (delta, anchor_param)), or None for a
-#: figure drawn at fixed values.
+#: figure id -> (frame drawer, walk drawer, the conic walked, default
+#: (delta, anchor_param)); the last three are None for a figure drawn at
+#: fixed values, which is all frame.
 _FIGURES = {
-    "isosceles": (_figure_isosceles, None),
-    "ellipse-two-step": (_figure_ellipse, (0.5, 1.0)),
-    "projection": (_figure_projection, (0.8, 1.0)),
-    "parabola": (_figure_parabola, (0.4, 1.2)),
-    "hyperbola": (_figure_hyperbola, (0.4, 0.5)),
-    "cassegrain": (_figure_cassegrain, None),
+    "isosceles": (_figure_isosceles, None, None, None),
+    "ellipse-two-step": (_ellipse_frame, _ellipse_walk, _ELLIPSE, (0.5, 1.0)),
+    "projection": (_ellipse_frame, _projection_walk, _ELLIPSE, (0.8, 1.0)),
+    "parabola": (_parabola_frame, _parabola_walk, _PARABOLA, (0.4, 1.2)),
+    "hyperbola": (_hyperbola_frame, _hyperbola_walk, _HYPERBOLA, (0.4, 0.5)),
+    "cassegrain": (_figure_cassegrain, None, None, None),
 }
 FIGURE_IDS = tuple(_FIGURES)
 
 
 @functools.cache
-def _fixed_figure(figure_id: str) -> _SvgDoc:
-    """The drawing of a figure drawn at fixed values, made once per process.
+def _frame(draw: Callable[[_SvgDoc], None]) -> _SvgDoc:
+    """The drawing of the frame drawer ``draw``, made once per process.
 
-    Only ``figure_svg`` calls it, with an id whose figure takes no
-    ``(delta, anchor_param)``, so it holds at most one entry per such figure.
-    The drawing does not depend on the document size, and ``emit`` only
-    reads it, so every render shares it.  A drawer that raises stores nothing.
+    Only ``figure_svg`` calls it, with a drawer of ``_FIGURES``, so it holds
+    one entry per frame; the two ellipse figures share theirs.  ``emit`` and
+    ``copy`` only read the drawing, so every render shares it.  A drawer
+    that raises stores nothing.
     """
     doc = _SvgDoc()
-    _FIGURES[figure_id][0](doc)
+    draw(doc)
     return doc
 
 
@@ -371,22 +361,28 @@ def figure_svg(
 ) -> str:
     """Render one of the named construction figures as an SVG document.
 
-    A figure drawn at fixed values is drawn by the first render in the
-    process; later ones emit that drawing at their own size."""
+    The figure's frame is drawn by the first render in the process that
+    needs it.  A figure drawn at fixed values is all frame, so later renders
+    only emit it at their own size; a walk figure draws its triangle on a
+    copy of the frame, so no render changes what the next one starts from."""
     if figure_id not in FIGURE_IDS:
         raise ValueError(
             f"unknown figure id {figure_id!r}; valid ids: {', '.join(FIGURE_IDS)}"
         )
-    draw, defaults = _FIGURES[figure_id]
+    frame, walk, conic, defaults = _FIGURES[figure_id]
     if defaults is None and (delta, anchor_param) != (None, None):
         raise ValueError(f"figure {figure_id!r} is drawn at fixed values; "
                          "it takes no delta or anchor_param")
     _require_size(width, height)
-    if defaults is None:
-        return _fixed_figure(figure_id).emit(width, height)
-    doc = _SvgDoc()
-    draw(doc, defaults[0] if delta is None else delta,
-         defaults[1] if anchor_param is None else anchor_param)
+    doc = _frame(frame)
+    if walk is not None:
+        # Imported here so that tracing a scene does not load the construction.
+        from .construction import two_step
+
+        anchor = conic.point_at(defaults[1] if anchor_param is None else anchor_param)
+        tri = two_step(conic, anchor, defaults[0] if delta is None else delta)
+        doc = doc.copy()
+        walk(doc, tri)
     return doc.emit(width, height)
 
 

@@ -15,12 +15,14 @@ import pytest
 from conicsteps import (
     Conic,
     Ellipse,
+    IterationError,
     exact_return,
     load_scene,
     save_scene,
     spot_report,
     trace_svg,
 )
+from conicsteps import _kernels_py
 from conicsteps.cli import main
 from conftest import count_traces
 
@@ -505,6 +507,12 @@ class TestOneCheckEach:
         (("reflect", "--ellipse", "5,3", "--incoming", "0,-1"), "usage"),
         (("tangent", "--ellipse", "5,3", "--point", "0,3", "--param", "1"), "usage"),
         (("residual", "--ellipse", "5,3", "--point", "1"), "usage"),
+        # b/a = 1e-170: the smaller length squared underflows in the unit
+        (("tangent", "--ellipse", "1,1e-170", "--param", "0.7"), "value"),
+        ((*CONVERGE[:2], "1,1e-170", "--anchor-param", "0.7", "--delta0", "0.01",
+          "--halvings", "3"), "value"),
+        # the point's residual is inf; the on-curve bound there is finite
+        (("tangent", "--ellipse", "1,1", "--point", "1.5e308,1.5e308"), "off-curve"),
     ])
     def test_category(self, capsys, argv, category):
         code, out, err = run(capsys, *argv)
@@ -512,6 +520,25 @@ class TestOneCheckEach:
         assert out == ""
         assert err.startswith(f"error: {category}: ")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    def test_iteration_category(self, capsys, monkeypatch):
+        # no command projects onto the curve outside a sweep, which records
+        # a failed search as its truncated level; a command's library call
+        # that raises IterationError is reported under its own category
+        def failing(*args, **kwargs):
+            raise IterationError("search hit its step cap")
+
+        monkeypatch.setattr(Conic, "tangent_normal", failing)
+        code, out, err = run(capsys, "tangent", "--ellipse", "5,3", "--param", "1")
+        assert (code, out, err) == (2, "", "error: iteration: search hit its step cap\n")
+
+    def test_failed_search_truncates_a_sweep(self, capsys, monkeypatch):
+        monkeypatch.setattr(_kernels_py, "_MAX_STEPS", 1)
+        code, out, err = run(capsys, *self.CONVERGE, "--delta0", "0.1", "--halvings", "3",
+                             "--metrics", "apex_curve_distance")
+        assert code == 0
+        assert err.startswith("note: sweep truncated at level 0: IterationError: ")
+        assert out.startswith("delta,apex_curve_distance\norder,")
 
     def test_pair_of_non_numbers_is_usage_error(self, capsys):
         code, out, err = run(capsys, "residual", "--ellipse", "5,3", "--point", "a,3")

@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+import re
 from decimal import Decimal
 
 import pytest
@@ -15,6 +16,7 @@ from conicsteps import (
     Direction,
     Ellipse,
     Hyperbola,
+    IterationError,
     NoBranchError,
     OffCurveError,
     Parabola,
@@ -26,10 +28,12 @@ from conicsteps import (
     as_conic,
     exact_return,
     focal_property_error,
+    reflect_at,
     run_sweep,
     trace,
     two_step,
 )
+from conicsteps import _kernels_py
 from conicsteps.geometry import _normalized
 import oracle
 from conftest import POSED, random_conic, random_param
@@ -298,6 +302,67 @@ class TestFarFromUnitSize:
         assert conic.is_on_curve(hit.point)
 
 
+class TestThinShapes:
+    """A shape whose smaller length, squared in its unit, underflows is
+    refused by name where its gradient or ray coefficients would first be
+    used; what needs neither still works on it."""
+
+    MESSAGE = "is too thin for float arithmetic: "
+
+    @pytest.mark.parametrize("shape", [Hyperbola(1e-170, 1), Ellipse(1, 1e-170)], ids=repr)
+    def test_tangent_normal_is_refused(self, shape):
+        # the gradient kernel divides by the square that underflowed
+        conic = Conic(shape)
+        with pytest.raises(ValueError, match=re.escape(f"{shape!r} {self.MESSAGE}")):
+            conic.tangent_normal(conic.point_at(0.7))
+
+    @pytest.mark.parametrize("shape", [Hyperbola(1e-170, 1), Ellipse(1, 1e-170)], ids=repr)
+    def test_sweep_with_default_metrics_is_refused(self, shape):
+        conic = Conic(shape)
+        with pytest.raises(ValueError, match=re.escape(f"{shape!r} {self.MESSAGE}")):
+            run_sweep(SweepConfig(conic, conic.point_at(0.7), 0.01, 3))
+
+    def test_exact_return_is_refused_at_the_quadratic(self):
+        # the residual changes sign over the bracket, so the ray's quadratic,
+        # whose coefficients divide by a*a, is solved
+        shape = Hyperbola(1e-170, 1)
+        conic = Conic(shape)
+        with pytest.raises(ValueError, match=re.escape(f"{shape!r} {self.MESSAGE}")):
+            exact_return(conic, conic.point_at(0.7), 0.01)
+        with pytest.raises(ValueError, match=re.escape(f"{shape!r} {self.MESSAGE}")):
+            run_sweep(SweepConfig(conic, conic.point_at(0.7), 0.01, 3,
+                                  metrics=("exact_return_gap",)))
+
+    def test_what_needs_no_gradient_still_works(self):
+        conic = Conic(Ellipse(1, 1e-170))
+        A = conic.point_at(0.7)
+        assert conic.is_on_curve(A)
+        tri = two_step(conic, A, 0.01)
+        assert (tri.B.x, tri.degenerate) == (0.7848421872844885, False)
+        assert conic.project_to_curve(Point(0.3, 0.2)).distance == 0.2
+        # a bracket end lands on the curve: no quadratic is solved
+        assert exact_return(conic, A, 0.01).t_star == 0.005
+
+
+class TestOnCurveBound:
+    """The rounding floor of the on-curve bound is summed from each scaled
+    coordinate, so it stays finite at the float maximum: an infinite
+    residual there is off the curve, not under an infinite bound."""
+
+    @pytest.mark.parametrize("shape", [Ellipse(1, 1), Parabola(1)], ids=repr)
+    def test_far_point_is_off_the_curve(self, shape):
+        conic = Conic(shape)
+        q = Point(1.5e308, 1.5e308)
+        assert math.isfinite(conic._on_curve_limit(q.x, q.y, DEFAULT))
+        assert not conic.is_on_curve(q)
+        with pytest.raises(OffCurveError):
+            conic.tangent_normal(q)
+        # reflect_at's quick check fails on the infinite residual; the full
+        # check it falls back to refuses the point too
+        with pytest.raises(OffCurveError):
+            reflect_at(conic, q, Direction(0.6, 0.8))
+
+
 class TestTangentNormal:
     def test_ellipse_top(self):
         tangent, normal = Conic(Ellipse(5, 3)).tangent_normal(Point(0, 3))
@@ -393,6 +458,12 @@ class TestProjection:
                 continue
             assert abs(conic.residual(proj.foot)) <= 1e-7 * (1.0 + conic.scale)
             assert proj.distance <= off.distance_to(q) + 1e-12
+
+    @pytest.mark.parametrize("shape", [Ellipse(5, 3), Hyperbola(3, 4)], ids=repr)
+    def test_root_search_at_its_step_cap_raises(self, shape, monkeypatch):
+        monkeypatch.setattr(_kernels_py, "_MAX_STEPS", 1)
+        with pytest.raises(IterationError, match="did not converge"):
+            Conic(shape).project_to_curve(Point(4.0, 2.5))
 
     def test_ellipse_center_is_ambiguous(self):
         with pytest.raises(ValueError):

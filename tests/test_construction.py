@@ -38,6 +38,7 @@ from conicsteps import (
     translate,
     two_step,
 )
+from conicsteps._backend import kernels
 from conicsteps.construction import _return_length, _walk_xy
 import oracle
 from conftest import POSED, random_conic, random_param
@@ -386,6 +387,32 @@ class TestExactReturn:
         # canonical x of one end is exactly 0
         with pytest.raises(NoBranchError):
             _return_length(Hyperbola(3.0, 4.0), ox, 0.5, 1.0, 0.0, 2.0)
+
+    def test_bracket_end_on_the_curve_is_the_answer(self):
+        # from below the vertex of x^2 = 4y, straight up: the end at
+        # t = delta/2 or t = 2 delta is the vertex, where the residual is 0
+        assert _return_length(Parabola(1.0), 0.0, -0.25, 0.0, 1.0, 0.5) == 0.25
+        assert _return_length(Parabola(1.0), 0.0, -1.0, 0.0, 1.0, 0.5) == 1.0
+
+    @pytest.mark.parametrize("shape, ray, delta, t", [
+        # the lower end is within rounding of the curve, on the side of the
+        # upper end's opposite sign, and the ray grazes the curve there: the
+        # quadratic has no real root, so the closer end is the answer
+        (Hyperbola(3.3187496397664353, 1.2108718518371173),
+         (5.746508772281734, 1.7122452694485588, -0.9106048354254475, -0.41327815536245543),
+         0.36537131111643706, 0.5 * 0.36537131111643706),
+        (Ellipse(3.437384252194526, 0.6488649950774505),
+         (-2.8849556459341312, -0.35279659207297465, -0.9591783814788974, 0.28280175477447556),
+         0.020721646010686535, 0.5 * 0.020721646010686535),
+    ], ids=["hyperbola", "ellipse"])
+    def test_sign_change_below_rounding_keeps_the_closer_end(self, shape, ray, delta, t):
+        ox, oy, dx, dy = ray
+        lo, hi = 0.5 * delta, 2.0 * delta
+        flo = shape._residual(ox + lo * dx, oy + lo * dy)
+        fhi = shape._residual(ox + hi * dx, oy + hi * dy)
+        assert (flo > 0.0) != (fhi > 0.0) and abs(flo) < 1e-15 < abs(fhi)
+        assert kernels.quadratic_roots(*shape._ray_coeffs(ox, oy, dx, dy), 0.0)[0] == 0
+        assert _return_length(shape, ox, oy, dx, dy, delta) == t
 
     def test_bracket_error_is_conic_error(self):
         assert issubclass(BracketError, ConicError)

@@ -159,11 +159,22 @@ class TestRunSweep:
                 continue
             const = report.constants[name]
             # constant back-predicts the matching row value
-            floor = noise_floor(ELL)
+            floor = (convergence._ANGLE_FLOOR if name in convergence._ANGLE_METRICS
+                     else noise_floor(ELL))
             for delta, value in zip(report.deltas, report.values[name]):
                 if value > floor:
                     last_delta, last_value = delta, value
             assert const == pytest.approx(last_value / last_delta**order, rel=1e-9)
+
+    def test_angle_orders_do_not_depend_on_the_size(self):
+        # the length floor, 100 eps * u, lies above every angle of this
+        # ellipse; the angles are fitted against 100 eps radians
+        conic = Conic(Ellipse(1e180, 1e179))
+        report = run_sweep(SweepConfig(conic, conic.point_at(0.7), 1e178, 6))
+        for name in ("chord_tangent_angle", "parallelism_error"):
+            assert report.orders[name].ratios_used == 6
+            assert report.orders[name].order == pytest.approx(1.0, abs=0.02)
+        assert convergence._ANGLE_FLOOR == 100.0 * EPS
 
     def test_off_curve_anchor_rejected(self):
         cfg = SweepConfig(conic=ELL, anchor=Point(0.0, 3.2), delta0=0.1, halvings=4)
@@ -281,8 +292,9 @@ class TestRunSweep:
 
     def test_monotone_decrease_above_floor(self, standard_sweeps):
         for report in standard_sweeps:
-            floor = noise_floor(report.config.conic)
             for name in report.metric_names:
+                floor = (convergence._ANGLE_FLOOR if name in convergence._ANGLE_METRICS
+                         else noise_floor(report.config.conic))
                 vals = report.values[name]
                 if all(v == 0.0 for v in vals):
                     continue  # degenerate anchor rows

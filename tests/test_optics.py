@@ -118,6 +118,11 @@ class TestIntersect:
         assert intersect_ray(circle, ray) == ()
         assert trace(Scene(mirrors=(circle,)), ray).hits == ()
 
+    def test_constant_quadratic_has_no_root(self):
+        # A == B == 0: the quadratic is the constant C, zero or not
+        for C in (0.0, 1.0, -2.0):
+            assert optics.kernels.quadratic_roots(0.0, 0.0, C, 1e-7) == (0, 0.0, 0.0)
+
     def test_non_finite_canonical_origin(self):
         # both coordinates are finite in the scene; moving the origin into
         # the conic's frame overflows
@@ -210,7 +215,7 @@ class TestThinShapes:
     @pytest.mark.parametrize("shape", [Ellipse(1e300, 1e-30), Hyperbola(1e300, 1e-30),
                                        Ellipse(2, 1e-320), Hyperbola(1e-320, 2, -1)])
     def test_refused_naming_the_given_shape(self, shape):
-        message = rf"^{re.escape(repr(shape))} is too thin to trace in floats: "
+        message = rf"^{re.escape(repr(shape))} is too thin for float arithmetic: "
         conic = Conic(shape)
         ray = Ray(Point(0.0, 0.0), Direction(0.6, 0.8))
         with pytest.raises(ValueError, match=message):

@@ -455,8 +455,8 @@ def test_power_of_two_scaling_is_exact(scene, k, t, offset, gap):
 def test_sweep_scales_exactly(conic, t, k, orientation):
     # a halving sweep of a conic scaled by 2^+-600 measures every length
     # metric scaled by 2^k and every angle bit for bit, and fits the same
-    # orders to the lengths.  (The noise floor is a length, so the orders
-    # of the angles, compared with it, may differ.)
+    # orders to all of them: the lengths against a floor scaled by 2^k too,
+    # the angles against a floor of their own
     f = math.ldexp(1.0, k)
     scaled = _scaled(conic, f)
     big_t = t * f if isinstance(conic.shape, Parabola) else t
@@ -471,8 +471,7 @@ def test_sweep_scales_exactly(conic, t, k, orientation):
     for m, values in report.values.items():
         scale = f if m in _LENGTH_METRICS else 1.0
         assert big.values[m] == tuple(v * scale for v in values), m
-        if m in _LENGTH_METRICS:
-            assert big.orders[m] == report.orders[m], m
+        assert big.orders[m] == report.orders[m], m
         assert big.constants[m] is None or math.isfinite(big.constants[m])
 
 

@@ -22,7 +22,8 @@ from conicsteps import (
     trace_svg,
 )
 from conicsteps import svgout
-from conicsteps.svgout import _curve, _fixed_curve, _fixed_figure, default_cassegrain_scene
+from conicsteps.errors import DegenerateTriangleError
+from conicsteps.svgout import _curve, _frame, default_cassegrain_scene
 from conftest import count_traces, fresh, pose_scene
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -152,93 +153,91 @@ def draw_every_figure_at_other_pairs() -> None:
                 figure_svg(figure_id)
 
 
-class TestFixedCurveCache:
-    """The figures' fixed curves are rendered once per process and reused."""
-
-    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
-    def test_reused_curves_give_the_first_render_bytes(self, figure_id):
-        # the fresh interpreter renders this figure's curves for the first
-        # time; in process they come from the cache, filled by other figures
-        # and other triangles
-        first = fresh(f"from conicsteps import figure_svg\nresult = figure_svg({figure_id!r})")
-        draw_every_figure_at_other_pairs()
-        assert figure_svg(figure_id) == first
-
-    def test_one_entry_per_fixed_curve(self):
-        # the ellipse and projection figures share the Ellipse(5, 3) curve,
-        # so the six figures draw 7 curves, 6 distinct; a warm pass looks up
-        # 5, as cassegrain's two come with its drawing from _fixed_figure
-        draw_every_figure_at_other_pairs()
-        before = _fixed_curve.cache_info()
-        for figure_id in FIGURE_IDS:
-            figure_svg(figure_id)
-        after = _fixed_curve.cache_info()
-        assert after.currsize == 6
-        assert (after.hits - before.hits, after.misses - before.misses) == (5, 0)
-
-    def test_a_failed_render_stores_nothing(self):
-        before = _fixed_curve.cache_info().currsize
-        for _ in range(2):  # the checks run again on the second call
-            with pytest.raises(ValueError, match=OVERFLOW_MESSAGE):
-                _fixed_curve(OVERFLOWING, 0.0, 1.0)
-        assert _fixed_curve.cache_info().currsize == before
-
-    def test_trace_svg_does_not_use_the_cache(self):
-        before = _fixed_curve.cache_info()
-        trace_svg(default_cassegrain_scene(4))
-        trace_svg(pose_scene(default_cassegrain_scene(4), Placement(1.5, -2.25, 0.7)))
-        assert _fixed_curve.cache_info() == before
-
-
 #: Document sizes rendered in turn, the first again last.
 SIZES = ((640, 480), (100, 80), (1920, 1080), (640, 480))
+#: The frame drawers, one per frame: the two ellipse figures share theirs.
+FRAMES = {entry[0] for entry in svgout._FIGURES.values()}
 
 
-class TestFixedFigureCache:
-    """The figures drawn at fixed values are drawn once per process; each
-    render only emits that drawing at its own size."""
+class TestFrameCache:
+    """Each figure's frame is drawn once per process; a walk figure draws
+    its triangle on a copy of it, and every render emits at its own size."""
+
+    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
+    def test_other_walks_leave_the_first_render_bytes(self, figure_id):
+        # the fresh interpreter draws this figure's frame for the first
+        # time; in process it comes from the cache, after walks at other
+        # pairs and renders at other sizes were drawn on copies of it
+        first = fresh(f"from conicsteps import figure_svg\nresult = figure_svg({figure_id!r})")
+        draw_every_figure_at_other_pairs()
+        for w, h in SIZES:
+            figure_svg(figure_id, width=w, height=h)
+        assert figure_svg(figure_id) == first
 
     def test_every_size_gives_the_fresh_render_bytes(self):
-        # each fresh interpreter draws both figures for the first time, at
+        # each fresh interpreter draws every frame for the first time, at
         # one size; in process, the sizes after the first reuse the drawing
         fresh_docs = {
-            (w, h): fresh("from conicsteps import figure_svg\n"
-                          f"result = [figure_svg(f, width={w}, height={h}) "
-                          f"for f in {FIXED_FIGURES!r}]")
+            (w, h): fresh("from conicsteps import FIGURE_IDS, figure_svg\n"
+                          f"result = [figure_svg(f, width={w}, height={h}) for f in FIGURE_IDS]")
             for w, h in set(SIZES)
         }
         for w, h in SIZES:
-            docs = [figure_svg(fid, width=w, height=h) for fid in FIXED_FIGURES]
-            assert docs == fresh_docs[w, h]
+            assert [figure_svg(fid, width=w, height=h) for fid in FIGURE_IDS] == fresh_docs[w, h]
 
-    def test_a_warm_pass_traces_no_rays(self, monkeypatch):
-        _fixed_figure.cache_clear()
-        calls = count_traces(monkeypatch)
-        for figure_id in FIGURE_IDS:
-            figure_svg(figure_id)
-        assert calls == [1, 6]  # cassegrain's six rays, drawn once
-        for w, h in SIZES:
-            for figure_id in FIGURE_IDS:
-                figure_svg(figure_id, width=w, height=h)
-        assert calls == [1, 6]
-
-    def test_at_most_one_entry_per_fixed_figure(self):
+    def test_one_entry_per_frame(self):
+        _frame.cache_clear()
         for w, h in SIZES:
             for figure_id in FIGURE_IDS:
                 figure_svg(figure_id, width=w, height=h)
             draw_every_figure_at_other_pairs()
-        assert _fixed_figure.cache_info().currsize == len(FIXED_FIGURES) == 2
+        assert _frame.cache_info().currsize == len(FRAMES) == 5
 
-    def test_a_failed_drawing_stores_nothing(self, monkeypatch):
+    def test_a_warm_pass_samples_no_curve_and_traces_no_rays(self, monkeypatch):
+        for figure_id in FIGURE_IDS:
+            figure_svg(figure_id)
+        sampled = []
+        real = Conic._xys_at
+
+        def counting(conic, ts):
+            sampled.append(tuple(ts))
+            return real(conic, ts)
+
+        monkeypatch.setattr(Conic, "_xys_at", counting)
+        traced = count_traces(monkeypatch)
+        for figure_id in FIGURE_IDS:
+            figure_svg(figure_id)
+        # only each walk's anchor goes through Conic.point_at, one parameter
+        # per walk figure; no curve is sampled and no ray traced
+        assert sampled == [(1.0,), (1.0,), (1.2,), (0.5,)]
+        assert traced == [0, 0]
+
+    def test_a_failed_frame_stores_nothing(self, monkeypatch):
         def failing(doc):
             raise ValueError("drawer failed")
 
-        _fixed_figure.cache_clear()
-        monkeypatch.setitem(svgout._FIGURES, "cassegrain", (failing, None))
+        _frame.cache_clear()
+        monkeypatch.setitem(svgout._FIGURES, "cassegrain", (failing, None, None, None))
         for _ in range(2):  # the drawer runs again on the second call
             with pytest.raises(ValueError, match="^drawer failed$"):
                 figure_svg("cassegrain")
-        assert _fixed_figure.cache_info().currsize == 0
+        assert _frame.cache_info().currsize == 0
+
+    def test_a_failed_walk_leaves_the_frame(self):
+        # the walk from the vertex retraces: its triangle is drawn on the
+        # copy before the apex reflector raises
+        before = figure_svg("ellipse-two-step")
+        entries = _frame.cache_info().currsize
+        with pytest.raises(DegenerateTriangleError):
+            figure_svg("ellipse-two-step", anchor_param=0.0)
+        assert figure_svg("ellipse-two-step") == before
+        assert _frame.cache_info().currsize == entries
+
+    def test_trace_svg_does_not_use_the_cache(self):
+        before = _frame.cache_info()
+        trace_svg(default_cassegrain_scene(4))
+        trace_svg(pose_scene(default_cassegrain_scene(4), Placement(1.5, -2.25, 0.7)))
+        assert _frame.cache_info() == before
 
 
 # Finite canonical axes whose translated samples overflow to infinity.
