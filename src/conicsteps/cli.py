@@ -36,7 +36,6 @@ from .errors import (
     ConicError,
     DegenerateDirectionError,
     DegenerateTriangleError,
-    IterationError,
     NoBranchError,
     OffCurveError,
     SceneFormatError,
@@ -57,7 +56,6 @@ _CATEGORIES = (
     (DegenerateDirectionError, "degenerate-direction"),
     (UnsupportedVariantError, "unsupported-variant"),
     (BracketError, "bracket"),
-    (IterationError, "iteration"),
     (ConicError, "conic"),
     (ValueError, "value"),
     (OSError, "io"),

@@ -39,8 +39,8 @@ from ._backend import kernels
 from .config import DEFAULT, Tolerances
 from .conics import Conic, Parabola, Shape, _require_thick, as_conic
 from .errors import BracketError, ConicError, DegenerateTriangleError, UnsupportedVariantError
-from .geometry import (Direction, Line, Point, _angle_xy, _require_finite, reflect_direction,
-                       scalar_projection)
+from .geometry import (Direction, Line, Point, _angle_xy, _normalized, _require_finite,
+                       _unit_unchecked, reflect_direction, scalar_projection)
 
 __all__ = [
     "Orientation",
@@ -185,20 +185,22 @@ def apex_reflector(tri: StepTriangle) -> Line:
     into the second exactly.  Raises DegenerateTriangleError for retraced
     walks, whose chord has no direction.
 
-    The chord direction is computed as ``unit(leg1_dir + leg2_dir)``,
-    which equals ``unit(B - A)`` for equal legs but does not lose the
-    (possibly tiny) chord to round-off in the absolute coordinates.
+    Its direction is ``unit(leg1_dir + leg2_dir)``, from ``_chord_xy``,
+    the one definition of the walk's chord.
     """
     if tri.degenerate:
         raise DegenerateTriangleError(
             "a retraced walk (B == A) has no chord and no apex reflector"
         )
-    return Line(
-        tri.D,
-        Direction(
-            tri.leg1_dir.x + tri.leg2_dir.x, tri.leg1_dir.y + tri.leg2_dir.y
-        ),
-    )
+    u1, u2 = tri.leg1_dir, tri.leg2_dir
+    return Line(tri.D, _unit_unchecked(*_chord_xy(u1.x, u1.y, u2.x, u2.y)))
+
+
+def _chord_xy(u1x: float, u1y: float, u2x: float, u2y: float) -> tuple[float, float]:
+    """The unit chord direction of a walk with unit steps ``u1``, ``u2``:
+    ``unit(u1 + u2)``, which equals ``unit(B - A)`` for equal legs but does
+    not lose the (possibly tiny) chord to round-off in the points' coordinates."""
+    return _normalized(u1x + u2x, u1y + u2y)
 
 
 #: componentwise budget for the exact apex reflection identity.

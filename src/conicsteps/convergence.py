@@ -4,8 +4,9 @@ A sweep fixes a conic, an on-curve anchor, and an initial step ``delta0``,
 then halves the step ``halvings`` times, recording at each level:
 
 * ``residual_B``: |curve residual at the landing point B|;
-* ``chord_tangent_angle``: angle between the chord A-B and the analytic
-  tangent at A (folded to [0, pi/2]: chords are undirected);
+* ``chord_tangent_angle``: angle between the chord direction u1 + u2 of
+  the two unit steps, parallel to A-B, and the analytic tangent at A
+  (folded to [0, pi/2]: chords are undirected);
 * ``apex_curve_distance``: distance from the apex D to the curve;
 * ``parallelism_error``: focal-direction spread between A and B (two-focus
   conics only);
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 
 from .config import DEFAULT, METRICS, Tolerances
 from .conics import Conic, Ellipse, Hyperbola, Parabola, Shape, _foot_xy, as_conic
-from .construction import (Orientation, _check_step, _parallelism, _retraced, _return_xy,
-                           _walk_xy)
+from .construction import (Orientation, _check_step, _chord_xy, _parallelism, _retraced,
+                           _return_xy, _walk_xy)
 from .errors import ConicError
-from .geometry import Direction, Point, _angle_xy, _normalized, _require_count
+from .geometry import Direction, Point, _angle_xy, _require_count
 
 __all__ = [
     "METRICS",
@@ -178,7 +179,7 @@ def _measure_level(cfg: SweepConfig, names: tuple[str, ...], ac: tuple[float, fl
     floats: ``ac`` is the anchor and ``tangent`` its unit tangent, both in
     the canonical frame."""
     shape, (ax, ay), orientation = cfg.conic.shape, ac, cfg.orientation
-    _, _, dx, dy, u2x, u2y, bx, by = _walk_xy(shape, ax, ay, delta, orientation)
+    u1x, u1y, dx, dy, u2x, u2y, bx, by = _walk_xy(shape, ax, ay, delta, orientation)
     if _retraced(shape, ax, ay, bx, by):
         # A retraced walk has no triangle to measure; every metric is
         # identically zero at every level.
@@ -188,7 +189,7 @@ def _measure_level(cfg: SweepConfig, names: tuple[str, ...], ac: tuple[float, fl
         if m == "residual_B":
             out[m] = abs(shape._residual(bx, by))
         elif m == "chord_tangent_angle":
-            theta = _angle_xy(*_normalized(bx - ax, by - ay), tangent.x, tangent.y)
+            theta = _angle_xy(*_chord_xy(u1x, u1y, u2x, u2y), tangent.x, tangent.y)
             out[m] = min(theta, math.pi - theta)
         elif m == "apex_curve_distance":
             _, fx, fy = _foot_xy(shape, dx, dy)
@@ -244,7 +245,10 @@ def run_sweep(cfg: SweepConfig, tolerances: Tolerances = DEFAULT) -> Convergence
             except (OverflowError, ZeroDivisionError):  # d**order is past the float range:
                 mant, e = math.frexp(d)  # split it at d's binary exponent
                 c = v / mant**order / 2.0 ** (e * order % 1.0)
-                constants[m] = math.ldexp(c, -math.floor(e * order))
+                try:
+                    constants[m] = math.ldexp(c, -math.floor(e * order))
+                except OverflowError:  # the constant is past it too: inf, as v / d**order reads
+                    constants[m] = math.inf
     return ConvergenceReport(
         config=cfg,
         deltas=tuple(deltas),

@@ -2,7 +2,8 @@
 
 Everything here is stdlib ``decimal`` arithmetic on the exact values of
 float inputs, and none of it reuses the library's solvers: the tests that
-call these helpers express float errors in units of eps * (1 + scale).
+call these helpers express length errors in units of eps * (1 + scale) and
+angle errors in eps radians.
 """
 from __future__ import annotations
 

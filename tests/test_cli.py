@@ -15,7 +15,6 @@ import pytest
 from conicsteps import (
     Conic,
     Ellipse,
-    IterationError,
     exact_return,
     load_scene,
     save_scene,
@@ -520,17 +519,6 @@ class TestOneCheckEach:
         assert out == ""
         assert err.startswith(f"error: {category}: ")
         assert err.count("\n") == 1 and err.endswith("\n")
-
-    def test_iteration_category(self, capsys, monkeypatch):
-        # no command projects onto the curve outside a sweep, which records
-        # a failed search as its truncated level; a command's library call
-        # that raises IterationError is reported under its own category
-        def failing(*args, **kwargs):
-            raise IterationError("search hit its step cap")
-
-        monkeypatch.setattr(Conic, "tangent_normal", failing)
-        code, out, err = run(capsys, "tangent", "--ellipse", "5,3", "--param", "1")
-        assert (code, out, err) == (2, "", "error: iteration: search hit its step cap\n")
 
     def test_failed_search_truncates_a_sweep(self, capsys, monkeypatch):
         monkeypatch.setattr(_kernels_py, "_MAX_STEPS", 1)

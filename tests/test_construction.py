@@ -436,4 +436,4 @@ class TestFrozenOutput:
             parts.append(serialize_scene(load_scene(str(path))))
         assert len(parts) == 34
         digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-        assert digest == "7cec959a1b2045c1adaff48a3637856b33db38c7fe60df70f64e16b4b89753bf"
+        assert digest == "afcc8bb1acedfc9243edb48d3cd8aa26c6d22e595bb4dd62274fbd693dac2718"
