@@ -81,18 +81,21 @@ def _require_finite(x: float, y: float) -> None:
 def _normalized(x: float, y: float) -> tuple[float, float]:
     """``(x, y)`` divided by its ``hypot``: the normalization every Direction gets.
 
+    Finite components whose norm overflows are halved first, which is exact.
     Raises DegenerateDirectionError when the input is not finite or its
     norm is below 1e-300.
     """
-    if not (math.isfinite(x) and math.isfinite(y)):
-        raise DegenerateDirectionError(
-            f"direction components must be finite, got ({x}, {y})"
-        )
     n = math.hypot(x, y)
-    if n < _MIN_DIRECTION_NORM:
-        raise DegenerateDirectionError(
-            f"cannot normalize a vector of norm {n!r}"
-        )
+    if not _MIN_DIRECTION_NORM <= n < math.inf:  # a finite n means finite components
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DegenerateDirectionError(
+                f"direction components must be finite, got ({x}, {y})"
+            )
+        if n == math.inf:
+            x, y = 0.5 * x, 0.5 * y
+            n = math.hypot(x, y)
+        if n < _MIN_DIRECTION_NORM:
+            raise DegenerateDirectionError(f"cannot normalize a vector of norm {n!r}")
     return x / n, y / n
 
 
@@ -143,7 +146,11 @@ def _reflect_xy(dx: float, dy: float, mx: float, my: float) -> tuple[float, floa
     """``reflect_direction`` on floats: ``(dx, dy)`` reflected across the unit
     mirror direction ``(mx, my)``, normalized as every Direction is."""
     s = dx * mx + dy * my
-    return _normalized(2.0 * s * mx - dx, 2.0 * s * my - dy)
+    x, y = 2.0 * s * mx - dx, 2.0 * s * my - dy
+    n = math.hypot(x, y)
+    if _MIN_DIRECTION_NORM <= n < math.inf:  # _normalized's common case, inline
+        return x / n, y / n
+    return _normalized(x, y)
 
 
 def angle_between(u: Direction, v: Direction) -> float:

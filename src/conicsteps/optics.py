@@ -18,17 +18,17 @@ measure the distance from the second focus to that outgoing line.
 
 The work is done in floats: one bounce loop, ``_trace_xy``, traces a bundle
 of ``(ox, oy, dx, dy)`` rays, each through all its bounces before the next,
-through one private hit finder and one private reflector that read each
-mirror from a float record (``_mirror``) built once per call, and returns
-each bounce as a tuple; the record holds the shape's own methods, which run
-its kernels in its unit.  ``intersect_ray`` and ``reflect_at`` wrap the same
-two functions, and ``trace`` the loop; these three alone build trace
-objects, and only ``trace`` builds ``Hit`` and ``TracePath``.  The spot
-statistics, the SVG and the CLI listing trace each bundle in one call and
-read the float bounces.  Every check the objects made (finite points,
-normalizable directions, the on-curve and branch checks) is still made on
-the floats, in the same order and with the same arithmetic, so results are
-bit-identical to tracing with objects.
+and returns each bounce as a tuple.  A bounce is one call to the one private
+hit finder, ``_hits``, which tests every mirror, and one to the one private
+reflector; both read each mirror from a float record (``_mirror``), built
+once per call, that holds the shape's own methods, run in its unit.
+``intersect_ray`` and ``reflect_at`` wrap the same two functions, and
+``trace`` the loop; only these build trace objects, and only ``trace`` builds
+``Hit`` and ``TracePath``.  Every check the objects made (finite points,
+normalizable directions, the on-curve and branch checks) is made on the
+floats, in the same order and with the same arithmetic, so results are
+bit-identical; a normalization divides inline, and leaves a direction it
+cannot normalize to ``geometry._normalized``, the one place that raises.
 Tracing reads its bounce cap and its bounds from the scene
 (``Scene.max_bounces`` and ``Scene.tolerances``), the one trace policy;
 functions without a scene take a ``Tolerances`` argument.
@@ -44,6 +44,7 @@ from .config import DEFAULT, Tolerances
 from .conics import Conic, Hyperbola, Parabola, Shape, _require_thick, as_conic
 from .errors import UnsupportedVariantError
 from .geometry import (
+    _MIN_DIRECTION_NORM,
     Direction,
     Line,
     Point,
@@ -238,49 +239,52 @@ def _mirror(conic: Conic, tolerances: Tolerances) -> _Mirror:
 
 
 def _hits(
-    mirror: _Mirror, ox: float, oy: float, dx: float, dy: float
-) -> list[tuple[float, float, float]]:
-    """``intersect_ray`` on floats: ``(t, x, y)`` for each forward hit of the
-    ray from ``(ox, oy)`` along ``(dx, dy)``, nearest first, all in scene
-    coordinates.
+    mirrors: Sequence[_Mirror], ox: float, oy: float, dx: float, dy: float
+) -> list[tuple[float, float, float, int]]:
+    """``intersect_ray`` on floats, over every mirror in one call: ``(t, x, y, index)`` for
+    each forward hit of the ray from ``(ox, oy)`` along ``(dx, dy)``, in scene coordinates,
+    ``index`` the mirror's place in ``mirrors``; mirror by mirror, each one's nearest first.
 
-    The ray is solved in the mirror's canonical frame, where its direction is
+    The ray is solved in each mirror's canonical frame, where its direction is
     renormalized, and in its unit, by the shape's ``_ray_coeffs``; each root is
     multiplied back, exactly.  The ``_SELF_HIT``/``_MAX_RAY_T`` window and the
     ``_ROOT_MERGE`` merge, both in that unit, and the other-branch filter are
     applied here and nowhere else.
     """
-    c, s, tx, ty, unit, ray_coeffs, _, on_branch, _, _, _, _ = mirror
-    isfinite = math.isfinite
-    # The Placement transforms inline, and _require_finite only to raise:
-    # this is the tracer's innermost call.
-    x = ox - tx
-    y = oy - ty
-    ocx = x * c + y * s
-    ocy = -x * s + y * c
-    if not (isfinite(ocx) and isfinite(ocy)):
-        _require_finite(ocx, ocy)
-    dcx, dcy = _normalized(dx * c + dy * s, -dx * s + dy * c)
-    A, B, C = ray_coeffs(ocx, ocy, dcx, dcy)  # named: a *args call is slower
-    n, r0, r1 = kernels.quadratic_roots(A, B, C, _ROOT_MERGE)
+    isfinite, hypot, inf, min_norm = math.isfinite, math.hypot, math.inf, _MIN_DIRECTION_NORM
+    quadratic_roots = kernels.quadratic_roots
     hits = []
-    for t in (r0, r1)[:n]:
-        if not (_SELF_HIT < t <= _MAX_RAY_T):
-            continue
-        t *= unit
-        xc = ocx + t * dcx
-        yc = ocy + t * dcy
-        if not (isfinite(xc) and isfinite(yc)):
-            if t == math.inf:  # the root is past the window once multiplied back
+    for index, (c, s, tx, ty, unit, ray_coeffs, _, on_branch, _, _, _, _) in enumerate(mirrors):
+        # the tracer's innermost loop: Placement transforms inline, helpers only to raise
+        x, y = ox - tx, oy - ty
+        ocx, ocy = x * c + y * s, -x * s + y * c
+        if not (isfinite(ocx) and isfinite(ocy)):
+            _require_finite(ocx, ocy)
+        dcx, dcy = dx * c + dy * s, -dx * s + dy * c
+        n = hypot(dcx, dcy)
+        if min_norm <= n < inf:  # _normalized's common case, inline
+            dcx, dcy = dcx / n, dcy / n
+        else:
+            dcx, dcy = _normalized(dcx, dcy)
+        A, B, C = ray_coeffs(ocx, ocy, dcx, dcy)  # named: a *args call is slower
+        roots, r0, r1 = quadratic_roots(A, B, C, _ROOT_MERGE)
+        for t in (r0, r1)[:roots]:
+            if not (_SELF_HIT < t <= _MAX_RAY_T):
                 continue
-            _require_finite(xc, yc)
-        if not on_branch(xc):
-            continue
-        x = xc * c - yc * s + tx
-        y = xc * s + yc * c + ty
-        if not (isfinite(x) and isfinite(y)):
-            _require_finite(x, y)
-        hits.append((t, x, y))
+            t *= unit
+            xc = ocx + t * dcx
+            yc = ocy + t * dcy
+            if not (isfinite(xc) and isfinite(yc)):
+                if t == inf:  # the root is past the window once multiplied back
+                    continue
+                _require_finite(xc, yc)
+            if not on_branch(xc):
+                continue
+            x = xc * c - yc * s + tx
+            y = xc * s + yc * c + ty
+            if not (isfinite(x) and isfinite(y)):
+                _require_finite(x, y)
+            hits.append((t, x, y, index))
     return hits
 
 
@@ -293,8 +297,8 @@ def intersect_ray(conic: Conic | Shape, ray: Ray) -> tuple[tuple[float, Point], 
     cancellation-free formula.  Root pairs closer than ``1e-7 u`` collapse to
     the single tangency point.  Hyperbola hits on the other branch are dropped.
     """
-    found = _hits(_mirror(as_conic(conic), DEFAULT), *_ray_xy(ray))
-    return tuple((t, Point(x, y)) for t, x, y in found)
+    found = _hits([_mirror(as_conic(conic), DEFAULT)], *_ray_xy(ray))
+    return tuple((t, Point(x, y)) for t, x, y, _ in found)
 
 
 def _reflect(mirror: _Mirror, x: float, y: float, dx: float, dy: float) -> tuple[float, float]:
@@ -307,8 +311,18 @@ def _reflect(mirror: _Mirror, x: float, y: float, dx: float, dy: float) -> tuple
     if not (math.isfinite(xc) and math.isfinite(yc)) or not abs(residual(xc, yc)) <= on_curve:
         conic._require_on_curve(x, y, tolerances)
     gx, gy = gradient(xc, yc)
-    gx, gy = _normalized(gx, gy)
-    nx, ny = _normalized(gx * c - gy * s, gx * s + gy * c)
+    hypot, inf, min_norm = math.hypot, math.inf, _MIN_DIRECTION_NORM
+    n = hypot(gx, gy)
+    if min_norm <= n < inf:  # _normalized's common case, inline
+        gx, gy = gx / n, gy / n
+    else:
+        gx, gy = _normalized(gx, gy)
+    nx, ny = gx * c - gy * s, gx * s + gy * c
+    n = hypot(nx, ny)
+    if min_norm <= n < inf:
+        nx, ny = nx / n, ny / n
+    else:
+        nx, ny = _normalized(nx, ny)
     return _reflect_xy(dx, dy, ny, -nx)  # across the tangent: the normal turned by -pi/2
 
 
@@ -345,23 +359,21 @@ def focal_property_error(
 
 def _trace_xy(scene: Scene, rays: Iterable[_RayXY]) -> list[list[_Bounce]]:
     """``trace`` on floats, the one bounce loop: a list of bounces per ray, each
-    mirror's record built once per call.  Each ray makes all its bounces before
-    the next starts, so the first ray to fail a check raises as if traced alone."""
+    mirror's record built once per call, and one ``_hits`` call over them all per
+    bounce.  Each ray makes all its bounces before the next starts, so the first
+    ray to fail a check raises as if traced alone."""
     mirrors = [_mirror(m, scene.tolerances) for m in scene.mirrors]
-    indexed = list(enumerate(mirrors))
     traced = []
     for ox, oy, dx, dy in rays:
         bounces: list[_Bounce] = []
         for _ in range(scene.max_bounces):
-            best: tuple[float, float, float, int] | None = None
-            for index, mirror in indexed:
-                found = _hits(mirror, ox, oy, dx, dy)
-                if found and (best is None or found[0][0] < best[0]):
-                    t, x, y = found[0]
-                    best = (t, x, y, index)
-            if best is None:
+            found = _hits(mirrors, ox, oy, dx, dy)
+            if not found:
                 break
-            t, ox, oy, index = best
+            t, ox, oy, index = found[0]
+            for hit in found:  # the nearest; a tie goes to the lower index
+                if hit[0] < t:
+                    t, ox, oy, index = hit
             dx, dy = _reflect(mirrors[index], ox, oy, dx, dy)
             bounces.append((index, t, ox, oy, dx, dy))
         traced.append(bounces)

@@ -53,6 +53,14 @@ class TestDirection:
         with pytest.raises((ValueError, DegenerateDirectionError)):
             Direction(math.nan, 1.0)
 
+    def test_norm_past_the_float_range(self):
+        # hypot(1e308, -1.7e308) overflows to inf, and x / inf gave the zero
+        # "unit" vector (0.0, -0.0); halving both components is exact
+        d = Direction(1e308, -1.7e308)
+        half = Direction(1e308 / 2, -1.7e308 / 2)
+        assert (d.x, d.y) == (half.x, half.y)
+        assert math.hypot(d.x, d.y) == pytest.approx(1.0, abs=1e-15)
+
     def test_perpendicular_is_exact_quarter_turn(self):
         d = Direction(0.0, 1.0)
         p = d.perpendicular()

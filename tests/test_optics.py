@@ -14,6 +14,7 @@ import pytest
 
 from conicsteps import (
     Conic,
+    DegenerateDirectionError,
     Direction,
     Ellipse,
     Hyperbola,
@@ -628,6 +629,77 @@ class TestWrongTypedArguments:
     def test_named_in_a_type_error(self, call, message):
         with pytest.raises(TypeError, match=re.escape(message)):
             call()
+
+
+PARABOLA = Conic(Parabola(1))
+POSED_ELL = Conic(Ellipse(5.0, 3.0), Placement(1.5, -2.0, 0.7))
+
+
+class TestDirectionNormalization:
+    """The tracer normalizes a direction where it needs a unit one: the ray's,
+    in each mirror's frame, and the normal and the outgoing direction of a
+    bounce.  A direction that cannot be normalized raises as ``Direction``
+    does, with the components or the norm the tracer saw."""
+
+    # (direction, conic, the ray's message, reflect_at's message); a rotated
+    # inf gives inf - inf, and a non-finite incoming makes the reflection's
+    # dot product nan
+    CASES = [
+        ((math.inf, 0.0), PARABOLA, "direction components must be finite, got (inf, nan)",
+         "direction components must be finite, got (nan, inf)"),
+        ((math.inf, 0.0), POSED_ELL, "direction components must be finite, got (inf, -inf)",
+         "direction components must be finite, got (nan, inf)"),
+        ((math.nan, 0.0), PARABOLA, "direction components must be finite, got (nan, nan)",
+         "direction components must be finite, got (nan, nan)"),
+        ((math.nan, 0.0), POSED_ELL, "direction components must be finite, got (nan, nan)",
+         "direction components must be finite, got (nan, nan)"),
+        ((0.0, 0.0), PARABOLA, "cannot normalize a vector of norm 0.0",
+         "cannot normalize a vector of norm 0.0"),
+        ((0.0, 0.0), POSED_ELL, "cannot normalize a vector of norm 0.0",
+         "cannot normalize a vector of norm 0.0"),
+        ((1e-301, 0.0), PARABOLA, "cannot normalize a vector of norm 1e-301",
+         "cannot normalize a vector of norm 1.0000000000000003e-301"),
+    ]
+
+    @pytest.mark.parametrize("d, conic, ray_message, reflect_message", CASES)
+    def test_degenerate_direction_raises(self, d, conic, ray_message, reflect_message):
+        ray = Ray(Point(0.5, 3.0), optics._unit_unchecked(*d))
+        q = Point(2.0, 1.0) if conic is PARABOLA else conic.point_at(0.9)
+        for call, message in ((lambda: intersect_ray(conic, ray), ray_message),
+                              (lambda: trace(Scene(mirrors=(conic,)), ray), ray_message),
+                              (lambda: reflect_at(conic, q, ray.dir), reflect_message)):
+            with pytest.raises(DegenerateDirectionError, match=f"^{re.escape(message)}$"):
+                call()
+
+    def test_norm_at_the_floor_is_normalized(self):
+        # a norm of exactly 1e-300 is long enough
+        ray = Ray(Point(0.5, 3.0), optics._unit_unchecked(1e-300, 0.0))
+        assert intersect_ray(PARABOLA, ray) == intersect_ray(
+            PARABOLA, Ray(ray.origin, Direction(1.0, 0.0)))
+
+    def test_direction_whose_norm_overflows_bounces(self):
+        # hypot(1e308, -1.7e308) overflows, and x / inf made the zero "unit"
+        # vector (0.0, -0.0), which the tracer refused as degenerate
+        path = trace(Scene(mirrors=(PARABOLA,), max_bounces=1),
+                     Ray(Point(0.5, 3.0), Direction(1e308, -1.7e308)))
+        assert len(path.hits) == 1
+        assert PARABOLA.is_on_curve(path.hits[0].point)
+
+    def test_unnormalized_direction_traces_as_its_unit_direction(self):
+        # the tracer normalizes the ray's direction in the mirror's frame, so
+        # the first hit is the Direction's, bit for bit; the reflection takes
+        # the incoming direction as given, so the outgoing one may differ in
+        # its last bits
+        scene = Scene(mirrors=(PARABOLA,), max_bounces=3)
+        origin = Point(0.5, 3.0)
+        raw = trace(scene, Ray(origin, optics._unit_unchecked(1e308, -1.7e308)))
+        unit = trace(scene, Ray(origin, Direction(1e308, -1.7e308)))
+        assert len(raw.hits) == len(unit.hits) == 3
+        assert (raw.hits[0].t, raw.hits[0].point) == (unit.hits[0].t, unit.hits[0].point)
+        for a, b in zip(raw.hits, unit.hits):
+            assert a.mirror_index == b.mirror_index
+            assert a.point.distance_to(b.point) <= 1e-12 * (1.0 + b.t)
+            assert math.hypot(a.outgoing.x - b.outgoing.x, a.outgoing.y - b.outgoing.y) <= 1e-15
 
 
 class TestRayLineDistance:

@@ -9,6 +9,7 @@ import os
 import re
 import sys
 import tempfile
+from importlib import resources
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -29,6 +30,8 @@ from conicsteps import (
     SweepConfig,
     Tolerances,
     exact_return,
+    intersect_ray,
+    load_scene,
     parse_scene,
     ray_line_distance,
     reflect_at,
@@ -339,6 +342,24 @@ def test_bundle_raises_as_its_first_failing_ray(bundle):
     failed = [outcome for outcome in alone if isinstance(outcome, tuple)]
     expected = failed[0] if failed else repr([b for ray in rays for b in _trace_xy(scene, [ray])])
     assert _traced(scene, rays) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scene=posed_telescopes())
+@example(scene=load_scene(resources.files("conicsteps").joinpath("scenes", "ellipse.json")))
+def test_first_bounce_is_the_nearest_hit_over_the_mirrors(scene):
+    # the bounce loop searches every mirror for hits in one call; its first
+    # bounce is the nearest of each mirror's intersect_ray hits, the lower
+    # mirror index on a tie, with t and the point bit for bit
+    for ray in scene.rays:
+        found = [(t, index, q) for index, mirror in enumerate(scene.mirrors)
+                 for t, q in intersect_ray(mirror, ray)]
+        hits = trace(scene, ray).hits
+        if not found:
+            assert hits == ()
+            continue
+        t, index, q = min(found, key=lambda hit: hit[:2])
+        assert repr((hits[0].t, hits[0].mirror_index, hits[0].point)) == repr((t, index, q))
 
 
 def _scaled(conic: Conic, f: float) -> Conic:

@@ -76,6 +76,12 @@ class TestParse:
         assert scene.max_bounces == 3
         assert scene.tolerances == Tolerances(on_curve=1e-8, confocal=1e-6)
 
+    def test_ray_direction_whose_norm_overflows(self):
+        # was the zero vector (0.0, -0.0), which tracing refused as degenerate
+        scene = parse_scene('{"rays": [{"origin": [0.5, 3], "dir": [1e308, -1.7e308]}]}')
+        d = scene.rays[0].dir
+        assert math.hypot(d.x, d.y) == pytest.approx(1.0, abs=1e-15)
+
 
 class TestRejection:
     def test_malformed_json_reports_position(self):
