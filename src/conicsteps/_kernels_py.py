@@ -4,9 +4,9 @@ These are the hot inner loops of the library: canonical-frame residuals,
 implicit-form gradients, parametric points (a whole curve's samples as x
 and y columns in one call), stable quadratic roots for ray-conic
 intersection, and the direct foot-of-normal solves, all reached through
-``conicsteps._backend.kernels``: the per-shape kernels only from the shape
-methods in ``conics``, ``quadratic_roots`` from ``optics`` and
-``construction``.
+``conicsteps._backend.kernels``, and only from the shape methods in
+``conics``: a shape's ``_ray_roots`` pairs its ray coefficients with
+``quadratic_roots``.
 
 All functions work in the conic's canonical frame and know nothing about
 placements, tolerable residuals, or error types — callers own validation.
@@ -123,12 +123,7 @@ def quadratic_roots(A: float, B: float, C: float, merge_sep: float) -> tuple[int
             return 0, 0.0, 0.0
         return 1, -B / (2.0 * A), 0.0
     sq = math.sqrt(disc)
-    if B > 0.0:
-        q = -(B + sq) / 2.0
-    elif B < 0.0:
-        q = -(B - sq) / 2.0
-    else:
-        q = sq / 2.0
+    q = -(B + sq) / 2.0 if B > 0.0 else -(B - sq) / 2.0  # B == 0 gives sq / 2 exactly
     r0 = q / A
     r1 = C / q
     if r0 <= r1:
@@ -199,7 +194,7 @@ def _bracketed_root(f, lo: float, hi: float) -> tuple[float, int]:
             lo = s
         elif v < 0.0:
             hi = s
-        else:
+        else:  # the root, or a NaN value whose squares overflowed far from the curve
             return s, 1
         nxt = s - v / dv if dv != 0.0 else hi
         if abs(nxt - s) <= 4e-16 * s:

@@ -15,8 +15,10 @@ shape with a placement and exposes every curve operation in scene
 coordinates: the signed residual, tangent/normal frames, parametric points,
 nearest-point projection, and focus locations.  Each shape owns its
 canonical-frame math: its ``_residual``, ``_gradient``, ``_points``,
-``_ray_coeffs``, ``_nearest`` and ``_on_branch`` are the only callers of its
-kernels, so no other code picks a kernel by shape.  Its ``_step`` is the
+``_ray_roots``, ``_nearest`` and ``_on_branch`` are the only callers of its
+kernels, so no other code picks a kernel by shape.  ``_ray_roots`` is the one
+ray solve: the shape's ray quadratic and its roots, in the unit; the tracer's
+hits and the exact return both read it.  A shape's ``_step`` is the
 focal step rule: the unit direction of the two-step walk's first or second
 step, read by the walk and the focal reflection property.
 
@@ -47,7 +49,8 @@ from typing import ClassVar
 from ._backend import kernels
 from .config import DEFAULT, Tolerances
 from .errors import IterationError, NoBranchError, OffCurveError
-from .geometry import Direction, Point, _normalized, _require_finite, _unit_unchecked
+from .geometry import (Direction, Point, _normalized, _require_finite, _require_type,
+                       _unit_unchecked)
 
 __all__ = [
     "Ellipse",
@@ -112,9 +115,11 @@ class Ellipse:
     def _points(self, ts: Sequence[float]) -> tuple[list[float], list[float]]:
         return kernels.ellipse_points(self.a, self.b, ts)
 
-    def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
+    def _ray_roots(self, ox: float, oy: float, dx: float, dy: float,
+                   merge: float) -> tuple[int, float, float]:
         u = self._unit
-        return kernels.ellipse_ray_coeffs(self._au, self._bu, ox / u, oy / u, dx, dy)
+        A, B, C = kernels.ellipse_ray_coeffs(self._au, self._bu, ox / u, oy / u, dx, dy)
+        return kernels.quadratic_roots(A, B, C, merge)
 
     def _nearest(self, x: float, y: float) -> tuple[float, int]:
         if x == 0.0 and y == 0.0:
@@ -159,8 +164,10 @@ class Parabola:
     def _points(self, ts: Sequence[float]) -> tuple[list[float], list[float]]:
         return kernels.parabola_points(self._pu, self._unit, ts)
 
-    def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
-        return kernels.parabola_ray_coeffs(self._pu, ox / self._unit, oy / self._unit, dx, dy)
+    def _ray_roots(self, ox: float, oy: float, dx: float, dy: float,
+                   merge: float) -> tuple[int, float, float]:
+        A, B, C = kernels.parabola_ray_coeffs(self._pu, ox / self._unit, oy / self._unit, dx, dy)
+        return kernels.quadratic_roots(A, B, C, merge)
 
     def _nearest(self, x: float, y: float) -> tuple[float, int]:
         t, ok = kernels.parabola_nearest_param(self._pu, x / self._unit, y / self._unit)
@@ -231,9 +238,11 @@ class Hyperbola:
     def _points(self, ts: Sequence[float]) -> tuple[list[float], list[float]]:
         return kernels.hyperbola_points(self.a, self.b, self.branch, ts)
 
-    def _ray_coeffs(self, ox: float, oy: float, dx: float, dy: float) -> tuple[float, float, float]:
+    def _ray_roots(self, ox: float, oy: float, dx: float, dy: float,
+                   merge: float) -> tuple[int, float, float]:
         u = self._unit
-        return kernels.hyperbola_ray_coeffs(self._au, self._bu, ox / u, oy / u, dx, dy)
+        A, B, C = kernels.hyperbola_ray_coeffs(self._au, self._bu, ox / u, oy / u, dx, dy)
+        return kernels.quadratic_roots(A, B, C, merge)
 
     def _nearest(self, x: float, y: float) -> tuple[float, int]:
         u = self._unit
@@ -252,7 +261,7 @@ Shape = Ellipse | Parabola | Hyperbola
 
 def _require_thick(shape: Shape) -> None:
     """Raise a ValueError naming ``shape`` if its smaller length, squared in its
-    unit, underflows: ``_gradient`` and ``_ray_coeffs`` divide by that square,
+    unit, underflows: ``_gradient`` and ``_ray_roots`` divide by that square,
     so each caller checks before its first use of either."""
     if not isinstance(shape, Parabola):
         small = min(shape._au, shape._bu)
@@ -311,15 +320,19 @@ class Placement:
         return x * c + y * s, -x * s + y * c
 
     def to_scene(self, p: Point) -> Point:
+        _require_type("p", p, Point)
         return Point(*self._xy_to_scene(p.x, p.y))
 
     def to_canonical(self, p: Point) -> Point:
+        _require_type("p", p, Point)
         return Point(*self._xy_to_canonical(p.x, p.y))
 
     def dir_to_scene(self, d: Direction) -> Direction:
+        _require_type("d", d, Direction)
         return Direction(*self._rotate_to_scene(d.x, d.y))
 
     def dir_to_canonical(self, d: Direction) -> Direction:
+        _require_type("d", d, Direction)
         return Direction(*self._rotate_to_canonical(d.x, d.y))
 
 
@@ -353,12 +366,14 @@ class Conic:
 
     def residual(self, q: Point) -> float:
         """Signed focal-distance residual of ``q`` (zero on the curve)."""
+        _require_type("q", q, Point)
         x, y = self.placement._xy_to_canonical(q.x, q.y)
         _require_finite(x, y)
         return self.shape._residual(x, y)
 
     def is_on_curve(self, q: Point, tolerances: Tolerances = DEFAULT) -> bool:
         """Whether ``q`` passes ``_require_on_curve``, the one on-curve check."""
+        _require_type("q", q, Point)
         try:
             self._require_on_curve(q.x, q.y, tolerances)
         except OffCurveError:
@@ -405,6 +420,7 @@ class Conic:
         conic's unit plus the rounding floor at ``q``, and ValueError for a
         shape too thin for its gradient (``_require_thick``).
         """
+        _require_type("q", q, Point)
         _require_thick(self.shape)
         gx, gy = _normalized(*self.shape._gradient(*self._require_on_curve(q.x, q.y, tolerances)))
         normal = _unit_unchecked(*_normalized(*self.placement._rotate_to_scene(gx, gy)))
@@ -467,6 +483,7 @@ class Conic:
         representable in floats, and IterationError if the root search hits
         its step cap.
         """
+        _require_type("q", q, Point)
         qc = self.placement.to_canonical(q)
         t, fx, fy = _foot_xy(self.shape, qc.x, qc.y)
         foot = Point(*self.placement._xy_to_scene(fx, fy))

@@ -35,12 +35,11 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from ._backend import kernels
 from .config import DEFAULT, Tolerances
 from .conics import Conic, Parabola, Shape, _require_thick, as_conic
 from .errors import BracketError, ConicError, DegenerateTriangleError, UnsupportedVariantError
 from .geometry import (Direction, Line, Point, _angle_xy, _normalized, _require_finite,
-                       _unit_unchecked, reflect_direction, scalar_projection)
+                       _require_type, _unit_unchecked, reflect_direction, scalar_projection)
 
 __all__ = [
     "Orientation",
@@ -162,6 +161,7 @@ def two_step(
     tolerance, and ValueError for a non-positive or non-finite ``delta``.
     """
     conic = as_conic(conic)
+    _require_type("A", A, Point)
     _check_step(delta, orientation)
     ac = conic._require_on_curve(A.x, A.y, tolerances, "start point")
     return _triangle(conic, A, ac, _walk_xy(conic.shape, *ac, delta, orientation), delta,
@@ -253,47 +253,6 @@ def _parallelism(shape: Shape, ax: float, ay: float, bx: float, by: float,
     return _angle_xy(*shape._step(ax, ay, True, forward), *shape._step(bx, by, True, forward))
 
 
-def _return_length(shape: Shape, ox: float, oy: float, dx: float, dy: float,
-                   delta: float) -> float:
-    """Length ``t`` in [delta/2, 2*delta] that puts ``(ox, oy) + t * (dx, dy)``
-    on the curve, all in canonical-frame floats.
-
-    The focal residual at the two bracket ends decides whether there is an
-    answer: a zero end is the answer, and ends of one sign raise
-    BracketError (a hyperbola end on the axis raises NoBranchError, as
-    ``Conic.residual`` does).  Otherwise the answer is a root of the ray's
-    implicit-form quadratic.  Residual and implicit form share their sign,
-    so exactly one root lies in the bracket; rounding can only push it just
-    outside, hence the root nearest the bracket (preferring one on the
-    selected branch) is taken and clamped into it.  A shape too thin for its
-    ray coefficients is refused there, by ``_require_thick``.
-    """
-    lo, hi = 0.5 * delta, 2.0 * delta
-    flo = shape._residual(ox + lo * dx, oy + lo * dy)
-    fhi = shape._residual(ox + hi * dx, oy + hi * dy)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise BracketError(
-            f"curve residual does not change sign on [{lo!r}, {hi!r}]; "
-            "cannot bracket the exact-return step"
-        )
-    # No merge window: the sign change already rules out a tangency.
-    _require_thick(shape)
-    n, r0, r1 = kernels.quadratic_roots(*shape._ray_coeffs(ox, oy, dx, dy), 0.0)
-    if n == 0:  # a sign change below rounding: keep the closer end
-        return lo if abs(flo) <= abs(fhi) else hi
-
-    def rank(t: float) -> tuple[float, bool]:
-        return max(lo - t, t - hi, 0.0), not shape._on_branch(ox + t * dx)
-
-    t0, t1 = r0 * shape._unit, r1 * shape._unit  # min((t0, t1)[:n], key=rank), unrolled
-    t = t1 if n == 2 and rank(t1) < rank(t0) else t0
-    return min(max(t, lo), hi)
-
-
 def exact_return(
     conic: Conic | Shape,
     A: Point,
@@ -312,6 +271,7 @@ def exact_return(
     step already ends on the curve.
     """
     conic = as_conic(conic)
+    _require_type("A", A, Point)
     _check_step(delta, orientation)
     ac = conic._require_on_curve(A.x, A.y, tolerances, "start point")
     u1x, u1y, dx, dy, u2x, u2y, bx, by = _walk_xy(conic.shape, *ac, delta, orientation)
@@ -322,12 +282,46 @@ def exact_return(
     return ExactReturn(triangle=tri, t_star=t_star, gap=abs(t_star - delta))
 
 
-def _return_xy(shape: Shape, dx: float, dy: float, ux: float, uy: float,
+def _return_xy(shape: Shape, ox: float, oy: float, dx: float, dy: float,
                delta: float) -> tuple[float, float, float]:
-    """``exact_return`` on canonical floats from the apex ``(dx, dy)`` along
-    the unit second leg ``(ux, uy)``: ``t*`` and the landing point, checked
-    finite."""
-    t = _return_length(shape, dx, dy, ux, uy, delta)
-    bx, by = dx + t * ux, dy + t * uy
+    """``exact_return`` on canonical floats from the apex ``(ox, oy)`` along the
+    unit second leg ``(dx, dy)``: the length ``t`` in [delta/2, 2*delta] that
+    puts ``(ox, oy) + t * (dx, dy)`` on the curve, and that point, checked finite.
+
+    The focal residual at the two bracket ends decides whether there is an
+    answer: a zero end is the answer, and ends of one sign raise
+    BracketError (a hyperbola end on the axis raises NoBranchError, as
+    ``Conic.residual`` does).  Otherwise the answer is a root of the shape's
+    ``_ray_roots``.  Residual and implicit form share their sign, so exactly
+    one root lies in the bracket; rounding can only push it just outside,
+    hence the root nearest the bracket (preferring one on the selected
+    branch) is taken and clamped into it.  A shape too thin for its ray
+    solve is refused there, by ``_require_thick``.
+    """
+    lo, hi = 0.5 * delta, 2.0 * delta
+    flo = shape._residual(ox + lo * dx, oy + lo * dy)
+    fhi = shape._residual(ox + hi * dx, oy + hi * dy)
+    if flo == 0.0:
+        t = lo
+    elif fhi == 0.0:
+        t = hi
+    elif (flo > 0.0) == (fhi > 0.0):
+        raise BracketError(
+            f"curve residual does not change sign on [{lo!r}, {hi!r}]; "
+            "cannot bracket the exact-return step"
+        )
+    else:
+        # No merge window: the sign change already rules out a tangency.
+        _require_thick(shape)
+        n, r0, r1 = shape._ray_roots(ox, oy, dx, dy, 0.0)
+        if n == 0:  # a sign change below rounding: keep the closer end
+            t = lo if abs(flo) <= abs(fhi) else hi
+        else:
+            def rank(t: float) -> tuple[float, bool]:
+                return max(lo - t, t - hi, 0.0), not shape._on_branch(ox + t * dx)
+
+            t0, t1 = r0 * shape._unit, r1 * shape._unit  # min((t0, t1)[:n], key=rank), unrolled
+            t = min(max(t1 if n == 2 and rank(t1) < rank(t0) else t0, lo), hi)
+    bx, by = ox + t * dx, oy + t * dy
     _require_finite(bx, by)
     return t, bx, by

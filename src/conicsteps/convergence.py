@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .config import DEFAULT, METRICS, Tolerances
@@ -33,7 +34,7 @@ from .conics import Conic, Ellipse, Hyperbola, Parabola, Shape, _foot_xy, as_con
 from .construction import (Orientation, _check_step, _chord_xy, _parallelism, _retraced,
                            _return_xy, _walk_xy)
 from .errors import ConicError
-from .geometry import Direction, Point, _angle_xy, _require_count
+from .geometry import Direction, Point, _angle_xy, _require_count, _require_type
 
 __all__ = [
     "METRICS",
@@ -64,8 +65,7 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "conic", as_conic(self.conic))
-        if not isinstance(self.anchor, Point):
-            raise TypeError(f"anchor must be a Point, got {self.anchor!r}")
+        _require_type("anchor", self.anchor, Point)
         _check_step(self.delta0, self.orientation)
         _require_count("halvings", self.halvings, 2)
         # 2.0**max_exp overflows; a positive last step makes every level positive
@@ -159,10 +159,10 @@ def noise_floor(conic: Conic | Shape) -> float:
     return _NOISE_FLOOR_EPSILONS * sys.float_info.epsilon * as_conic(conic).shape._unit
 
 
-def estimate_order(
-    values: list[float] | tuple[float, ...], floor: float
-) -> OrderEstimate:
-    """Mean log2 ratio of successive values, skipping noise-floor pairs."""
+def estimate_order(values: Iterable[float], floor: float) -> OrderEstimate:
+    """Mean log2 ratio of successive values, skipping noise-floor pairs.
+    ``values`` may be any iterable: it is read once, into a tuple."""
+    values = tuple(values)
     ratios: list[float] = []
     for v0, v1 in zip(values, values[1:]):
         if v0 > floor and v1 > floor:

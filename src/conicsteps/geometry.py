@@ -72,6 +72,13 @@ def _require_count(name: str, value: int, minimum: int) -> None:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def _require_type(name: str, value: object, cls: type) -> None:
+    """The one type check at the API edge: raise a TypeError naming ``name``
+    unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise TypeError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
 def _require_finite(x: float, y: float) -> None:
     """The check every Point makes: raise ValueError unless both are finite."""
     if not (math.isfinite(x) and math.isfinite(y)):

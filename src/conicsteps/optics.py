@@ -19,9 +19,11 @@ measure the distance from the second focus to that outgoing line.
 The work is done in floats: one bounce loop, ``_trace_xy``, traces a bundle
 of ``(ox, oy, dx, dy)`` rays, each through all its bounces before the next,
 and returns each bounce as a tuple.  A bounce is one call to the one private
-hit finder, ``_hits``, which tests every mirror, and one to the one private
-reflector; both read each mirror from a float record (``_mirror``), built
-once per call, that holds the shape's own methods, run in its unit.
+hit finder, ``_hits``, which tests every mirror and drops the origin's root
+on the mirror the ray leaves, and one to the one private reflector; both
+read each mirror from a float record (``_mirror``), built once per call,
+that holds the shape's own methods, its ray solve ``_ray_roots`` among them,
+run in its unit.
 ``intersect_ray`` and ``reflect_at`` wrap the same two functions, and
 ``trace`` the loop; only these build trace objects, and only ``trace`` builds
 ``Hit`` and ``TracePath``.  Every check the objects made (finite points,
@@ -39,7 +41,6 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
-from ._backend import kernels
 from .config import DEFAULT, Tolerances
 from .conics import Conic, Hyperbola, Parabola, Shape, _require_thick, as_conic
 from .errors import UnsupportedVariantError
@@ -53,6 +54,7 @@ from .geometry import (
     _reflect_xy,
     _require_count,
     _require_finite,
+    _require_type,
     _unit_unchecked,
 )
 
@@ -160,8 +162,7 @@ class Scene:
             if role not in ROLES:
                 raise ValueError(f"unknown role {role!r}; expected one of {ROLES}")
         _require_count("max_bounces", self.max_bounces, 1)
-        if not isinstance(self.tolerances, Tolerances):
-            raise TypeError(f"tolerances must be a Tolerances, got {self.tolerances!r}")
+        _require_type("tolerances", self.tolerances, Tolerances)
         if self.roles.count("primary") > 1 or self.roles.count("secondary") > 1:
             raise ValueError("at most one primary and one secondary mirror allowed")
         for mirror, role in zip(self.mirrors, self.roles):
@@ -220,41 +221,36 @@ def _ray_xy(ray: Ray) -> _RayXY:
     return ray.origin.x, ray.origin.y, ray.dir.x, ray.dir.y
 
 
-def _require_type(name: str, value: object, cls: type) -> None:
-    """Raise a TypeError naming ``name`` unless ``value`` is a ``cls``."""
-    if not isinstance(value, cls):
-        raise TypeError(f"{name} must be a {cls.__name__}, got {value!r}")
-
-
 def _mirror(conic: Conic, tolerances: Tolerances) -> _Mirror:
     """``conic`` as ``_hits`` and ``_reflect`` read it: (cos, sin, tx, ty, unit, the shape's
-    ray_coeffs, gradient, on_branch and residual, the on-curve bound at the canonical origin
+    ray_roots, gradient, on_branch and residual, the on-curve bound at the canonical origin
     (the smallest; ``_reflect`` re-checks a point over it), conic, tolerances).  A shape
-    too thin for its ray coefficients is refused by ``_require_thick``."""
+    too thin for its ray solve is refused by ``_require_thick``."""
     pl, shape = conic.placement, conic.shape
     _require_thick(shape)
-    return (pl._cos, pl._sin, pl.tx, pl.ty, shape._unit, shape._ray_coeffs, shape._gradient,
+    return (pl._cos, pl._sin, pl.tx, pl.ty, shape._unit, shape._ray_roots, shape._gradient,
             shape._on_branch, shape._residual, conic._on_curve_limit(0.0, 0.0, tolerances),
             conic, tolerances)
 
 
 def _hits(
-    mirrors: Sequence[_Mirror], ox: float, oy: float, dx: float, dy: float
+    mirrors: Sequence[_Mirror], ox: float, oy: float, dx: float, dy: float, leave: int = -1
 ) -> list[tuple[float, float, float, int]]:
     """``intersect_ray`` on floats, over every mirror in one call: ``(t, x, y, index)`` for
     each forward hit of the ray from ``(ox, oy)`` along ``(dx, dy)``, in scene coordinates,
     ``index`` the mirror's place in ``mirrors``; mirror by mirror, each one's nearest first.
 
     The ray is solved in each mirror's canonical frame, where its direction is
-    renormalized, and in its unit, by the shape's ``_ray_coeffs``; each root is
-    multiplied back, exactly.  The ``_SELF_HIT``/``_MAX_RAY_T`` window and the
+    renormalized, and in its unit, by the shape's ``_ray_roots``; each root is
+    multiplied back, exactly.  The ray's origin lies on the mirror ``leave``, the
+    one it just left, so that mirror's root nearest 0, or its single merged root,
+    is the origin and is dropped.  The ``_SELF_HIT``/``_MAX_RAY_T`` window and the
     ``_ROOT_MERGE`` merge, both in that unit, and the other-branch filter are
     applied here and nowhere else.
     """
     isfinite, hypot, inf, min_norm = math.isfinite, math.hypot, math.inf, _MIN_DIRECTION_NORM
-    quadratic_roots = kernels.quadratic_roots
     hits = []
-    for index, (c, s, tx, ty, unit, ray_coeffs, _, on_branch, _, _, _, _) in enumerate(mirrors):
+    for index, (c, s, tx, ty, unit, ray_roots, _, on_branch, _, _, _, _) in enumerate(mirrors):
         # the tracer's innermost loop: Placement transforms inline, helpers only to raise
         x, y = ox - tx, oy - ty
         ocx, ocy = x * c + y * s, -x * s + y * c
@@ -266,8 +262,11 @@ def _hits(
             dcx, dcy = dcx / n, dcy / n
         else:
             dcx, dcy = _normalized(dcx, dcy)
-        A, B, C = ray_coeffs(ocx, ocy, dcx, dcy)  # named: a *args call is slower
-        roots, r0, r1 = quadratic_roots(A, B, C, _ROOT_MERGE)
+        roots, r0, r1 = ray_roots(ocx, ocy, dcx, dcy, _ROOT_MERGE)
+        if index == leave and roots:  # drop the root at the origin, keep the other
+            roots -= 1
+            if abs(r0) <= abs(r1):
+                r0 = r1
         for t in (r0, r1)[:roots]:
             if not (_SELF_HIT < t <= _MAX_RAY_T):
                 continue
@@ -296,6 +295,9 @@ def intersect_ray(conic: Conic | Shape, ray: Ray) -> tuple[tuple[float, Point], 
     noise), solved from the canonical implicit quadratic with a
     cancellation-free formula.  Root pairs closer than ``1e-7 u`` collapse to
     the single tangency point.  Hyperbola hits on the other branch are dropped.
+    A ray that starts on the conic is kept from its own origin by the window
+    alone; ``trace``, which knows the mirror a bounce leaves, drops that
+    mirror's root at the origin instead.
     """
     found = _hits([_mirror(as_conic(conic), DEFAULT)], *_ray_xy(ray))
     return tuple((t, Point(x, y)) for t, x, y, _ in found)
@@ -311,18 +313,14 @@ def _reflect(mirror: _Mirror, x: float, y: float, dx: float, dy: float) -> tuple
     if not (math.isfinite(xc) and math.isfinite(yc)) or not abs(residual(xc, yc)) <= on_curve:
         conic._require_on_curve(x, y, tolerances)
     gx, gy = gradient(xc, yc)
-    hypot, inf, min_norm = math.hypot, math.inf, _MIN_DIRECTION_NORM
-    n = hypot(gx, gy)
-    if min_norm <= n < inf:  # _normalized's common case, inline
+    n = math.hypot(gx, gy)
+    if _MIN_DIRECTION_NORM <= n < math.inf:  # _normalized's common case, inline
         gx, gy = gx / n, gy / n
     else:
         gx, gy = _normalized(gx, gy)
     nx, ny = gx * c - gy * s, gx * s + gy * c
-    n = hypot(nx, ny)
-    if min_norm <= n < inf:
-        nx, ny = nx / n, ny / n
-    else:
-        nx, ny = _normalized(nx, ny)
+    n = math.hypot(nx, ny)  # a unit vector turned: 1 to within a few ulps
+    nx, ny = nx / n, ny / n
     return _reflect_xy(dx, dy, ny, -nx)  # across the tangent: the normal turned by -pi/2
 
 
@@ -360,14 +358,16 @@ def focal_property_error(
 def _trace_xy(scene: Scene, rays: Iterable[_RayXY]) -> list[list[_Bounce]]:
     """``trace`` on floats, the one bounce loop: a list of bounces per ray, each
     mirror's record built once per call, and one ``_hits`` call over them all per
-    bounce.  Each ray makes all its bounces before the next starts, so the first
-    ray to fail a check raises as if traced alone."""
+    bounce, told the mirror the ray leaves.  Each ray makes all its bounces
+    before the next starts, so the first ray to fail a check raises as if
+    traced alone."""
     mirrors = [_mirror(m, scene.tolerances) for m in scene.mirrors]
     traced = []
     for ox, oy, dx, dy in rays:
         bounces: list[_Bounce] = []
+        index = -1  # the mirror the ray leaves: none, on its first segment
         for _ in range(scene.max_bounces):
-            found = _hits(mirrors, ox, oy, dx, dy)
+            found = _hits(mirrors, ox, oy, dx, dy, index)
             if not found:
                 break
             t, ox, oy, index = found[0]
@@ -384,8 +384,12 @@ def trace(scene: Scene, ray: Ray) -> TracePath:
     """Trace ``ray`` through the scene, always taking the nearest bounce.
 
     Stops when no mirror lies ahead or ``scene.max_bounces`` is reached; ties
-    on hit distance go to the lower mirror index.  ``final`` is the free ray
-    leaving the last bounce (the input ray itself for a clean miss).  The
+    on hit distance go to the lower mirror index.  Each bounce leaves its
+    mirror by its known root: the mirror's root nearest 0, or its one merged
+    root, is the bounce point itself and is dropped, so the rounding of a
+    bounce far out on a mirror cannot make it bounce there again; the first
+    segment and the other mirrors keep the ``1e-9 u`` window.  ``final`` is
+    the free ray leaving the last bounce (the input ray itself for a clean miss).  The
     on-curve bound of each reflection comes from ``scene.tolerances``.  To
     trace at another cap, trace ``dataclasses.replace(scene, max_bounces=k)``.
     ``ray`` goes through ``_trace_xy`` as a bundle of one.
@@ -502,8 +506,9 @@ def cassegrain_spot(scene: Scene, n_rays: int, aperture: float) -> SpotReport:
         xs = [aperture * (i + 1) / n_rays for i in range(n_rays)]
         return _spot_report(scene, _trace_xy(scene, map(ray, xs)))
 
-    lo, hi = 0.0, aperture
-    if blocked(lo + 1e-12 * aperture):
+    shadow = 0.0  # nothing shadows the axis unless the near-axis ray is blocked
+    if blocked(1e-12 * aperture):
+        lo, hi = 0.0, aperture
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             if blocked(mid):
@@ -512,7 +517,7 @@ def cassegrain_spot(scene: Scene, n_rays: int, aperture: float) -> SpotReport:
                 hi = mid
             if hi - lo <= 1e-12 * aperture:
                 break
-    shadow = hi
+        shadow = hi
     inner = shadow + 0.02 * (aperture - shadow)
     n_pos = (n_rays + 1) // 2
     n_neg = n_rays // 2

@@ -38,8 +38,7 @@ from conicsteps import (
     translate,
     two_step,
 )
-from conicsteps._backend import kernels
-from conicsteps.construction import _return_length, _walk_xy
+from conicsteps.construction import _return_xy, _walk_xy
 import oracle
 from conftest import POSED, random_conic, random_param
 
@@ -386,13 +385,16 @@ class TestExactReturn:
         # delta = 2 puts the bracket ends at t = 1 and t = 4, so the
         # canonical x of one end is exactly 0
         with pytest.raises(NoBranchError):
-            _return_length(Hyperbola(3.0, 4.0), ox, 0.5, 1.0, 0.0, 2.0)
+            _return_xy(Hyperbola(3.0, 4.0), ox, 0.5, 1.0, 0.0, 2.0)
 
     def test_bracket_end_on_the_curve_is_the_answer(self):
         # from below the vertex of x^2 = 4y, straight up: the end at
         # t = delta/2 or t = 2 delta is the vertex, where the residual is 0
-        assert _return_length(Parabola(1.0), 0.0, -0.25, 0.0, 1.0, 0.5) == 0.25
-        assert _return_length(Parabola(1.0), 0.0, -1.0, 0.0, 1.0, 0.5) == 1.0
+        assert _return_xy(Parabola(1.0), 0.0, -0.25, 0.0, 1.0, 0.5)[0] == 0.25
+        assert _return_xy(Parabola(1.0), 0.0, -1.0, 0.0, 1.0, 0.5)[0] == 1.0
+        # from above, down onto the vertex: the end at t = 2 delta is the
+        # answer although the lower end's residual is negative, not positive
+        assert _return_xy(Parabola(1.0), 0.0, 1.0, 0.0, -1.0, 0.5)[0] == 1.0
 
     @pytest.mark.parametrize("shape, ray, delta, t", [
         # the lower end is within rounding of the curve, on the side of the
@@ -411,8 +413,8 @@ class TestExactReturn:
         flo = shape._residual(ox + lo * dx, oy + lo * dy)
         fhi = shape._residual(ox + hi * dx, oy + hi * dy)
         assert (flo > 0.0) != (fhi > 0.0) and abs(flo) < 1e-15 < abs(fhi)
-        assert kernels.quadratic_roots(*shape._ray_coeffs(ox, oy, dx, dy), 0.0)[0] == 0
-        assert _return_length(shape, ox, oy, dx, dy, delta) == t
+        assert shape._ray_roots(ox, oy, dx, dy, 0.0)[0] == 0
+        assert _return_xy(shape, ox, oy, dx, dy, delta)[0] == t
 
     def test_bracket_error_is_conic_error(self):
         assert issubclass(BracketError, ConicError)

@@ -56,6 +56,14 @@ class TestOrderEstimation:
         assert est.ratios_used == 1
         assert est.order == pytest.approx(2.0, abs=1e-12)
 
+    def test_any_iterable(self):
+        # a generator raised TypeError: 'generator' object is not subscriptable
+        values = [0.04, 0.01, 0.0025, 1e-18]
+        expected = estimate_order(values, floor=1e-15)
+        assert expected.ratios_used == 2
+        assert estimate_order(tuple(values), floor=1e-15) == expected
+        assert estimate_order((v for v in values), floor=1e-15) == expected
+
     def test_noise_floor_value(self):
         # 100 eps in the conic's length unit: 4 for Ellipse(5, 3), 1 for Parabola(1)
         eps = 2.220446049250313e-16

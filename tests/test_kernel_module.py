@@ -26,4 +26,4 @@ def test_every_module_shares_the_kernel_module():
         if hasattr(module, "kernels"):
             assert module.kernels is _kernels_py, info.name
             holders.append(info.name)
-    assert {"_backend", "conics", "optics"} <= set(holders)
+    assert set(holders) == {"_backend", "conics"}

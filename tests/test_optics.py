@@ -28,12 +28,14 @@ from conicsteps import (
     Tolerances,
     UnsupportedVariantError,
     cassegrain_spot,
+    exact_return,
     focal_property_error,
     intersect_ray,
     ray_line_distance,
     reflect_at,
     spot_report,
     trace,
+    two_step,
 )
 from conicsteps import conics, optics
 from conicsteps.svgout import default_cassegrain_scene
@@ -60,7 +62,8 @@ class TestIntersect:
     def test_crossing_ray_reports_both_hits_sorted(self):
         hits = intersect_ray(ELL, Ray(Point(-9, 0), Direction(1, 0)))
         assert [round(q.x, 9) for _, q in hits] == [-5.0, 5.0]
-        assert hits[0][0] < hits[1][0]
+        assert [t for t, _ in hits] == [pytest.approx(4.0, rel=1e-12),
+                                        pytest.approx(14.0, rel=1e-12)]
 
     def test_tangency_merges_to_single_hit(self):
         hits = intersect_ray(ELL, Ray(Point(-9, 3), Direction(1, 0)))
@@ -69,6 +72,18 @@ class TestIntersect:
         assert t == pytest.approx(9.0, abs=1e-9)
         assert q.x == pytest.approx(0.0, abs=1e-9)
         assert q.y == pytest.approx(3.0, abs=1e-9)
+
+    def test_noise_floor_keeps_a_far_tangency(self):
+        # a ray tangent at point_at(1.1), from 1000 back along the tangent:
+        # its discriminant, -2.9e-11, is below the merge window's
+        # -(1e-7 A)^2 = -5.4e-15, so only the discriminant's noise floor
+        # keeps the one hit
+        q = ELL.point_at(1.1)
+        tangent, _ = ELL.tangent_normal(q)
+        ray = Ray(Point(q.x - 1000.0 * tangent.x, q.y - 1000.0 * tangent.y), tangent)
+        ((t, hit),) = intersect_ray(ELL, ray)
+        assert t == pytest.approx(1000.0, rel=1e-12)
+        assert hit.distance_to(q) <= 1e-9
 
     def test_tangency_perturbation_splits_or_misses(self):
         above = intersect_ray(ELL, Ray(Point(-9, 3 + 1e-6), Direction(1, 0)))
@@ -113,7 +128,7 @@ class TestIntersect:
         # far off to the side of a unit circle, x^2 + y^2 - 1 overflows: with
         # C = inf the discriminant is -inf and its noise floor inf, which was
         # taken for a tangency at the vertex of the overflowed quadratic
-        assert optics.kernels.quadratic_roots(1.0, -2.0, math.inf, 1e-7)[0] == 0
+        assert conics.kernels.quadratic_roots(1.0, -2.0, math.inf, 1e-7)[0] == 0
         circle = Conic(Ellipse(1, 1))
         ray = Ray(Point(1e200, -1), Direction(0, 1))
         assert intersect_ray(circle, ray) == ()
@@ -122,7 +137,7 @@ class TestIntersect:
     def test_constant_quadratic_has_no_root(self):
         # A == B == 0: the quadratic is the constant C, zero or not
         for C in (0.0, 1.0, -2.0):
-            assert optics.kernels.quadratic_roots(0.0, 0.0, C, 1e-7) == (0, 0.0, 0.0)
+            assert conics.kernels.quadratic_roots(0.0, 0.0, C, 1e-7) == (0, 0.0, 0.0)
 
     def test_non_finite_canonical_origin(self):
         # both coordinates are finite in the scene; moving the origin into
@@ -523,6 +538,46 @@ class TestSceneTolerances:
         assert report.n_missed == report.n_rays == 6
 
 
+class TestLeaveTheMirror:
+    """A bounce leaves its mirror by dropping that mirror's root at the ray's
+    origin; the first segment and every other mirror keep the window."""
+
+    def test_far_bouncing_ray_never_repeats_a_bounce(self):
+        # The rounding of a hit far up Parabola(1) outgrew the 1e-9 window:
+        # the seventh bounce was the sixth again, at t = 5.7e-9, and turned
+        # the ray outward, so the trace stopped at 7 bounces.
+        path = trace(Scene(mirrors=(PARABOLA,)),
+                     Ray(Point(0.5, 3.0), Direction(1e308, -1.7e308)))
+        assert len(path.hits) == 8
+        first_six = [
+            (1.792301994298868, 0.8030866096919245, 2.5488179395523236),
+            (-4.777642005277948, 5.706465782649072, 8.198005334919301),
+            (33.84723099945867, 286.4087615826789, 283.34724223475246),
+            (-247.71082502928007, 15340.163209171651, 15056.387279398052),
+            (1813.98860764001, 822638.6671619357, 807301.1365586708),
+            (-13284.007700734433, 44116215.14829292, 43293579.11373268),
+        ]
+        assert [(h.point.x, h.point.y, h.t) for h in path.hits[:6]] == first_six
+        for before, after in zip(path.hits, path.hits[1:]):
+            assert after.point != before.point
+            assert (after.point.x > 0.0) != (before.point.x > 0.0)  # across the bowl
+
+    @pytest.mark.parametrize("tangent", [False, True], ids=["inward", "tangent"])
+    def test_left_mirror_drops_its_origin_root(self, monkeypatch, tangent):
+        # With the window off, the origin's own root is a hit of a mirror the
+        # ray does not leave.  On the mirror it leaves, that root is dropped
+        # and the other kept; a tangent ray's one merged root is the origin's.
+        monkeypatch.setattr(optics, "_SELF_HIT", -1.0)
+        q = ELL.point_at(1.1)
+        d = ELL.tangent_normal(q)[0] if tangent else Direction(-1.0, -1.0)
+        mirror = optics._mirror(ELL, Tolerances())
+        found = optics._hits([mirror, mirror], q.x, q.y, d.x, d.y, 0)
+        left = [t for t, _, _, index in found if index == 0]
+        other = [t for t, _, _, index in found if index == 1]
+        assert left == [t for t in other if t > 1.0]
+        assert len(other) == len(left) + 1
+
+
 class TestTrace:
     @pytest.mark.parametrize("d", [(0.0, 1.0), (1.0, 0.0), (0.6, 0.8)])
     def test_focal_rays_in_a_small_ellipse(self, d):
@@ -612,7 +667,8 @@ class TestTracedItems:
 
 
 class TestWrongTypedArguments:
-    """A public wrapper names a wrong-typed argument in a TypeError."""
+    """A public function names a wrong-typed argument in a TypeError, raised by
+    ``geometry._require_type``, the one type check at the API edge."""
 
     # each was AttributeError: 'tuple' (or 'Point') object has no attribute ...
     @pytest.mark.parametrize("call, message", [
@@ -624,8 +680,20 @@ class TestWrongTypedArguments:
          f"ray must be a Ray, got {Point(0, 0)!r}"),
         (lambda: ray_line_distance(Ray(Point(0, 0), Direction(1, 1)), (1.0, 1.0)),
          "q must be a Point, got (1.0, 1.0)"),
+        (lambda: ELL.residual((0, 3)), "q must be a Point, got (0, 3)"),
+        (lambda: ELL.is_on_curve((0, 3)), "q must be a Point, got (0, 3)"),
+        (lambda: ELL.tangent_normal((0, 3)), "q must be a Point, got (0, 3)"),
+        (lambda: ELL.project_to_curve((0, 3)), "q must be a Point, got (0, 3)"),
+        (lambda: two_step(ELL, (0, 3), 0.1), "A must be a Point, got (0, 3)"),
+        (lambda: exact_return(ELL, (0, 3), 0.1), "A must be a Point, got (0, 3)"),
+        (lambda: ELL.placement.to_scene((0, 3)), "p must be a Point, got (0, 3)"),
+        (lambda: ELL.placement.to_canonical((0, 3)), "p must be a Point, got (0, 3)"),
+        (lambda: ELL.placement.dir_to_scene((0, 1)), "d must be a Direction, got (0, 1)"),
+        (lambda: ELL.placement.dir_to_canonical((0, 1)), "d must be a Direction, got (0, 1)"),
     ], ids=["reflect_at-q", "reflect_at-incoming", "focal_property_error-q",
-            "ray_line_distance-ray", "ray_line_distance-q"])
+            "ray_line_distance-ray", "ray_line_distance-q", "residual-q", "is_on_curve-q",
+            "tangent_normal-q", "project_to_curve-q", "two_step-A", "exact_return-A",
+            "to_scene-p", "to_canonical-p", "dir_to_scene-d", "dir_to_canonical-d"])
     def test_named_in_a_type_error(self, call, message):
         with pytest.raises(TypeError, match=re.escape(message)):
             call()
@@ -751,6 +819,59 @@ class TestCassegrain:
         with pytest.raises(ValueError, match="n_rays"):
             cassegrain_spot(default_cassegrain_scene(), 2.5, 4.0)
 
+    @staticmethod
+    def _offsets(monkeypatch, scene, n_rays, aperture):
+        """The offsets of the bundle ``cassegrain_spot`` reports on: the ray
+        origins' x of its last ``_trace_xy`` call (the primary is unposed)."""
+        calls = []
+        trace_xy = optics._trace_xy
+
+        def spy(traced, rays):
+            calls.append((traced, list(rays)))
+            return trace_xy(*calls[-1])
+
+        monkeypatch.setattr(optics, "_trace_xy", spy)
+        cassegrain_spot(scene, n_rays, aperture)
+        traced, rays = calls[-1]
+        assert traced is scene
+        return [ox for ox, *_ in rays]
+
+    def test_unshadowed_axis_spreads_the_bundle(self, monkeypatch):
+        # This secondary opens upward around the axis, so no near-axis ray
+        # meets it first; the shadow stayed at the aperture and all six
+        # rays were traced at x = +-4.
+        secondary = Conic(Hyperbola(0.5, 2.0, 1),
+                          Placement(0.0, 1.0 - math.hypot(0.5, 2.0), math.pi / 2))
+        scene = Scene(mirrors=(Conic(Parabola(1)), secondary), roles=("primary", "secondary"))
+        assert self._offsets(monkeypatch, scene, 6, 4.0) == [0.08, 2.04, 4.0, -0.08, -2.04, -4.0]
+
+    @pytest.mark.parametrize("n_rays", [2, 5, 40])
+    def test_default_bundle_geometry(self, monkeypatch, n_rays):
+        # The positive offsets rise evenly from the inner edge, 2% of the way
+        # from the shadow to the rim, to the rim (one ray: halfway); the
+        # negative ones mirror the first of them.
+        scene, aperture = default_cassegrain_scene(), 5.0
+        xs = self._offsets(monkeypatch, scene, n_rays, aperture)
+        n_pos = (n_rays + 1) // 2
+        pos = xs[:n_pos]
+        assert len(xs) == n_rays and xs[n_pos:] == [-x for x in pos[:n_rays // 2]]
+        if n_pos == 1:
+            inner = 2.0 * pos[0] - aperture
+        else:
+            inner = pos[0]
+            assert pos[-1] == aperture
+            assert pos == [pytest.approx(inner + (aperture - inner) * i / (n_pos - 1), rel=1e-15)
+                           for i in range(n_pos)]
+        shadow = (inner - 0.02 * aperture) / 0.98
+        first_bounce = dataclasses.replace(scene, max_bounces=1)
+
+        def blocked(x):
+            ray = Ray(Point(x, aperture**2 / 4.0 + 3.0), Direction(0.0, -1.0))
+            return trace(first_bounce, ray).hits[0].mirror_index == 1
+
+        assert 0.5 < shadow < aperture
+        assert blocked(shadow - 1e-9 * aperture) and not blocked(shadow + 1e-9 * aperture)
+
     def test_generated_bundle_avoids_shadow(self):
         scene = default_cassegrain_scene()
         report = cassegrain_spot(scene, n_rays=40, aperture=5.0)
@@ -859,14 +980,13 @@ class TestFloatCore:
         # the benchmark tracer swaps the kernel module in each module that
         # holds it; a kernel bound to another name would run uncounted
         calls = collections.Counter()
-        proxy = types.ModuleType(optics.kernels.__name__)
-        for name, value in vars(optics.kernels).items():
+        proxy = types.ModuleType(conics.kernels.__name__)
+        for name, value in vars(conics.kernels).items():
             if callable(value) and not name.startswith("_") and not isinstance(value, type):
                 def value(*args, _name=name, _fn=value):
                     calls[_name] += 1
                     return _fn(*args)
             setattr(proxy, name, value)
-        monkeypatch.setattr(optics, "kernels", proxy)
         monkeypatch.setattr(conics, "kernels", proxy)
         scene = default_cassegrain_scene(100)
         spot_report(scene, scene.rays)
