@@ -344,15 +344,19 @@ def focal_property_error(
     toward the other, an axis-parallel beam toward the parabola's focus, and a
     beam from the near hyperbola focus away from the far one.  The angle is
     zero up to rounding for every on-curve point; an off-curve ``q``, a focus
-    included, raises OffCurveError.
+    included, raises OffCurveError.  It is measured in the canonical frame,
+    at the canonical point of the one on-curve check, so it does not depend
+    on the conic's placement: a rotation preserves angles.
     """
     _require_type("q", q, Point)
     conic = as_conic(conic)
+    shape = conic.shape
     xc, yc = conic._require_on_curve(q.x, q.y, tolerances)
-    rotate = conic.placement._rotate_to_scene
-    outgoing = _reflect(_mirror(conic, tolerances), q.x, q.y,
-                        *rotate(*conic.shape._step(xc, yc, False, True)))
-    return _angle_xy(*outgoing, *rotate(*conic.shape._step(xc, yc, True, True)))
+    _require_thick(shape)
+    gx, gy = _normalized(*shape._gradient(xc, yc))
+    # reflected across the tangent: the unit normal turned by -pi/2
+    outgoing = _reflect_xy(*shape._step(xc, yc, False, True), gy, -gx)
+    return _angle_xy(*outgoing, *shape._step(xc, yc, True, True))
 
 
 def _trace_xy(scene: Scene, rays: Iterable[_RayXY]) -> list[list[_Bounce]]:

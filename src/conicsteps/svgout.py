@@ -4,8 +4,9 @@ World coordinates are y-up; the y axis is negated only when elements are
 serialized, so geometry code stays in math conventions and labels render
 upright.  The viewBox is fitted to the drawn content with a 10% margin.
 Drawn coordinates stay in float columns, ``xs`` and ``ys``, from the curve
-kernels to ``_polyline``, which formats a polyline's vertices in one
-operation; every other element is one format operation too.
+kernels to ``_SvgDoc.polyline``, the one place a vertex list becomes SVG
+text, which formats a polyline's vertices in one operation; every other
+element is one format operation too.
 Output is plain SVG 1.1 geometry (no scripts, no CSS), and byte-identical
 for identical inputs.
 
@@ -65,29 +66,15 @@ def _require_size(width: int, height: int) -> None:
 _Extent = tuple[float, float, float, float]
 
 
-def _polyline(xs: Sequence[float], ys: Sequence[float]) -> tuple[str, _Extent]:
-    """A polyline's ``points`` attribute, the vertices y-flipped in absolute
-    coordinates and formatted in one operation, and the extent of its vertices.
-
-    ``min`` and ``max`` keep the first of equal values, so a signed zero
-    lands as one pass over the vertices in drawing order would put it.
-    """
-    n = len(xs)
-    flat = [0.0] * (2 * n)
-    flat[::2] = xs
-    flat[1::2] = [-y for y in ys]
-    return (" ".join(["%.8g,%.8g"] * n) % tuple(flat),
-            (min(xs), max(xs), min(ys), max(ys)))
-
-
 class _SvgDoc:
     """Collects world-coordinate primitives and renders them y-flipped.
 
-    A polyline's ``points`` text is formatted when it is added, and only the
-    extent of its vertices is kept for the viewBox; coordinates are absolute,
-    so neither depends on the rest of the document.  ``emit`` and ``copy``
-    only read the document, so one drawing can be emitted at any number of
-    sizes, or drawn on further in a copy.
+    Vertices enter only through ``polyline`` (``segment`` is its two-point
+    call), as float columns; their ``points`` text is formatted when they are
+    added, and only their extent is kept for the viewBox.  Coordinates are
+    absolute, so neither depends on the rest of the document.  ``emit`` and
+    ``copy`` only read the document, so one drawing can be emitted at any
+    number of sizes, or drawn on further in a copy.
     """
 
     def __init__(self) -> None:
@@ -108,27 +95,23 @@ class _SvgDoc:
         self._extent = (xmin, xmax, ymin, ymax) if e is None else (
             min(e[0], xmin), max(e[1], xmax), min(e[2], ymin), max(e[3], ymax))
 
-    def polyline_text(
-        self, elem_id: str, points: str, extent: _Extent, closed: bool = False,
-        dashed: bool = False,
-    ) -> None:
-        """Add a polyline whose ``points`` text and vertex extent are already made."""
-        self._grow(*extent)
-        self._items.append(("polyline", elem_id, points, closed, dashed))
-
-    def polyline_xy(
+    def polyline(
         self, elem_id: str, xs: Sequence[float], ys: Sequence[float], closed: bool = False,
         dashed: bool = False,
     ) -> None:
-        self.polyline_text(elem_id, *_polyline(xs, ys), closed, dashed)
-
-    def polyline(
-        self, elem_id: str, pts: list[Point], closed: bool = False, dashed: bool = False
-    ) -> None:
-        self.polyline_xy(elem_id, [p.x for p in pts], [p.y for p in pts], closed, dashed)
+        """Add the polyline through the vertices ``(xs[i], ys[i])``: their
+        ``points`` text, y-flipped and formatted in one operation, and their
+        extent, the ``min`` and ``max`` of each column."""
+        n = len(xs)
+        flat = [0.0] * (2 * n)
+        flat[::2] = xs
+        flat[1::2] = [-y for y in ys]
+        self._grow(min(xs), max(xs), min(ys), max(ys))
+        self._items.append(("polyline", elem_id, " ".join(["%.8g,%.8g"] * n) % tuple(flat),
+                            closed, dashed))
 
     def segment(self, elem_id: str, p1: Point, p2: Point, dashed: bool = False) -> None:
-        self.polyline_xy(elem_id, (p1.x, p2.x), (p1.y, p2.y), dashed=dashed)
+        self.polyline(elem_id, (p1.x, p2.x), (p1.y, p2.y), dashed=dashed)
 
     def marker(self, elem_id: str, center: Point) -> None:
         self._grow(center.x, center.x, center.y, center.y)
@@ -176,12 +159,12 @@ class _SvgDoc:
         return head + "\n" + "\n".join(body) + "\n</svg>\n"
 
 
-def _curve(conic: Conic, t0: float, t1: float) -> tuple[str, _Extent]:
-    """``conic`` over ``[t0, t1]`` as ``_CURVE_SAMPLES`` chords: the ``points``
-    text and extent of the columns of one ``Conic._xys_at`` call, so its
-    finiteness checks and messages apply."""
+def _curve(conic: Conic, t0: float, t1: float) -> tuple[list[float], list[float]]:
+    """``conic`` over ``[t0, t1]`` as ``_CURVE_SAMPLES`` chords: the x and y
+    columns of one ``Conic._xys_at`` call, so its finiteness checks and
+    messages apply."""
     n = _CURVE_SAMPLES
-    return _polyline(*conic._xys_at([t0 + (t1 - t0) * i / n for i in range(n + 1)]))
+    return conic._xys_at([t0 + (t1 - t0) * i / n for i in range(n + 1)])
 
 
 def _mark_foci(doc: _SvgDoc, f1: Point, f2: Point) -> None:
@@ -201,11 +184,12 @@ def _draw_path(doc: _SvgDoc, i: int, x: float, y: float, dx: float, dy: float,
         ys.append(y)
     xs.append(x + 3.0 * dx)
     ys.append(y + 3.0 * dy)
-    doc.polyline_xy(f"ray-{i}", xs, ys)
+    doc.polyline(f"ray-{i}", xs, ys)
 
 
 def _draw_triangle(doc: _SvgDoc, tri: StepTriangle, with_reflector: bool = True) -> None:
-    doc.polyline("triangle", [tri.A, tri.D, tri.B], closed=True)
+    doc.polyline("triangle", (tri.A.x, tri.D.x, tri.B.x), (tri.A.y, tri.D.y, tri.B.y),
+                 closed=True)
     if with_reflector:
         # Imported here so that tracing a scene does not load the construction.
         from .construction import apex_reflector
@@ -227,7 +211,7 @@ _HYPERBOLA = Conic(Hyperbola(3.0, 4.0, 1))
 
 def _figure_isosceles(doc: _SvgDoc) -> None:
     a, b, d = Point(-1.0, 0.0), Point(1.0, 0.0), Point(0.0, 1.0)
-    doc.polyline("triangle", [a, d, b], closed=True)
+    doc.polyline("triangle", (a.x, d.x, b.x), (a.y, d.y, b.y), closed=True)
     doc.segment("reflector", Point(-0.8, 1.0), Point(0.8, 1.0), dashed=True)
     doc.segment("beam-in", a, d)
     doc.segment("beam-out", d, b)
@@ -237,7 +221,7 @@ def _figure_isosceles(doc: _SvgDoc) -> None:
 
 
 def _ellipse_frame(doc: _SvgDoc) -> None:
-    doc.polyline_text("curve", *_curve(_ELLIPSE, 0.0, 2.0 * math.pi), closed=True)
+    doc.polyline("curve", *_curve(_ELLIPSE, 0.0, 2.0 * math.pi), closed=True)
     _mark_foci(doc, *_ELLIPSE.focus_points())
 
 
@@ -258,7 +242,7 @@ def _projection_walk(doc: _SvgDoc, tri: StepTriangle) -> None:
 
 
 def _parabola_frame(doc: _SvgDoc) -> None:
-    doc.polyline_text("curve", *_curve(_PARABOLA, -2.5, 2.5))
+    doc.polyline("curve", *_curve(_PARABOLA, -2.5, 2.5))
     focus = _PARABOLA.focus_points()[0]
     doc.marker("focus-1", focus)
     doc.label("F", focus)
@@ -273,8 +257,8 @@ def _parabola_walk(doc: _SvgDoc, tri: StepTriangle) -> None:
 
 
 def _hyperbola_frame(doc: _SvgDoc) -> None:
-    doc.polyline_text("curve", *_curve(_HYPERBOLA, -1.6, 1.6))
-    doc.polyline_text("curve-2", *_curve(Conic(Hyperbola(3.0, 4.0, -1)), -1.6, 1.6))
+    doc.polyline("curve", *_curve(_HYPERBOLA, -1.6, 1.6))
+    doc.polyline("curve-2", *_curve(Conic(Hyperbola(3.0, 4.0, -1)), -1.6, 1.6))
     _mark_foci(doc, *_HYPERBOLA.focus_points())
 
 
@@ -316,8 +300,8 @@ def default_cassegrain_scene(n_rays: int = 0) -> Scene:
 def _figure_cassegrain(doc: _SvgDoc) -> None:
     scene = default_cassegrain_scene()
     primary, secondary = scene.mirrors
-    doc.polyline_text("curve", *_curve(primary, -5.2, 5.2))
-    doc.polyline_text("curve-2", *_curve(secondary, -2.6, 2.6))
+    doc.polyline("curve", *_curve(primary, -5.2, 5.2))
+    doc.polyline("curve-2", *_curve(secondary, -2.6, 2.6))
     _mark_foci(doc, primary.focus_points()[0], secondary.focus_points()[1])
     rays = [(x, 8.0, 0.0, -1.0) for x in (3.8, 4.4, 5.0, -3.8, -4.4, -5.0)]
     for i, (ray, bounces) in enumerate(zip(rays, _trace_xy(scene, rays))):
@@ -407,7 +391,7 @@ def _trace_svg(
             t0, t1, closed = -6.0 * s.p, 6.0 * s.p, False
         else:
             t0, t1, closed = -2.6, 2.6, False
-        doc.polyline_text(elem_id, *_curve(mirror, t0, t1), closed)
+        doc.polyline(elem_id, *_curve(mirror, t0, t1), closed)
     pair = scene.telescope_pair()
     if pair is not None:
         doc.marker("focus-1", pair[0].focus_points()[0])

@@ -342,6 +342,17 @@ class TestFocalProperty:
             focal_property_error(conic, conic.point_at(0.7))
             assert len(calls) == 1
 
+    def test_far_point_of_a_parabola(self):
+        c = Conic(Parabola(1))
+        assert focal_property_error(c, c.point_at(1e30)) == 0.0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP items 3 and 4: the pose's rounding moves this far on-curve point "
+        "onto the canonical axis, where the gradient is the vertex normal"))
+    def test_far_point_of_a_posed_parabola(self):
+        c = Conic(Parabola(1), Placement(0, 0, 0.5))
+        assert focal_property_error(c, c.point_at(1e30)) <= 1e-9
+
     def test_keeps_its_other_checks(self):
         with pytest.raises(OffCurveError):
             focal_property_error(ELL, Point(0.0, 3.1))
