@@ -194,8 +194,8 @@ def _bracketed_root(f, lo: float, hi: float) -> tuple[float, int]:
             lo = s
         elif v < 0.0:
             hi = s
-        else:  # the root, or a NaN value whose squares overflowed far from the curve
-            return s, 1
+        else:  # the root, or a NaN value whose squares overflowed far from the curve: no root
+            return (s if v == 0.0 else math.nan), 1
         nxt = s - v / dv if dv != 0.0 else hi
         if abs(nxt - s) <= 4e-16 * s:
             return nxt, 1

@@ -15,12 +15,13 @@ shape with a placement and exposes every curve operation in scene
 coordinates: the signed residual, tangent/normal frames, parametric points,
 nearest-point projection, and focus locations.  Each shape owns its
 canonical-frame math: its ``_residual``, ``_gradient``, ``_points``,
-``_ray_roots``, ``_nearest`` and ``_on_branch`` are the only callers of its
-kernels, so no other code picks a kernel by shape.  ``_ray_roots`` is the one
-ray solve: the shape's ray quadratic and its roots, in the unit; the tracer's
-hits and the exact return both read it.  A shape's ``_step`` is the
-focal step rule: the unit direction of the two-step walk's first or second
-step, read by the walk and the focal reflection property.
+``_ray_roots`` and ``_nearest`` are the only callers of its kernels, so no
+other code picks a kernel by shape.  ``_ray_roots`` is the one ray solve: the
+roots, in the unit, of the shape's ray quadratic that lie on its curve (not on
+a hyperbola's other branch); the tracer's hits and the exact return both read
+it.  A shape's ``_step`` is the focal step rule: the unit direction of the
+two-step walk's first or second step, read by the walk and the focal
+reflection property.
 
 Each shape owns its length unit ``_unit``, the power of two ``u <= L < 2u``
 for its largest length ``L`` and the one place its size becomes a tolerance,
@@ -126,9 +127,6 @@ class Ellipse:
             raise ValueError("nearest point is ambiguous at the ellipse center")
         return kernels.ellipse_nearest_param(self._au, self._bu, x / self._unit, y / self._unit)
 
-    def _on_branch(self, x: float) -> bool:
-        return True
-
     def _step(self, x: float, y: float, second: bool, forward: bool) -> tuple[float, float]:
         x, y, f = x / self._unit, y / self._unit, (self._cu if second == forward else -self._cu)
         return _normalized(f - x, 0.0 - y) if second else _normalized(x - f, y - 0.0)
@@ -172,9 +170,6 @@ class Parabola:
     def _nearest(self, x: float, y: float) -> tuple[float, int]:
         t, ok = kernels.parabola_nearest_param(self._pu, x / self._unit, y / self._unit)
         return t * self._unit, ok
-
-    def _on_branch(self, x: float) -> bool:
-        return True
 
     def _step(self, x: float, y: float, second: bool, forward: bool) -> tuple[float, float]:
         if not second:
@@ -240,16 +235,18 @@ class Hyperbola:
 
     def _ray_roots(self, ox: float, oy: float, dx: float, dy: float,
                    merge: float) -> tuple[int, float, float]:
-        u = self._unit
-        A, B, C = kernels.hyperbola_ray_coeffs(self._au, self._bu, ox / u, oy / u, dx, dy)
-        return kernels.quadratic_roots(A, B, C, merge)
+        ox, oy, sigma = ox / self._unit, oy / self._unit, self.branch
+        A, B, C = kernels.hyperbola_ray_coeffs(self._au, self._bu, ox, oy, dx, dy)
+        n, r0, r1 = kernels.quadratic_roots(A, B, C, merge)
+        if n == 2 and not (ox + r1 * dx) * sigma > 0.0:  # keep the roots strictly on its side
+            n, r1 = 1, 0.0
+        if n and not (ox + r0 * dx) * sigma > 0.0:
+            n, r0, r1 = n - 1, r1, 0.0
+        return n, r0, r1
 
     def _nearest(self, x: float, y: float) -> tuple[float, int]:
         u = self._unit
         return kernels.hyperbola_nearest_param(self._au, self._bu, self.branch, x / u, y / u)
-
-    def _on_branch(self, x: float) -> bool:
-        return x != 0.0 and (x > 0.0) == (self.branch > 0)
 
     def _step(self, x: float, y: float, second: bool, forward: bool) -> tuple[float, float]:
         f = -self.branch * self._cu if second == forward else self.branch * self._cu

@@ -188,6 +188,7 @@ def apex_reflector(tri: StepTriangle) -> Line:
     Its direction is ``unit(leg1_dir + leg2_dir)``, from ``_chord_xy``,
     the one definition of the walk's chord.
     """
+    _require_type("tri", tri, StepTriangle)
     if tri.degenerate:
         raise DegenerateTriangleError(
             "a retraced walk (B == A) has no chord and no apex reflector"
@@ -214,6 +215,7 @@ def reflect_through_apex(tri: StepTriangle) -> Direction:
     else ConicError is raised; this is the exact (step-size independent)
     mirror property of the isosceles apex.
     """
+    _require_type("tri", tri, StepTriangle)
     reflected = reflect_direction(tri.leg1_dir, apex_reflector(tri))
     err = max(
         abs(reflected.x - tri.leg2_dir.x),
@@ -235,6 +237,7 @@ def focal_change_error(conic: Conic | Shape, tri: StepTriangle) -> FocalChange:
     subtended angle.
     """
     conic = as_conic(conic)
+    _require_type("tri", tri, StepTriangle)
     a, b = conic.placement.to_canonical(tri.A), conic.placement.to_canonical(tri.B)
     parallelism = _parallelism(conic.shape, a.x, a.y, b.x, b.y, tri.orientation)
     p1 = abs(scalar_projection(tri.D - tri.A, tri.leg2_dir))
@@ -292,10 +295,10 @@ def _return_xy(shape: Shape, ox: float, oy: float, dx: float, dy: float,
     answer: a zero end is the answer, and ends of one sign raise
     BracketError (a hyperbola end on the axis raises NoBranchError, as
     ``Conic.residual`` does).  Otherwise the answer is a root of the shape's
-    ``_ray_roots``.  Residual and implicit form share their sign, so exactly
-    one root lies in the bracket; rounding can only push it just outside,
-    hence the root nearest the bracket (preferring one on the selected
-    branch) is taken and clamped into it.  A shape too thin for its ray
+    ``_ray_roots``, which returns only roots on the curve.  Residual and
+    implicit form share their sign, so exactly one root lies in the bracket;
+    rounding can only push it just outside, hence the root nearer the
+    bracket is taken and clamped into it.  A shape too thin for its ray
     solve is refused there, by ``_require_thick``.
     """
     lo, hi = 0.5 * delta, 2.0 * delta
@@ -317,11 +320,10 @@ def _return_xy(shape: Shape, ox: float, oy: float, dx: float, dy: float,
         if n == 0:  # a sign change below rounding: keep the closer end
             t = lo if abs(flo) <= abs(fhi) else hi
         else:
-            def rank(t: float) -> tuple[float, bool]:
-                return max(lo - t, t - hi, 0.0), not shape._on_branch(ox + t * dx)
-
-            t0, t1 = r0 * shape._unit, r1 * shape._unit  # min((t0, t1)[:n], key=rank), unrolled
-            t = min(max(t1 if n == 2 and rank(t1) < rank(t0) else t0, lo), hi)
+            t0, t1 = r0 * shape._unit, r1 * shape._unit
+            if n == 2 and max(lo - t1, t1 - hi, 0.0) < max(lo - t0, t0 - hi, 0.0):
+                t0 = t1  # the root nearer the bracket
+            t = min(max(t0, lo), hi)
     bx, by = ox + t * dx, oy + t * dy
     _require_finite(bx, by)
     return t, bx, by

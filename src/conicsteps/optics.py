@@ -27,10 +27,10 @@ run in its unit.
 ``intersect_ray`` and ``reflect_at`` wrap the same two functions, and
 ``trace`` the loop; only these build trace objects, and only ``trace`` builds
 ``Hit`` and ``TracePath``.  Every check the objects made (finite points,
-normalizable directions, the on-curve and branch checks) is made on the
-floats, in the same order and with the same arithmetic, so results are
-bit-identical; a normalization divides inline, and leaves a direction it
-cannot normalize to ``geometry._normalized``, the one place that raises.
+normalizable directions, the on-curve check) is made on the floats, in the
+same order and with the same arithmetic, so results are bit-identical; a
+normalization divides inline, and leaves a direction it cannot normalize to
+``geometry._normalized``, the one place that raises.
 Tracing reads its bounce cap and its bounds from the scene
 (``Scene.max_bounces`` and ``Scene.tolerances``), the one trace policy;
 functions without a scene take a ``Tolerances`` argument.
@@ -223,14 +223,13 @@ def _ray_xy(ray: Ray) -> _RayXY:
 
 def _mirror(conic: Conic, tolerances: Tolerances) -> _Mirror:
     """``conic`` as ``_hits`` and ``_reflect`` read it: (cos, sin, tx, ty, unit, the shape's
-    ray_roots, gradient, on_branch and residual, the on-curve bound at the canonical origin
-    (the smallest; ``_reflect`` re-checks a point over it), conic, tolerances).  A shape
-    too thin for its ray solve is refused by ``_require_thick``."""
+    ray_roots (roots on its curve only), gradient and residual, the on-curve bound at the
+    canonical origin (the smallest; ``_reflect`` re-checks a point over it), conic,
+    tolerances).  A shape too thin for its ray solve is refused by ``_require_thick``."""
     pl, shape = conic.placement, conic.shape
     _require_thick(shape)
     return (pl._cos, pl._sin, pl.tx, pl.ty, shape._unit, shape._ray_roots, shape._gradient,
-            shape._on_branch, shape._residual, conic._on_curve_limit(0.0, 0.0, tolerances),
-            conic, tolerances)
+            shape._residual, conic._on_curve_limit(0.0, 0.0, tolerances), conic, tolerances)
 
 
 def _hits(
@@ -241,16 +240,16 @@ def _hits(
     ``index`` the mirror's place in ``mirrors``; mirror by mirror, each one's nearest first.
 
     The ray is solved in each mirror's canonical frame, where its direction is
-    renormalized, and in its unit, by the shape's ``_ray_roots``; each root is
+    renormalized, and in its unit, by the shape's ``_ray_roots``, which returns only
+    the roots on the curve (none on a hyperbola's other branch); each root is
     multiplied back, exactly.  The ray's origin lies on the mirror ``leave``, the
     one it just left, so that mirror's root nearest 0, or its single merged root,
     is the origin and is dropped.  The ``_SELF_HIT``/``_MAX_RAY_T`` window and the
-    ``_ROOT_MERGE`` merge, both in that unit, and the other-branch filter are
-    applied here and nowhere else.
+    ``_ROOT_MERGE`` merge, both in that unit, are applied here and nowhere else.
     """
     isfinite, hypot, inf, min_norm = math.isfinite, math.hypot, math.inf, _MIN_DIRECTION_NORM
     hits = []
-    for index, (c, s, tx, ty, unit, ray_roots, _, on_branch, _, _, _, _) in enumerate(mirrors):
+    for index, (c, s, tx, ty, unit, ray_roots, _, _, _, _, _) in enumerate(mirrors):
         # the tracer's innermost loop: Placement transforms inline, helpers only to raise
         x, y = ox - tx, oy - ty
         ocx, ocy = x * c + y * s, -x * s + y * c
@@ -277,8 +276,6 @@ def _hits(
                 if t == inf:  # the root is past the window once multiplied back
                     continue
                 _require_finite(xc, yc)
-            if not on_branch(xc):
-                continue
             x = xc * c - yc * s + tx
             y = xc * s + yc * c + ty
             if not (isfinite(x) and isfinite(y)):
@@ -294,7 +291,8 @@ def intersect_ray(conic: Conic | Shape, ray: Ray) -> tuple[tuple[float, Point], 
     length unit (nearer is the ray's own origin, farther is cancellation
     noise), solved from the canonical implicit quadratic with a
     cancellation-free formula.  Root pairs closer than ``1e-7 u`` collapse to
-    the single tangency point.  Hyperbola hits on the other branch are dropped.
+    the single tangency point.  A hyperbola is one branch: the shape's ray solve
+    returns no root on the other, nor a merged root between the two.
     A ray that starts on the conic is kept from its own origin by the window
     alone; ``trace``, which knows the mirror a bounce leaves, drops that
     mirror's root at the origin instead.
@@ -307,7 +305,7 @@ def _reflect(mirror: _Mirror, x: float, y: float, dx: float, dy: float) -> tuple
     """``reflect_at`` on floats: the unit direction leaving the scene point
     ``(x, y)`` for the incoming direction ``(dx, dy)``, across the tangent of
     ``Conic.tangent_normal``; a point off the curve is raised by ``_require_on_curve``."""
-    c, s, tx, ty, _, _, gradient, _, residual, on_curve, conic, tolerances = mirror
+    c, s, tx, ty, _, _, gradient, residual, on_curve, conic, tolerances = mirror
     x0, y0 = x - tx, y - ty
     xc, yc = x0 * c + y0 * s, -x0 * s + y0 * c
     if not (math.isfinite(xc) and math.isfinite(yc)) or not abs(residual(xc, yc)) <= on_curve:

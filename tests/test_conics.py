@@ -35,6 +35,7 @@ from conicsteps import (
 )
 from conicsteps import _kernels_py
 from conicsteps.geometry import _normalized
+from conicsteps.optics import _ROOT_MERGE
 import oracle
 from conftest import POSED, random_conic, random_param
 
@@ -302,6 +303,57 @@ class TestFarFromUnitSize:
         assert conic.is_on_curve(hit.point)
 
 
+def _ray_roots_at(conic: Conic, origin: Point, toward: Point) -> tuple[list[float], list[Point]]:
+    """The shape's ``_ray_roots`` of the ray from ``origin`` through ``toward``,
+    solved in the conic's frame and unit as the tracer solves it: the roots,
+    and the scene point at each."""
+    pl, shape = conic.placement, conic.shape
+    ox, oy = pl._xy_to_canonical(origin.x, origin.y)
+    dx, dy = _normalized(*pl._rotate_to_canonical(toward.x - origin.x, toward.y - origin.y))
+    n, r0, r1 = shape._ray_roots(ox, oy, dx, dy, _ROOT_MERGE)
+    roots = [r0, r1][:n]
+    return roots, [Point(*pl._xy_to_scene(ox + r * shape._unit * dx, oy + r * shape._unit * dy))
+                   for r in roots]
+
+
+RAY_ROOT_POSES = [Placement(), Placement(1.5, -2.0, 0.7)]
+
+
+@pytest.mark.parametrize("pose", RAY_ROOT_POSES, ids=["unposed", "posed"])
+@pytest.mark.parametrize("branch", [1, -1])
+class TestHyperbolaRayRoots:
+    """A hyperbola's ``_ray_roots`` returns only the roots on its own branch,
+    ascending: the other branch is another curve."""
+
+    def test_ray_across_both_branches_has_one_root(self, branch, pose):
+        # from the far focus, inside the other branch, through a point P of
+        # this one: the ray leaves the other branch first
+        conic = Conic(Hyperbola(3.0, 4.0, branch), pose)
+        P = conic.point_at(0.3)
+        _, (hit,) = _ray_roots_at(conic, conic.focus_points()[1], P)
+        assert conic.is_on_curve(hit)
+        assert hit.distance_to(P) <= 1e-14 * conic.scale
+
+    def test_ray_across_its_own_branch_twice_keeps_both_roots(self, branch, pose):
+        conic = Conic(Hyperbola(3.0, 4.0, branch), pose)
+        P, Q = conic.point_at(-0.8), conic.point_at(0.5)
+        roots, points = _ray_roots_at(conic, Point(2.0 * P.x - Q.x, 2.0 * P.y - Q.y), P)
+        assert len(roots) == 2 and roots[0] < roots[1]
+        assert all(map(conic.is_on_curve, points))
+        assert points[0].distance_to(P) <= 1e-14 * conic.scale
+        assert points[1].distance_to(Q) <= 1e-14 * conic.scale
+
+    def test_merged_midpoint_between_the_branches_is_no_root(self, branch, pose):
+        # On Hyperbola(1e-7, 1), the ray aimed at P = point_at(1.0) from
+        # P + (-2 branch, 0.5), beyond the other branch, meets both branches
+        # within the merge window: the one merged root lies between the
+        # branches, on neither.
+        conic = Conic(Hyperbola(1e-7, 1.0, branch), pose)
+        P = Conic(conic.shape).point_at(1.0)
+        origin = pose.to_scene(Point(P.x - 2.0 * branch, P.y + 0.5))
+        assert _ray_roots_at(conic, origin, pose.to_scene(P)) == ([], [])
+
+
 class TestThinShapes:
     """A shape whose smaller length, squared in its unit, underflows is
     refused by name where its gradient or ray coefficients would first be
@@ -487,6 +539,33 @@ class TestProjection:
                 assert "not representable" in str(exc), (x, y, exc)
             else:
                 assert math.isfinite(foot.x) and math.isfinite(foot.y), (x, y, foot)
+
+    @pytest.mark.parametrize("shape, q", [
+        (Hyperbola(1.5699993338763802, 0.7929060771896619, -1),
+         Point(1.253406028651892e307, -6.156883239273804e306)),
+        (Hyperbola(1e-10, 3), Point(1e300, 1e300)),
+    ], ids=["far", "thin"])
+    def test_nan_secular_value_is_not_a_root(self, shape, q):
+        # Far out, both squares of the hyperbola's secular function overflow
+        # and its value is inf - inf = NaN, which the root search took as a
+        # root: the first point got a foot 1.493e307 away, where
+        # point_at(-0.25336565222199864) is 1.396e307 away, and the second
+        # got the vertex.
+        with pytest.raises(ValueError, match="not representable in floats"):
+            Conic(shape).project_to_curve(q)
+
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="NaN secular value far out; ROADMAP item 4")
+    def test_far_point_near_the_axis_gets_its_foot(self):
+        # The same NaN exit once returned the lower bracket end, which here
+        # is the foot to within an ulp of the 400-digit oracle's distance;
+        # these points are refused now, with the wrong feet at (q, q).  Far
+        # out the branch is its asymptote 4x = 3|y|, 0.6 q from (0.5, +-q).
+        for shape in (Hyperbola(3, 4, 1), Hyperbola(3, 4, -1)):
+            for q in (1e200, 1e300, 1e308):
+                for y in (q, -q):
+                    proj = Conic(shape).project_to_curve(Point(0.5, y))
+                    assert proj.distance == pytest.approx(0.6 * q, rel=1e-15)
 
 
 class TestProjectionOracle:

@@ -27,12 +27,15 @@ from conicsteps import (
     Scene,
     Tolerances,
     UnsupportedVariantError,
+    apex_reflector,
     cassegrain_spot,
     exact_return,
+    focal_change_error,
     focal_property_error,
     intersect_ray,
     ray_line_distance,
     reflect_at,
+    reflect_through_apex,
     spot_report,
     trace,
     two_step,
@@ -682,6 +685,7 @@ class TestWrongTypedArguments:
     ``geometry._require_type``, the one type check at the API edge."""
 
     # each was AttributeError: 'tuple' (or 'Point') object has no attribute ...
+    # (a tuple triangle: 'degenerate', 'leg1_dir' and 'A')
     @pytest.mark.parametrize("call, message", [
         (lambda: reflect_at(ELL, (0.0, 3.0), Direction(1, 0)), "q must be a Point, got (0.0, 3.0)"),
         (lambda: reflect_at(ELL, Point(0.0, 3.0), (1.0, 0.0)),
@@ -697,6 +701,9 @@ class TestWrongTypedArguments:
         (lambda: ELL.project_to_curve((0, 3)), "q must be a Point, got (0, 3)"),
         (lambda: two_step(ELL, (0, 3), 0.1), "A must be a Point, got (0, 3)"),
         (lambda: exact_return(ELL, (0, 3), 0.1), "A must be a Point, got (0, 3)"),
+        (lambda: apex_reflector((0, 0)), "tri must be a StepTriangle, got (0, 0)"),
+        (lambda: reflect_through_apex((0, 0)), "tri must be a StepTriangle, got (0, 0)"),
+        (lambda: focal_change_error(ELL, (0, 0)), "tri must be a StepTriangle, got (0, 0)"),
         (lambda: ELL.placement.to_scene((0, 3)), "p must be a Point, got (0, 3)"),
         (lambda: ELL.placement.to_canonical((0, 3)), "p must be a Point, got (0, 3)"),
         (lambda: ELL.placement.dir_to_scene((0, 1)), "d must be a Direction, got (0, 1)"),
@@ -704,6 +711,7 @@ class TestWrongTypedArguments:
     ], ids=["reflect_at-q", "reflect_at-incoming", "focal_property_error-q",
             "ray_line_distance-ray", "ray_line_distance-q", "residual-q", "is_on_curve-q",
             "tangent_normal-q", "project_to_curve-q", "two_step-A", "exact_return-A",
+            "apex_reflector-tri", "reflect_through_apex-tri", "focal_change_error-tri",
             "to_scene-p", "to_canonical-p", "dir_to_scene-d", "dir_to_canonical-d"])
     def test_named_in_a_type_error(self, call, message):
         with pytest.raises(TypeError, match=re.escape(message)):

@@ -13,9 +13,6 @@ FILES = sorted((ROOT / "src" / "conicsteps").glob("*.py"))
 ALLOWED = {
     # every shape's gradient kernel takes (x, y); the parabola's is free of y
     ("_kernels_py", "parabola_gradient", "y"),
-    # one branch test for all shapes; only the hyperbola has two branches
-    ("conics", "Ellipse._on_branch", "x"),
-    ("conics", "Parabola._on_branch", "x"),
 }
 
 
