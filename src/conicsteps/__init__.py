@@ -37,8 +37,8 @@ __version__ = "0.1.0"
 # Public name -> the module that defines it, imported on first access.
 _LAZY = {
     **dict.fromkeys(
-        ("StepTriangle", "FocalChange", "ExactReturn", "two_step", "apex_reflector",
-         "reflect_through_apex", "focal_change_error", "exact_return"),
+        ("Orientation", "StepTriangle", "FocalChange", "ExactReturn", "two_step",
+         "apex_reflector", "reflect_through_apex", "focal_change_error", "exact_return"),
         "construction",
     ),
     **dict.fromkeys(

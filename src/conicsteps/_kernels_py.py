@@ -9,8 +9,10 @@ intersection, and the direct foot-of-normal solves, all reached through
 ``quadratic_roots``.
 
 All functions work in the conic's canonical frame and know nothing about
-placements, tolerable residuals, or error types — callers own validation.
-Each shape calls them in its own length unit (see ``conics``).
+placements, branches, tolerable residuals, or error types — callers own
+validation.  The hyperbola kernels are those of the branch that opens
+toward +x; ``conics.Hyperbola`` reflects the other branch onto it.  Each
+shape calls them in its own length unit (see ``conics``).
 """
 from __future__ import annotations
 
@@ -33,18 +35,14 @@ def parabola_residual(p: float, x: float, y: float) -> float:
     return math.hypot(x, y - p) - abs(y + p)
 
 
-def hyperbola_residual(a: float, b: float, sigma: int, x: float, y: float) -> float:
+def hyperbola_residual(a: float, b: float, x: float, y: float) -> float:
     """Far-focus distance minus near-focus distance minus 2a.
 
-    The near focus is ``(sigma * c, 0)``, inside the branch ``sigma``
-    selects, so points of the other branch are off the curve.
+    The near focus is ``(c, 0)``, inside the +x branch, so points of the
+    -x branch are off the curve.
     """
     c = math.sqrt(a * a + b * b)
-    d_minus = math.hypot(x + c, y)
-    d_plus = math.hypot(x - c, y)
-    if sigma > 0:
-        return d_minus - d_plus - 2.0 * a
-    return d_plus - d_minus - 2.0 * a
+    return math.hypot(x + c, y) - math.hypot(x - c, y) - 2.0 * a
 
 
 # ---------------------------------------------------------------- gradients
@@ -84,12 +82,9 @@ def parabola_points(p: float, u: float, ts: Sequence[float]) -> tuple[list[float
     return list(ts), [t / u * t / p4 for t in ts]
 
 
-def hyperbola_points(
-    a: float, b: float, sigma: int, ts: Sequence[float]
-) -> tuple[list[float], list[float]]:
-    sa = sigma * a
+def hyperbola_points(a: float, b: float, ts: Sequence[float]) -> tuple[list[float], list[float]]:
     cosh, sinh = math.cosh, math.sinh
-    return [sa * cosh(t) for t in ts], [b * sinh(t) for t in ts]
+    return [a * cosh(t) for t in ts], [b * sinh(t) for t in ts]
 
 
 # ----------------------------------------------------------- quadratic roots
@@ -241,8 +236,8 @@ def parabola_nearest_param(p: float, qx: float, qy: float) -> tuple[float, int]:
     return math.copysign(t, qx), 1
 
 
-def hyperbola_nearest_param(a: float, b: float, sigma: int, qx: float, qy: float) -> tuple[float, int]:
-    xa, yb = sigma * qx / a, qy / b  # xa > 0 on the branch's own side
+def hyperbola_nearest_param(a: float, b: float, qx: float, qy: float) -> tuple[float, int]:
+    xa, yb = qx / a, qy / b  # xa > 0 on the +x side
     cc = a * a + b * b
     A, B = a * a * abs(xa), b * b * abs(yb)
     if xa > 0.0 and xa * xa - yb * yb > 1.0:  # inside the branch

@@ -8,7 +8,9 @@ Each shape is defined in a canonical pose:
   along +y, focus ``(0, p)``, directrix ``y = -p``.
 * Hyperbola: ``x^2/a^2 - y^2/b^2 = 1`` with ``a, b > 0``; a single branch
   is selected by ``branch`` (+1 opens toward +x, -1 toward -x), and
-  ``c = sqrt(a^2 + b^2)``.
+  ``c = sqrt(a^2 + b^2)``.  The -1 branch is the +1 branch reflected in the
+  y axis, and ``Hyperbola`` alone applies that reflection: its kernels are
+  those of the +x branch, called with ``branch * x``.
 
 A ``Placement`` is a rotation followed by a translation; ``Conic`` pairs a
 shape with a placement and exposes every curve operation in scene
@@ -186,6 +188,13 @@ class Hyperbola:
     opening toward -x.  Focus bookkeeping is branch-relative: the first
     focus is the near one (inside the selected branch), the second is the
     far one.
+
+    The -1 branch is the mirror image of the +1 branch in the y axis, and
+    this class is the one place that knows it: the residual, nearest-point
+    and ray solves run the +x branch's kernels on ``branch * x`` (and the
+    ray's ``branch * dx``), and the samples are those of ``branch * a``.
+    Negation is exact and the kernels' ``hypot`` is even, so each result has
+    the bits of a solve written for the branch.
     """
 
     kind: ClassVar[str] = "hyperbola"
@@ -225,28 +234,28 @@ class Hyperbola:
             raise NoBranchError("point lies on the axis of symmetry between branches; "
                                 "the residual is defined per branch")
         u = self._unit
-        return kernels.hyperbola_residual(self._au, self._bu, self.branch, x / u, y / u) * u
+        return kernels.hyperbola_residual(self._au, self._bu, self.branch * x / u, y / u) * u
 
     def _gradient(self, x: float, y: float) -> tuple[float, float]:
         return kernels.hyperbola_gradient(self._au, self._bu, x / self._unit, y / self._unit)
 
     def _points(self, ts: Sequence[float]) -> tuple[list[float], list[float]]:
-        return kernels.hyperbola_points(self.a, self.b, self.branch, ts)
+        return kernels.hyperbola_points(self.branch * self.a, self.b, ts)
 
     def _ray_roots(self, ox: float, oy: float, dx: float, dy: float,
                    merge: float) -> tuple[int, float, float]:
-        ox, oy, sigma = ox / self._unit, oy / self._unit, self.branch
+        ox, oy, dx = self.branch * ox / self._unit, oy / self._unit, self.branch * dx
         A, B, C = kernels.hyperbola_ray_coeffs(self._au, self._bu, ox, oy, dx, dy)
         n, r0, r1 = kernels.quadratic_roots(A, B, C, merge)
-        if n == 2 and not (ox + r1 * dx) * sigma > 0.0:  # keep the roots strictly on its side
+        if n == 2 and not ox + r1 * dx > 0.0:  # keep the roots strictly on the +x side
             n, r1 = 1, 0.0
-        if n and not (ox + r0 * dx) * sigma > 0.0:
+        if n and not ox + r0 * dx > 0.0:
             n, r0, r1 = n - 1, r1, 0.0
         return n, r0, r1
 
     def _nearest(self, x: float, y: float) -> tuple[float, int]:
         u = self._unit
-        return kernels.hyperbola_nearest_param(self._au, self._bu, self.branch, x / u, y / u)
+        return kernels.hyperbola_nearest_param(self._au, self._bu, self.branch * x / u, y / u)
 
     def _step(self, x: float, y: float, second: bool, forward: bool) -> tuple[float, float]:
         f = -self.branch * self._cu if second == forward else self.branch * self._cu
@@ -265,6 +274,23 @@ def _require_thick(shape: Shape) -> None:
         if small * small == 0.0:
             raise ValueError(f"{shape!r} is too thin for float arithmetic: its smaller "
                              "length squared underflows in the unit of its larger one")
+
+
+def _unit_gradient(shape: Shape, x: float, y: float) -> tuple[float, float]:
+    """``shape``'s gradient at the canonical point ``(x, y)``, normalized: the
+    one unit normal of ``tangent_normal``, the focal property and the tracer's
+    rare path (its common path normalizes inline).
+
+    Far out on a thin hyperbola ``x / a^2`` overflows at a finite point.  The
+    ellipse's and the hyperbola's gradients are linear in the point, so the
+    gradient is then taken again at the point scaled by the power of two that
+    brings its larger coordinate into the unit; a parabola point that far out
+    is off the curve, which each caller checks first, so ``(x, y)`` is finite."""
+    gx, gy = shape._gradient(x, y)
+    if not (math.isfinite(gx) and math.isfinite(gy)):
+        e = math.frexp(max(abs(x), abs(y)) / shape._unit)[1]
+        gx, gy = shape._gradient(math.ldexp(x, -e), math.ldexp(y, -e))
+    return _normalized(gx, gy)
 
 
 #: the rounding floor of a residual at the canonical point (x, y), per unit of
@@ -419,7 +445,7 @@ class Conic:
         """
         _require_type("q", q, Point)
         _require_thick(self.shape)
-        gx, gy = _normalized(*self.shape._gradient(*self._require_on_curve(q.x, q.y, tolerances)))
+        gx, gy = _unit_gradient(self.shape, *self._require_on_curve(q.x, q.y, tolerances))
         normal = _unit_unchecked(*_normalized(*self.placement._rotate_to_scene(gx, gy)))
         return normal.perpendicular(), normal
 
@@ -430,7 +456,7 @@ class Conic:
         parameter.
 
         Ellipse: ``(a cos t, b sin t)``; parabola: ``(t, t^2/(4p))``;
-        hyperbola: ``(sigma a cosh t, b sinh t)`` on the selected branch.
+        hyperbola: ``(branch * a cosh t, b sinh t)`` on the selected branch.
         """
         xs, ys = self._xys_at((t,))
         return Point(xs[0], ys[0])

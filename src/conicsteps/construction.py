@@ -185,8 +185,11 @@ def apex_reflector(tri: StepTriangle) -> Line:
     into the second exactly.  Raises DegenerateTriangleError for retraced
     walks, whose chord has no direction.
 
-    Its direction is ``unit(leg1_dir + leg2_dir)``, from ``_chord_xy``,
-    the one definition of the walk's chord.
+    Its direction comes from ``_chord_xy``, the one definition of the walk's
+    chord: ``unit(leg1_dir + leg2_dir)``, or, for legs that nearly retrace
+    (an obtuse angle between them), the unit normal of ``leg1_dir -
+    leg2_dir`` turned the same way, since there the sum cancels and would
+    miss the identity by about eps / |leg1_dir + leg2_dir|.
     """
     _require_type("tri", tri, StepTriangle)
     if tri.degenerate:
@@ -198,10 +201,21 @@ def apex_reflector(tri: StepTriangle) -> Line:
 
 
 def _chord_xy(u1x: float, u1y: float, u2x: float, u2y: float) -> tuple[float, float]:
-    """The unit chord direction of a walk with unit steps ``u1``, ``u2``:
-    ``unit(u1 + u2)``, which equals ``unit(B - A)`` for equal legs but does
-    not lose the (possibly tiny) chord to round-off in the points' coordinates."""
-    return _normalized(u1x + u2x, u1y + u2y)
+    """The unit chord direction of a walk with unit steps ``u1``, ``u2``, which
+    equals ``unit(B - A)`` for equal legs but does not lose the (possibly tiny)
+    chord to round-off in the points' coordinates.
+
+    For unit steps ``u1 + u2`` is perpendicular to ``u1 - u2``, so the chord is
+    either ``unit(u1 + u2)`` or the unit normal of ``u1 - u2``; each form is
+    taken where its vector is the longer.  When the legs nearly retrace
+    (``u1 . u2 < 0``), ``u1 + u2`` cancels and carries an error of about
+    eps / |u1 + u2|, while ``u1 - u2`` is near 2 u1 and exact to an ulp; its
+    normal is turned to point along ``u1 + u2``, as the sum form does."""
+    sx, sy = u1x + u2x, u1y + u2y
+    if u1x * u2x + u1y * u2y < 0.0:
+        wx, wy = u1x - u2x, u1y - u2y
+        return _normalized(-wy, wx) if wx * sy - wy * sx >= 0.0 else _normalized(wy, -wx)
+    return _normalized(sx, sy)
 
 
 #: componentwise budget for the exact apex reflection identity.

@@ -4,9 +4,9 @@ A sweep fixes a conic, an on-curve anchor, and an initial step ``delta0``,
 then halves the step ``halvings`` times, recording at each level:
 
 * ``residual_B``: |curve residual at the landing point B|;
-* ``chord_tangent_angle``: angle between the chord direction u1 + u2 of
-  the two unit steps, parallel to A-B, and the analytic tangent at A
-  (folded to [0, pi/2]: chords are undirected);
+* ``chord_tangent_angle``: angle between the chord direction of the two
+  unit steps u1, u2 (``construction._chord_xy``), parallel to A-B, and the
+  analytic tangent at A (folded to [0, pi/2]: chords are undirected);
 * ``apex_curve_distance``: distance from the apex D to the curve;
 * ``parallelism_error``: focal-direction spread between A and B (two-focus
   conics only);

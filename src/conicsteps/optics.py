@@ -30,7 +30,8 @@ run in its unit.
 normalizable directions, the on-curve check) is made on the floats, in the
 same order and with the same arithmetic, so results are bit-identical; a
 normalization divides inline, and leaves a direction it cannot normalize to
-``geometry._normalized``, the one place that raises.
+``geometry._normalized``, the one place that raises (a normal, to
+``conics._unit_gradient``, which first retakes an overflowed gradient).
 Tracing reads its bounce cap and its bounds from the scene
 (``Scene.max_bounces`` and ``Scene.tolerances``), the one trace policy;
 functions without a scene take a ``Tolerances`` argument.
@@ -42,7 +43,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 
 from .config import DEFAULT, Tolerances
-from .conics import Conic, Hyperbola, Parabola, Shape, _require_thick, as_conic
+from .conics import Conic, Hyperbola, Parabola, Shape, _require_thick, _unit_gradient, as_conic
 from .errors import UnsupportedVariantError
 from .geometry import (
     _MIN_DIRECTION_NORM,
@@ -312,10 +313,10 @@ def _reflect(mirror: _Mirror, x: float, y: float, dx: float, dy: float) -> tuple
         conic._require_on_curve(x, y, tolerances)
     gx, gy = gradient(xc, yc)
     n = math.hypot(gx, gy)
-    if _MIN_DIRECTION_NORM <= n < math.inf:  # _normalized's common case, inline
+    if _MIN_DIRECTION_NORM <= n < math.inf:  # _unit_gradient's common case, inline
         gx, gy = gx / n, gy / n
     else:
-        gx, gy = _normalized(gx, gy)
+        gx, gy = _unit_gradient(conic.shape, xc, yc)
     nx, ny = gx * c - gy * s, gx * s + gy * c
     n = math.hypot(nx, ny)  # a unit vector turned: 1 to within a few ulps
     nx, ny = nx / n, ny / n
@@ -351,7 +352,7 @@ def focal_property_error(
     shape = conic.shape
     xc, yc = conic._require_on_curve(q.x, q.y, tolerances)
     _require_thick(shape)
-    gx, gy = _normalized(*shape._gradient(xc, yc))
+    gx, gy = _unit_gradient(shape, xc, yc)
     # reflected across the tangent: the unit normal turned by -pi/2
     outgoing = _reflect_xy(*shape._step(xc, yc, False, True), gy, -gx)
     return _angle_xy(*outgoing, *shape._step(xc, yc, True, True))

@@ -76,6 +76,12 @@ class TestTangentAndReflect:
         assert code == 0
         assert out.splitlines()[1] == "normal 0 -1"
 
+    def test_tangent_far_out_on_a_thin_hyperbola(self, capsys):
+        # x / a^2 overflowed in the gradient, and this exited 2
+        code, out, _ = run(capsys, "tangent", "--hyperbola", "1e-100,1", "--param", "480")
+        assert code == 0
+        assert out.splitlines()[1] == "normal 1 -1e-100"
+
     def test_reflect(self, capsys):
         code, out, _ = run(
             capsys, "reflect", "--ellipse", "5,3", "--point", "0,3",

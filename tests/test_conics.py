@@ -105,6 +105,23 @@ class TestResidual:
         neg = Conic(Hyperbola(3, 4, branch=-1))
         assert neg.residual(Point(-3, 0)) == pytest.approx(0.0, abs=1e-15)
 
+    def test_hyperbola_branches_are_mirror_images_bit_for_bit(self):
+        # Hyperbola reflects the -1 branch onto the +1 branch's kernels: every
+        # result is the +1 branch's result for the mirrored input, mirrored
+        rng = random.Random(41)
+        pos, neg = Conic(Hyperbola(3, 4, 1)), Conic(Hyperbola(3, 4, -1))
+        for _ in range(200):
+            x, y = rng.uniform(-30, 30) or 1.0, rng.uniform(-30, 30)
+            assert neg.residual(Point(-x, y)) == pos.residual(Point(x, y))
+            p, n = pos.project_to_curve(Point(x, y)), neg.project_to_curve(Point(-x, y))
+            assert (n.param, n.foot, n.distance) == (p.param, Point(-p.foot.x, p.foot.y),
+                                                     p.distance)
+            t = rng.uniform(-3, 3)
+            assert neg.point_at(t) == Point(-pos.point_at(t).x, pos.point_at(t).y)
+            d = Direction(rng.uniform(-1, 1), rng.uniform(-1, 1) or 0.5)
+            hits_p = pos.shape._ray_roots(x, y, d.x, d.y, _ROOT_MERGE)
+            assert neg.shape._ray_roots(-x, y, -d.x, d.y, _ROOT_MERGE) == hits_p
+
     def test_hyperbola_axis_point_has_no_branch(self):
         with pytest.raises(NoBranchError):
             Conic(Hyperbola(3, 4)).residual(Point(0, 1))
@@ -432,6 +449,20 @@ class TestTangentNormal:
         tangent, normal = Conic(Hyperbola(3, 4)).tangent_normal(Point(3, 0))
         assert abs(tangent.y) == pytest.approx(1.0, abs=1e-15)
         assert normal.x == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("t", [480.0, 700.0, -700.0])
+    def test_far_point_of_a_thin_hyperbola(self, t):
+        # x / a^2 overflowed in the unit at a finite on-curve point, and the
+        # normal raised DegenerateDirectionError; the gradient is linear in
+        # the point, so it is retaken at the point scaled by a power of two
+        c = Conic(Hyperbola(1e-100, 1))
+        P = c.point_at(t)
+        assert c.is_on_curve(P)
+        _, normal = c.tangent_normal(P)
+        assert normal.x == 1.0
+        assert normal.y == pytest.approx(math.copysign(1e-100, -t), rel=4e-16)
+        if t == 480.0:
+            assert normal.y == -1e-100
 
     def test_tangent_normal_orthogonal_exactly(self):
         rng = random.Random(17)

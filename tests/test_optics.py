@@ -290,6 +290,17 @@ class TestReflectAt:
         assert hit.outgoing.x == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert hit.outgoing.y == pytest.approx(-math.sqrt(8.0) / 3.0, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [480.0, 700.0, -700.0])
+    def test_far_point_of_a_thin_hyperbola(self, t):
+        # the gradient overflowed at this finite on-curve point; the bounce
+        # loop's rare path retakes it at the point scaled by a power of two
+        c = Conic(Hyperbola(1e-100, 1))
+        out = reflect_at(c, c.point_at(t), Direction(-1.0, 0.0))
+        assert out.x == 1.0
+        assert out.y == pytest.approx(math.copysign(2e-100, -t), rel=4e-16)
+        if t == 480.0:
+            assert out.y == -2e-100
+
     def test_reversed_ray_retraces_path(self):
         rng = random.Random(103)
         for _ in range(100):
@@ -348,6 +359,12 @@ class TestFocalProperty:
     def test_far_point_of_a_parabola(self):
         c = Conic(Parabola(1))
         assert focal_property_error(c, c.point_at(1e30)) == 0.0
+
+    def test_far_point_of_a_thin_hyperbola(self):
+        c = Conic(Hyperbola(1e-100, 1))
+        assert focal_property_error(c, c.point_at(480.0)) == 0.0
+        assert focal_property_error(c, c.point_at(700.0)) <= 1e-15
+        assert focal_property_error(c, c.point_at(-700.0)) <= 1e-15
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "ROADMAP items 3 and 4: the pose's rounding moves this far on-curve point "
