@@ -465,19 +465,17 @@ class Conic:
         """Scene-frame columns ``(xs, ys)`` at the parameters ``ts``: the one
         parametric path, shared by ``point_at`` and figure sampling.
 
-        The canonical columns come from one kernel call and are placed in
-        one pass each.  If a parameter is past the float range or a sample is
-        not finite, the first such sample in ``ts`` is named, and a
-        non-finite canonical pair before the scene pair it maps to.
+        Its two steps are the canonical columns of one ``shape._points``
+        call and ``_place``, which places them; figure sampling takes the
+        first from a memo and runs only the second, falling back on this
+        method when the samples fail.  If a parameter is past the float
+        range or a sample is not finite, the first such sample in ``ts`` is
+        named, and a non-finite canonical pair before the scene pair it
+        maps to.
         """
-        pl = self.placement
-        c, s, tx, ty = pl._cos, pl._sin, pl.tx, pl.ty
-        isfinite = math.isfinite
         try:
-            xcs, ycs = self.shape._points(ts)
-            xs = [x * c - y * s + tx for x, y in zip(xcs, ycs)]
-            ys = [x * s + y * c + ty for x, y in zip(xcs, ycs)]
-            if all(map(isfinite, xs)) and all(map(isfinite, ys)):
+            xs, ys = self._place(*self.shape._points(ts))
+            if _all_finite(xs, ys):
                 return xs, ys
         except OverflowError:  # cosh and sinh past |t| ~ 710
             pass
@@ -487,8 +485,20 @@ class Conic:
             except OverflowError as exc:
                 raise ValueError(f"parameter t={t!r} is past the float range") from exc
             _require_finite(x, y)
-            _require_finite(*pl._xy_to_scene(x, y))
+            (x,), (y,) = self._place((x,), (y,))
+            _require_finite(x, y)
         raise AssertionError("a failed batch repeats its failure sample by sample")
+
+    def _place(
+        self, xcs: Sequence[float], ycs: Sequence[float]
+    ) -> tuple[list[float], list[float]]:
+        """The canonical columns ``(xcs, ycs)`` placed in the scene, one pass
+        per column: the one placing loop of parametric points.  The caller
+        checks the result with ``_all_finite``."""
+        pl = self.placement
+        c, s, tx, ty = pl._cos, pl._sin, pl.tx, pl.ty
+        return ([x * c - y * s + tx for x, y in zip(xcs, ycs)],
+                [x * s + y * c + ty for x, y in zip(xcs, ycs)])
 
     # ------------------------------------------------------------ nearest
 
@@ -525,6 +535,11 @@ class Conic:
             return (self.placement.to_scene(s.focus),)
         f1, f2 = s.foci
         return (self.placement.to_scene(f1), self.placement.to_scene(f2))
+
+
+def _all_finite(xs: Sequence[float], ys: Sequence[float]) -> bool:
+    """Whether every value of the columns ``xs`` and ``ys`` is finite."""
+    return all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))
 
 
 def _foot_xy(shape: Shape, x: float, y: float) -> tuple[float, float, float]:

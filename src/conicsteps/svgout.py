@@ -15,10 +15,20 @@ for identical inputs.
 check should find in the document.  A figure is a frame (its curves, foci
 and directrix; all of ``isosceles`` and ``cassegrain``) plus, on the four
 walk figures, the two-step walk, the only part that depends on ``delta``
-and ``anchor_param``.  ``_frame``, the one cache, draws each frame once per
-process, and a walk is drawn on a copy of it.  A bundle of traced rays is
-drawn from the float bounces of one ``optics._trace_xy`` call, never from
-trace objects; ``trace_svg`` draws a scene's mirrors and rays afresh.
+and ``anchor_param``.  A bundle of traced rays is drawn from the float
+bounces of one ``optics._trace_xy`` call, never from trace objects.
+
+Two caches keep work that repeats, and a hit gives the bytes of a fresh
+drawing:
+
+* ``_frame`` holds each figure's frame, keyed on its drawer: one entry per
+  frame, five in all.  A walk is drawn on a copy of the frame.
+* ``_canonical_curve`` holds a drawn curve's canonical columns, keyed on the
+  shape's value and the exact bits of the parameter range, never on a
+  placement, conic or scene; it keeps at most ``_CURVE_MEMO_SIZE`` entries,
+  the least recently used going first.  ``_curve`` only places and formats
+  them, so ``trace_svg`` samples each value-equal mirror shape once per
+  process, at any placement, and traces the scene's rays on every call.
 """
 from __future__ import annotations
 
@@ -27,7 +37,7 @@ import math
 from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
-from .conics import Conic, Ellipse, Hyperbola, Parabola, Placement
+from .conics import Conic, Ellipse, Hyperbola, Parabola, Placement, Shape, _all_finite
 from .geometry import Direction, Point, _require_count, scalar_projection, translate
 from .optics import Ray, Scene, _Bounce, _ray_xy, _trace_xy
 
@@ -159,12 +169,50 @@ class _SvgDoc:
         return head + "\n" + "\n".join(body) + "\n</svg>\n"
 
 
-def _curve(conic: Conic, t0: float, t1: float) -> tuple[list[float], list[float]]:
-    """``conic`` over ``[t0, t1]`` as ``_CURVE_SAMPLES`` chords: the x and y
-    columns of one ``Conic._xys_at`` call, so its finiteness checks and
-    messages apply."""
+def _params(t0: float, t1: float) -> list[float]:
+    """The ``_CURVE_SAMPLES + 1`` parameters of a drawn curve, evenly over ``[t0, t1]``."""
     n = _CURVE_SAMPLES
-    return conic._xys_at([t0 + (t1 - t0) * i / n for i in range(n + 1)])
+    return [t0 + (t1 - t0) * i / n for i in range(n + 1)]
+
+
+#: The most (shape, range) entries ``_canonical_curve`` holds, each about 33 kB.
+_CURVE_MEMO_SIZE = 32
+
+
+@functools.lru_cache(maxsize=_CURVE_MEMO_SIZE)
+def _canonical_curve(shape: Shape, t0: str, t1: str) -> tuple[tuple[float, ...], ...]:
+    """The canonical columns of ``shape`` at ``_params`` of the range given as
+    ``float.hex`` text, so that the key holds its exact bits (``-0.0`` is not
+    ``0.0``): the half of a drawn curve that depends on the shape and range
+    alone, made once per value-equal (shape, range).
+
+    A range whose samples raise or are not finite raises, so it stores
+    nothing; ``_curve`` then draws it through ``Conic._xys_at``.
+    """
+    xs, ys = shape._points(_params(float.fromhex(t0), float.fromhex(t1)))
+    if not _all_finite(xs, ys):
+        raise OverflowError("a sample of the range is not finite")
+    return tuple(xs), tuple(ys)
+
+
+def _curve(conic: Conic, t0: float, t1: float) -> tuple[list[float], list[float]]:
+    """``conic`` over the float range ``[t0, t1]`` as ``_CURVE_SAMPLES`` chords:
+    the x and y columns of ``Conic._xys_at`` at ``_params``, bit for bit.
+
+    The canonical columns come from ``_canonical_curve``, and only their
+    placing, ``Conic._place``, runs per call, so a shape drawn again at any
+    placement gives the bytes of its first drawing.  A range that fails,
+    canonically or once placed, is drawn through ``Conic._xys_at``, so its
+    finiteness checks and messages apply."""
+    try:
+        xcs, ycs = _canonical_curve(conic.shape, t0.hex(), t1.hex())
+    except (OverflowError, ValueError):  # a sample raised or is not finite
+        pass
+    else:
+        xs, ys = conic._place(xcs, ycs)
+        if _all_finite(xs, ys):
+            return xs, ys
+    return conic._xys_at(_params(t0, t1))
 
 
 def _mark_foci(doc: _SvgDoc, f1: Point, f2: Point) -> None:

@@ -464,6 +464,15 @@ class TestTangentNormal:
         if t == 480.0:
             assert normal.y == -1e-100
 
+    @pytest.mark.xfail(strict=True, raises=NoBranchError,
+                       reason="pose rounding loses the canonical x; ROADMAP item 4")
+    def test_far_point_of_a_posed_thin_hyperbola_is_on_it(self):
+        # Mapping the scene point back to the canonical frame cancels its x
+        # (1.9e160, against a y of 1.9e260) to exactly 0.0, the axis between
+        # the branches, where the residual is not defined.
+        c = Conic(Hyperbola(1e-100, 1), Placement(3, 4, 0.7))
+        assert c.is_on_curve(c.point_at(600.0))
+
     def test_tangent_normal_orthogonal_exactly(self):
         rng = random.Random(17)
         for _ in range(200):

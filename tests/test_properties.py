@@ -50,6 +50,7 @@ from conicsteps.cli import main
 from conicsteps.optics import _ray_xy, _trace_xy
 from conicsteps.svgout import (
     _CURVE_SAMPLES,
+    _canonical_curve,
     _curve,
     _SvgDoc,
     default_cassegrain_scene,
@@ -163,12 +164,19 @@ def test_batch_samples_are_the_pointwise_samples(conic, t0, t1):
     assert [conic.placement._xy_to_scene(*_textbook_point(conic.shape, t)) for t in ts] == pointwise
     xs, ys = conic._xys_at(ts)
     assert repr(list(zip(xs, ys))) == repr(pointwise)
+    _canonical_curve.cache_clear()
     doc = _SvgDoc()
     doc.polyline("curve", *_curve(conic, t0, t1))
     text = " ".join("%.8g,%.8g" % (x, -y) for x, y in pointwise)
     assert doc._items == [("polyline", "curve", text, False, False)]
     xs, ys = zip(*pointwise)
     assert doc._extent == (min(xs), max(xs), min(ys), max(ys))
+    # drawn again, the canonical columns come from the memo, and the
+    # drawing is the cold one bit for bit (repr tells signed zeros apart)
+    warm = _SvgDoc()
+    warm.polyline("curve", *_curve(conic, t0, t1))
+    assert _canonical_curve.cache_info().hits == 1
+    assert repr((warm._items, warm._extent)) == repr((doc._items, doc._extent))
 
 
 #: coordinates at the edges of the format and of min/max: signed zeros,

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 import xml.etree.ElementTree as ET
 from importlib import resources
@@ -21,9 +22,10 @@ from conicsteps import (
     load_scene,
     trace_svg,
 )
-from conicsteps import svgout
+from conicsteps import _kernels_py, svgout
 from conicsteps.errors import DegenerateTriangleError
-from conicsteps.svgout import _curve, _frame, default_cassegrain_scene
+from conicsteps.svgout import (_CURVE_MEMO_SIZE, _canonical_curve, _curve, _frame, _params,
+                               _SvgDoc, default_cassegrain_scene)
 from conftest import count_traces, fresh, pose_scene
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -284,6 +286,84 @@ class TestSampleErrorOrder:
         message = re.escape("parameter t=711.0 is past the float range")
         with pytest.raises(ValueError, match=f"^{message}$"):
             _curve(conic, 711.0, 800.0)
+
+
+#: The two poses of the telescope that TestCurveMemo draws.
+POSES = (Placement(), Placement(1.5, -2.25, 0.7))
+
+
+class TestCurveMemo:
+    """A drawn curve's canonical columns are made once per value-equal
+    (shape, range); each drawing only places them."""
+
+    def test_two_poses_sample_each_shape_once(self, monkeypatch):
+        calls = {"parabola_points": 0, "hyperbola_points": 0}
+        for name in calls:
+            real = getattr(_kernels_py, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(_kernels_py, name, counting)
+        _canonical_curve.cache_clear()
+        for pose in POSES:
+            trace_svg(pose_scene(default_cassegrain_scene(4), pose))
+        assert calls == {"parabola_points": 1, "hyperbola_points": 1}
+
+    def test_a_cold_render_gives_the_warm_bytes(self):
+        scenes = [pose_scene(default_cassegrain_scene(4), pose) for pose in POSES]
+        warm = [trace_svg(scene) for scene in scenes]
+        _canonical_curve.cache_clear()
+        assert [trace_svg(scene) for scene in reversed(scenes)] == warm[::-1]
+        assert _canonical_curve.cache_info().misses == 2
+
+    @pytest.mark.parametrize("conic, t0, t1, message", [
+        (Conic(Hyperbola(3, 4, -1), Placement(1, 2, 0.3)), 0.0, 800.0,
+         "point coordinates must be finite, got (-1.7936568447594977e+308, inf)"),
+        (Conic(Hyperbola(3, 4, -1), Placement(1, 2, 0.3)), 711.0, 800.0,
+         "parameter t=711.0 is past the float range"),
+        (Conic(Parabola(1.0), Placement(0.0, 0.0, 0.3)), 1e200, 1e200,
+         "point coordinates must be finite, got (1e+200, inf)"),
+        (Conic(Ellipse(5, 3)), 0.0, math.inf, "math domain error"),
+    ], ids=["not-finite", "past-the-float-range", "canonical-first", "domain"])
+    def test_a_failed_range_stores_nothing(self, conic, t0, t1, message):
+        _canonical_curve.cache_clear()
+        for _ in range(2):  # the second call fails as the first did
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _curve(conic, t0, t1)
+        assert _canonical_curve.cache_info().currsize == 0
+
+    def test_a_range_that_fails_once_placed_keeps_its_samples(self):
+        # the canonical samples are finite, and are kept for other placements
+        _canonical_curve.cache_clear()
+        for _ in range(2):
+            with pytest.raises(ValueError, match=OVERFLOW_MESSAGE):
+                _curve(OVERFLOWING, 0.0, 1.0)
+        assert _canonical_curve.cache_info().currsize == 1
+        assert _curve(Conic(OVERFLOWING.shape), 0.0, 1.0) == Conic(
+            OVERFLOWING.shape)._xys_at(_params(0.0, 1.0))
+
+    def test_the_memo_is_bounded(self):
+        _canonical_curve.cache_clear()
+        for k in range(_CURVE_MEMO_SIZE + 8):
+            _curve(Conic(Parabola(1.0 + k)), -6.0, 6.0)
+            assert _canonical_curve.cache_info().currsize <= _CURVE_MEMO_SIZE
+        assert _canonical_curve.cache_info().currsize == _CURVE_MEMO_SIZE
+
+    @pytest.mark.parametrize("starts", [(-0.0, 0.0), (0.0, -0.0)], ids=["-0 first", "0 first"])
+    def test_signed_zero_ranges_are_distinct_keys(self, starts):
+        # -0.0 == 0.0, so a key on the float values would draw the second
+        # range from the first one's samples.  The range runs down to -1:
+        # its first parameter is t0 + (-1 - t0) * 0 / n, which keeps the sign
+        # of t0 (up to +1 it is t0 + 0.0, which is 0.0 for both).
+        conic = Conic(Parabola(1), Placement(-0.0, 0.0, 0.0))
+        _canonical_curve.cache_clear()
+        for t0 in starts:
+            doc = _SvgDoc()
+            doc.polyline("curve", *_curve(conic, t0, -1.0))
+            assert doc._items[0][2].startswith("-0," if math.copysign(1.0, t0) < 0 else "0,")
+        assert _canonical_curve.cache_info().currsize == 2
 
 
 class TestSize:
