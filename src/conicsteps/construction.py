@@ -36,8 +36,8 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .config import DEFAULT, Tolerances
-from .conics import Conic, Parabola, Shape, _require_thick, as_conic
-from .errors import BracketError, ConicError, DegenerateTriangleError, UnsupportedVariantError
+from .conics import Conic, Shape, _require_thick, as_conic
+from .errors import BracketError, ConicError, DegenerateTriangleError
 from .geometry import (Direction, Line, Point, _angle_xy, _normalized, _require_finite,
                        _require_type, _unit_unchecked, reflect_direction, scalar_projection)
 
@@ -87,8 +87,10 @@ class FocalChange:
     ``proj_gap`` compares the projection of each leg onto the other leg's
     direction; the legs share the apex angle and a common length, so it is
     zero up to roundoff at any step size.  ``parallelism_error`` is the
-    angle at the second focus subtended by ``A`` and ``B``: the directions
-    A -> F2 and B -> F2 agree only to O(delta).
+    angle subtended by ``A`` and ``B`` at the focus the second step aims at
+    or leaves: F2 for the ellipse, the far focus for the hyperbola, the
+    focus for the parabola.  The second steps from A and from B agree only
+    to O(delta).
     """
 
     proj_gap: float
@@ -246,9 +248,9 @@ def reflect_through_apex(tri: StepTriangle) -> Direction:
 def focal_change_error(conic: Conic | Shape, tri: StepTriangle) -> FocalChange:
     """Projection and parallelism bookkeeping for a two-step triangle.
 
-    Only defined for two-focus conics; raises UnsupportedVariantError for
-    the parabola, whose second 'focus' is a directrix direction and has no
-    subtended angle.
+    The same for all three conics: ``parallelism_error`` is the angle,
+    at the focus the second step aims at or leaves, subtended by ``A``
+    and ``B`` (see FocalChange).
     """
     conic = as_conic(conic)
     _require_type("tri", tri, StepTriangle)
@@ -263,9 +265,6 @@ def _parallelism(shape: Shape, ax: float, ay: float, bx: float, by: float,
                  orientation: Orientation) -> float:
     """``parallelism_error`` of the canonical points ``A`` and ``B``, on floats:
     the angle between the second steps from ``A`` and from ``B``."""
-    if isinstance(shape, Parabola):
-        raise UnsupportedVariantError("focal-change bookkeeping needs two foci; "
-                                      "the parabola has one")
     forward = orientation == "forward"
     return _angle_xy(*shape._step(ax, ay, True, forward), *shape._step(bx, by, True, forward))
 

@@ -8,8 +8,8 @@ then halves the step ``halvings`` times, recording at each level:
   unit steps u1, u2 (``construction._chord_xy``), parallel to A-B, and the
   analytic tangent at A (folded to [0, pi/2]: chords are undirected);
 * ``apex_curve_distance``: distance from the apex D to the curve;
-* ``parallelism_error``: focal-direction spread between A and B (two-focus
-  conics only);
+* ``parallelism_error``: the angle between the second steps from A and
+  from B, subtended at the focus that step aims at or leaves;
 * ``exact_return_gap``: |t* - delta| from the exact-return variant.
 
 Orders are fitted as the mean of log2 ratios of successive values, skipping
@@ -52,8 +52,8 @@ __all__ = [
 class SweepConfig:
     """Inputs of a halving sweep.
 
-    ``metrics`` may be None to request every metric applicable to the
-    conic family (the parabola has no parallelism metric).
+    ``metrics`` may be None to request every metric, ``METRICS``, which
+    every conic family measures.
     """
 
     conic: Conic
@@ -85,11 +85,7 @@ class SweepConfig:
             object.__setattr__(self, "metrics", names)
 
     def resolved_metrics(self) -> tuple[str, ...]:
-        if self.metrics is not None:
-            return self.metrics
-        if isinstance(self.conic.shape, Parabola):
-            return tuple(m for m in METRICS if m != "parallelism_error")
-        return METRICS
+        return METRICS if self.metrics is None else self.metrics
 
 
 @dataclass(frozen=True)

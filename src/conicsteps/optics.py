@@ -75,6 +75,9 @@ __all__ = [
 ]
 
 ROLES = ("mirror", "primary", "secondary")
+#: the largest ``Scene.max_bounces``: a trace keeps every bounce up to the cap
+#: (a ray inside an ellipse never leaves it), so this bounds the work of a ray.
+MAX_BOUNCES = 10_000
 
 #: intersection parameters below this, in the mirror's unit, are the ray's own origin.
 _SELF_HIT = 1e-9
@@ -139,7 +142,9 @@ class Scene:
     ``tolerances.confocal`` in the larger length unit of the two mirrors
     (each shape's ``_unit``), so the check does not depend on the units of the
     scene.  The default is tight (1e-9); misalignment studies may widen it
-    deliberately to trace an imperfect pair.
+    deliberately to trace an imperfect pair.  ``max_bounces``, the cap of
+    every trace of the scene, is an integer from 1 to ``MAX_BOUNCES``
+    (10,000), so the work of one ray is bounded.
     """
 
     mirrors: tuple[Conic, ...]
@@ -163,6 +168,9 @@ class Scene:
             if role not in ROLES:
                 raise ValueError(f"unknown role {role!r}; expected one of {ROLES}")
         _require_count("max_bounces", self.max_bounces, 1)
+        if self.max_bounces > MAX_BOUNCES:
+            raise ValueError(f"max_bounces must be at most {MAX_BOUNCES} (optics.MAX_BOUNCES), "
+                             f"got {self.max_bounces!r}")
         _require_type("tolerances", self.tolerances, Tolerances)
         if self.roles.count("primary") > 1 or self.roles.count("secondary") > 1:
             raise ValueError("at most one primary and one secondary mirror allowed")

@@ -47,7 +47,7 @@ def sweep_level(shape: Ellipse | Parabola | Hyperbola, ax: float, ay: float, del
 
     Distances are Decimals.  ``decimal`` has no ``atan2``, so each angle is
     given as its (sine, cosine) pair: ``chord_tangent_angle`` folded to
-    [0, pi/2], ``parallelism_error`` in [0, pi] (None for the parabola).
+    [0, pi/2], ``parallelism_error`` in [0, pi].
     Grade a float angle against a pair with ``angle_error``.
     """
     with localcontext() as ctx:
@@ -84,13 +84,12 @@ def sweep_level(shape: Ellipse | Parabola | Hyperbola, ax: float, ay: float, del
                                     abs(chord[0] * g[1] - chord[1] * g[0]) / norm),
             "apex_curve_distance": foot_of_normal(shape, *D),
             "exact_return_gap": abs(return_length(shape, *D, *u2, delta) - d),
-            "parallelism_error": None,
         }
-        if not isinstance(shape, Parabola):
-            v, w = (f[0] - X, f[1] - Y), (f[0] - B[0], f[1] - B[1])
-            norm = _norm(*v) * _norm(*w)
-            out["parallelism_error"] = (abs(v[0] * w[1] - v[1] * w[0]) / norm,
-                                        (v[0] * w[0] + v[1] * w[1]) / norm)
+        # the angle at the focus the second step aims at or leaves
+        v, w = (f[0] - X, f[1] - Y), (f[0] - B[0], f[1] - B[1])
+        norm = _norm(*v) * _norm(*w)
+        out["parallelism_error"] = (abs(v[0] * w[1] - v[1] * w[0]) / norm,
+                                    (v[0] * w[0] + v[1] * w[1]) / norm)
         return out
 
 

@@ -183,16 +183,12 @@ def test_criterion_5_projection_lemma(anchor_set, standard_sweeps):
     worst_gap = 0.0
     n_triangles = 0
     for conic, anchor in anchor_set:
-        if conic.kind == "parabola":
-            continue
         for level in range(5):
             tri = two_step(conic, anchor, 0.1 / 2**level)
             worst_gap = max(worst_gap, focal_change_error(conic, tri).proj_gap)
             n_triangles += 1
     ratios = []
     for rep in standard_sweeps:
-        if rep.config.conic.kind == "parabola":
-            continue
         floor = noise_floor(rep.config.conic)
         vals = rep.values["parallelism_error"]
         for prev, nxt in zip(vals, vals[1:]):

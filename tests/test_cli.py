@@ -337,6 +337,15 @@ class TestTrace:
         assert err.startswith("error: value:")
         assert "max_bounces" in err
 
+    def test_max_bounces_over_the_cap(self, capsys):
+        # the flag's cap had no upper bound: a trace of the bundled ellipse
+        # keeps every bounce, so the work grew with the flag
+        code, out, err = run(capsys, "trace", bundled_scene("ellipse.json"),
+                             "--max-bounces", "10001")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: value: max_bounces must be at most 10000 ")
+        assert err.count("\n") == 1
+
     def test_svg_output(self, capsys, tmp_path):
         target = tmp_path / "trace.svg"
         code, _, _ = run(

@@ -26,7 +26,6 @@ from conicsteps import (
     Point,
     StepTriangle,
     SweepConfig,
-    UnsupportedVariantError,
     apex_reflector,
     direction,
     exact_return,
@@ -301,8 +300,6 @@ class TestFocalChange:
         rng = random.Random(79)
         for _ in range(100):
             conic = random_conic(rng)
-            if conic.kind == "parabola":
-                continue
             anchor = conic.point_at(random_param(rng, conic))
             tri = two_step(conic, anchor, 10.0 ** rng.uniform(-3, -0.5))
             if tri.degenerate:
@@ -317,11 +314,14 @@ class TestFocalChange:
             0.019305726659095374, rel=1e-9
         )
 
-    def test_parabola_unsupported(self):
+    def test_parabola_focal_change(self):
+        # The parabola's second step aims at its focus, so the parallelism
+        # is the angle A and B subtend there, as for the two-focus conics.
         conic = Conic(Parabola(1))
-        tri = two_step(conic, Point(2, 1), 0.1)
-        with pytest.raises(UnsupportedVariantError):
-            focal_change_error(conic, tri)
+        change = focal_change_error(conic, two_step(conic, Point(2, 1), 0.1))
+        assert change.proj_gap <= 1e-12
+        # 50-digit oracle: atan2 of its (sin, cos) is 0.049958395721942765
+        assert change.parallelism_error == pytest.approx(0.04995839572194273, rel=1e-9)
 
     def test_parallelism_halves_with_delta(self):
         anchor = ELL.point_at(1.1)
@@ -479,6 +479,6 @@ class TestFrozenOutput:
             parts.append(serialize_scene(load_scene(str(path))))
         assert len(parts) == 34
         digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-        # Re-recorded when the chord of legs that nearly retrace became the
-        # normal of u1 - u2 (closer to the 50-digit walk; see CHANGES.md).
-        assert digest == "0c61c4ebe1a69ec6712d94609b3091129ce59df803b61ef96fc1560b9c4fca5d"
+        # Re-recorded when parabola sweeps gained the parallelism_error
+        # column; every other part kept its bytes (see CHANGES.md).
+        assert digest == "f5318804ad5a1be20bb5ea550d90dd5d10a63e07113ec63273ec1d5036748a52"

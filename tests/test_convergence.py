@@ -24,6 +24,7 @@ from conicsteps import (
     focal_change_error,
     noise_floor,
     run_sweep,
+    standard_anchors,
     two_step,
 )
 from conicsteps import convergence
@@ -117,11 +118,10 @@ class TestSweepConfig:
         with pytest.raises(TypeError, match="anchor"):
             SweepConfig(conic=ELL, anchor=(0.0, 3.0), delta0=0.1, halvings=4)
 
-    def test_default_metrics_exclude_parallelism_for_parabola(self):
-        cfg = SweepConfig(conic=Conic(Parabola(1)), anchor=Point(2, 1), delta0=0.1, halvings=4)
-        assert "parallelism_error" not in cfg.resolved_metrics()
-        full = SweepConfig(conic=ELL, anchor=TOP, delta0=0.1, halvings=4)
-        assert full.resolved_metrics() == METRICS
+    def test_default_metrics_are_every_metric_for_every_kind(self):
+        for conic, anchor in standard_anchors()[::8]:
+            cfg = SweepConfig(conic=conic, anchor=anchor, delta0=0.1, halvings=4)
+            assert cfg.resolved_metrics() == METRICS
 
 
 class TestRunSweep:
@@ -262,9 +262,8 @@ class TestRunSweep:
                 assert row["apex_curve_distance"] == canon.project_to_curve(tri.D).distance
                 assert row["exact_return_gap"] == exact_return(
                     canon, anchor_c, delta, orientation).gap
-                if "parallelism_error" in names:
-                    assert row["parallelism_error"] == focal_change_error(
-                        canon, tri).parallelism_error
+                assert row["parallelism_error"] == focal_change_error(
+                    canon, tri).parallelism_error
 
     def test_degenerate_anchor_reports_zero_rows(self):
         cfg = SweepConfig(
@@ -275,7 +274,7 @@ class TestRunSweep:
             assert all(v == 0.0 for v in report.values[name])
             assert report.orders[name].order is None
 
-    def test_requested_parallelism_on_parabola_fails_fast(self):
+    def test_requested_parallelism_on_parabola_is_first_order(self):
         cfg = SweepConfig(
             conic=Conic(Parabola(1)),
             anchor=Point(2, 1),
@@ -284,8 +283,8 @@ class TestRunSweep:
             metrics=("parallelism_error",),
         )
         report = run_sweep(cfg)
-        assert report.failed_level == 0
-        assert "variant" in report.failure or "parabola" in report.failure
+        assert report.failed_level is None and report.failure is None
+        assert report.orders["parallelism_error"].order == pytest.approx(1.0, abs=0.15)
 
     def test_truncated_sweep_keeps_completed_levels(self):
         conic = Conic(Ellipse(1.0, 0.8))

@@ -487,6 +487,14 @@ class TestScene:
         with pytest.raises(ValueError):
             Scene(mirrors=(ELL,), max_bounces=0)
 
+    @pytest.mark.parametrize("value", [10_001, 10**15])
+    def test_max_bounces_is_capped(self, value):
+        # any integer was accepted, and a trace keeps every bounce up to the
+        # cap (a ray never leaves an ellipse), so the work per ray had no bound
+        assert Scene(mirrors=(ELL,), max_bounces=optics.MAX_BOUNCES).max_bounces == 10_000
+        with pytest.raises(ValueError, match="max_bounces must be at most 10000 "):
+            Scene(mirrors=(ELL,), max_bounces=value)
+
     @pytest.mark.parametrize("value", [True, 2.5])
     def test_max_bounces_must_be_an_int(self, value):
         # True serialized as "max_bounces": true, which parse_scene rejects;

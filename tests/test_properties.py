@@ -32,6 +32,7 @@ from conicsteps import (
     SweepConfig,
     Tolerances,
     exact_return,
+    focal_change_error,
     focal_property_error,
     intersect_ray,
     load_scene,
@@ -254,10 +255,86 @@ def test_sweep_and_exact_return_do_not_depend_on_pose(conic, t, orientation, man
             == _sweep_and_return(Conic(conic.shape), Point(*ac), delta, orientation))
 
 
+def _signed(lo: float, hi: float):
+    """A float of either sign with its magnitude in ``[lo, hi]``."""
+    return st.tuples(st.sampled_from((1.0, -1.0)), _floats(lo, hi)).map(lambda p: p[0] * p[1])
+
+
+#: the rungs of a that take the near-limit conics toward Parabola(_LIMIT_P); at
+#: 1e6 the placement's rounding (about 6e-17 * a) is still far below every gap
+_LIMIT_A = (1e2, 1e4, 1e6)
+_LIMIT_P = 1.0
+#: the parabola's orientation -> the near-limit kind and orientation whose two
+#: steps it takes: its directrix step is the far focus's step at a = infinity
+_LIMIT_WALKS = {"forward": ("ellipse", "backward"), "backward": ("hyperbola", "backward")}
+
+
+def _limit_conic(kind: str, a: float, p: float) -> Conic:
+    """The ellipse or hyperbola of size ``a`` with Parabola(p)'s vertex (the
+    origin) and near focus ``(0, p)``; its far focus recedes along the axis."""
+    if kind == "ellipse":
+        return Conic(Ellipse(a, math.sqrt(2.0 * a * p - p * p)), Placement(0.0, a, math.pi / 2))
+    return Conic(Hyperbola(a, math.sqrt(2.0 * a * p + p * p), 1),
+                 Placement(0.0, -a, math.pi / 2))
+
+
+def _limit_probe(conic: Conic, A: Point, delta: float, orientation: str, ray: Ray,
+                 q: Point) -> dict[str, tuple[float, ...]]:
+    """What the cross-kind property compares: the walk's step B - A, the exact
+    return's, the tangent at A, the foot of q, the first hit of the ray and
+    the parallelism of the walk."""
+    tri = two_step(conic, A, delta, orientation)
+    ret = exact_return(conic, A, delta, orientation).triangle
+    tangent, _ = conic.tangent_normal(A)
+    sign = math.copysign(1.0, tangent.x)  # tangents are undirected: compare them up to sign
+    foot = conic.project_to_curve(q).foot
+    hit = intersect_ray(conic, ray)[0][1]
+    return {"two_step": (tri.B.x - tri.A.x, tri.B.y - tri.A.y),
+            "exact_return": (ret.B.x - ret.A.x, ret.B.y - ret.A.y),
+            "tangent_normal": (sign * tangent.x, sign * tangent.y),
+            "project_to_curve": (foot.x, foot.y),
+            "intersect_ray": (hit.x, hit.y),
+            "parallelism_error": (focal_change_error(conic, tri).parallelism_error,)}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(x=_signed(0.3, 2.0), delta=_floats(0.05, 0.2), orientation=st.sampled_from(("forward", "backward")),
+       tilt=_floats(-0.4, 0.4), reach=_floats(0.5, 2.0), offset=_floats(-0.5, 0.5))
+def test_parabola_is_the_limit_of_ellipses_and_hyperbolas(x, delta, orientation, tilt, reach,
+                                                           offset):
+    # One step rule for all three conics: each operation on the near-limit
+    # ellipse or hyperbola of size a differs from the parabola's by O(p / a).
+    # A wrong pairing of the walks keeps its step more than 6e-4 away at
+    # every a, so a parabola step rule that is not the limit fails here.
+    p = _LIMIT_P
+    parabola = Conic(Parabola(p))
+    A = parabola.point_at(x)
+    u = Direction(-math.sin(tilt), math.cos(tilt))  # within 0.4 rad of the axis
+    ray = Ray(Point(A.x - reach * u.x, A.y - reach * u.y), u)  # from outside, aimed at A
+    _, n = parabola.tangent_normal(A)
+    q = Point(A.x + offset * n.x, A.y + offset * n.y)  # its foot is A, as 0.5 < 2 p
+    want = _limit_probe(parabola, A, delta, orientation, ray, q)
+    kind, limit_orientation = _LIMIT_WALKS[orientation]
+    gaps = []
+    for a in _LIMIT_A:
+        conic = _limit_conic(kind, a, p)
+        got = _limit_probe(conic, conic.project_to_curve(A).foot, delta, limit_orientation,
+                           ray, q)
+        gaps.append({m: math.dist(got[m], want[m]) for m in want})
+    for m in want:
+        g = [row[m] for row in gaps]
+        # at most 2 p / a on every rung: it falls at least 10x per decade
+        assert all(gk <= 2.0 * p / a for gk, a in zip(g, _LIMIT_A)), (m, g)
+        if m != "parallelism_error":
+            # and no faster: about 10x per decade.  The parallelism gap is a
+            # signed angle whose 1/a coefficient changes sign near |x| = 1.5,
+            # where its rate is undefined, so it has the bound alone.
+            assert 0.9 <= math.log10(g[1] / g[2]) / 2.0 <= 1.1, (m, g)
+
+
 def _offsets(lo: float, hi: float, min_size: int):
     """Signed offsets with magnitudes in ``[lo, hi]``."""
-    signed = st.tuples(st.sampled_from((1.0, -1.0)), _floats(lo, hi)).map(lambda p: p[0] * p[1])
-    return st.lists(signed, min_size=min_size, max_size=3)
+    return st.lists(_signed(lo, hi), min_size=min_size, max_size=3)
 
 
 @st.composite

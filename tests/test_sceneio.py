@@ -100,6 +100,12 @@ class TestRejection:
         with pytest.raises(SceneFormatError, match="options"):
             parse_scene('{"options": {"bounce_cap": 3}}')
 
+    def test_max_bounces_over_the_cap(self):
+        # a file could ask any trace for 10**15 bounces, and got them
+        with pytest.raises(SceneFormatError) as info:
+            parse_scene('{"options": {"max_bounces": 1000000000000000}}', source="s.json")
+        assert str(info.value).startswith("s.json: max_bounces must be at most 10000 ")
+
     def test_missing_required_parameter(self):
         with pytest.raises(SceneFormatError, match="[ab]"):
             parse_scene('{"conics": [{"kind": "ellipse", "a": 5}]}')
